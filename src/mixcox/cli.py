@@ -7,8 +7,8 @@ concordance-odds table with simultaneous intervals.  ``mixcox simulate
 --config scenarios.json --out-dir out/`` runs each configured scenario
 and writes summary tables.
 
-Exit codes: 0 success, 1 validation error, 2 convergence failure,
-3 I/O error.
+Exit codes: 0 success, 1 validation error, 2 convergence or estimation
+failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import em, inference, simulate
-from .errors import DatasetError, MixcoxError
+from .errors import DatasetError, IntervalError, MixcoxError
 from .model import Dataset, DiagnosticModel, EffectParams, TEST_MISSING
 
 __all__ = [
@@ -101,7 +101,7 @@ class AnalysisReport:
     def __post_init__(self):
         for row in self.parameters:
             if not row.ci.contains(row.estimate):
-                raise RuntimeError(
+                raise IntervalError(
                     f"internal error: interval for {row.name} excludes the estimate"
                 )
 

@@ -92,10 +92,14 @@ class FitResult:
 
 
 class _Workspace:
-    """Precomputed structures shared by every EM pass over one dataset."""
+    """Precomputed structures shared by every EM pass over one dataset.
+
+    Holds arrays of the dataset, never the dataset itself: it is the weak
+    key of ``_workspaces``, and a reference from the value would keep the
+    entry alive for the life of the process.
+    """
 
     def __init__(self, data: Dataset):
-        self.data = data
         n = self.n = len(data)
         self.t = data.time
         self.d = data.event.astype(float)

@@ -17,5 +17,9 @@ class ConditioningError(MixcoxError):
     """A finite-difference information matrix is not positive definite."""
 
 
+class IntervalError(MixcoxError):
+    """A computed confidence interval excludes its own point estimate."""
+
+
 class DatasetError(ValueError):
     """Invalid subject-level data (parsing or domain violations)."""

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import integrate, stats
-from scipy.special import expit, logit, ndtri
+from scipy.special import expit, logit, ndtr, ndtri
 
 from . import em
 from .errors import ConditioningError, DegenerateDataError, SeparationError
@@ -45,6 +45,7 @@ _PARAM_INDEX = {"beta1": 0, "beta2": 1, "gamma": 2}
 _SOBOL_SEED = 271828182
 _SOBOL_LOG2_POINTS = 22
 _MAX_BRACKET_EXPANSIONS = 10
+_SQRT_2PI = math.sqrt(2 * math.pi)  # equals scipy.stats' normal-density constant
 
 
 @dataclass(frozen=True)
@@ -363,18 +364,26 @@ def subgroup_cov(information: np.ndarray) -> np.ndarray:
 def bvn_rect_prob(xi: float, rho: float) -> float:
     """P(|X1| <= xi and |X2| <= xi) for standard bivariate normal with
     correlation rho, by one-dimensional adaptive quadrature of the
-    conditional-normal representation (absolute error well below 1e-9)."""
+    conditional-normal representation (absolute error well below 1e-9).
+
+    The integrand calls ``scipy.special.ndtr`` and the closed-form density
+    exp(-u**2 / 2) / sqrt(2 pi) directly: the same arithmetic as
+    ``scipy.stats.norm.cdf``/``pdf``, so results are bit-identical, without
+    their per-call argument checking.
+    """
     if not xi > 0:
         raise ValueError("xi must be positive")
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must be in [-1, 1]")
     if abs(rho) >= 1.0 - 1e-12:
-        return 2.0 * stats.norm.cdf(xi) - 1.0
+        return 2.0 * ndtr(xi) - 1.0
     s = math.sqrt(1.0 - rho * rho)
 
     def integrand(u):
-        return stats.norm.pdf(u) * (
-            stats.norm.cdf((xi - rho * u) / s) - stats.norm.cdf((-xi - rho * u) / s)
+        # np.exp, not math.exp: scipy's norm.pdf uses np.exp, and the two
+        # are not guaranteed to round alike
+        return np.exp(-u**2 / 2.0) / _SQRT_2PI * (
+            ndtr((xi - rho * u) / s) - ndtr((-xi - rho * u) / s)
         )
 
     val, _ = integrate.quad(integrand, -xi, xi, epsabs=1e-12, epsrel=1e-12, limit=200)

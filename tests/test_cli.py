@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from helpers import oracle_cox, sim_dataset
 
-from mixcox import DatasetError, DiagnosticModel, fit
+from mixcox import DatasetError, DiagnosticModel, fit, inference
 from mixcox.cli import (
     AnalysisRequest,
     main,
@@ -185,6 +185,17 @@ class TestExitCodes:
                    "--max-em-iter", "1"])
         assert rc == 2
         assert "did not converge" in capsys.readouterr().err
+
+    def test_interval_excluding_estimate(self, tmp_path, capsys, monkeypatch):
+        data = sim_dataset(35, n_per_arm=40, sens=1.0, spec=1.0)
+        p = tmp_path / "d.csv"
+        write_dataset(data, p)
+        monkeypatch.setattr(inference, "profile_ci",
+                            lambda *args, **kwargs: inference.Interval(1e6, 2e6))
+        assert main(["fit", str(p), "--sens", "1", "--spec", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: estimation failed: ")
+        assert "excludes the estimate" in err
 
     def test_io_error(self, capsys):
         assert main(["fit", "/nonexistent/file.csv",

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +16,7 @@ from mixcox import (
     PosteriorWeights,
     Subject,
     e_step,
+    em,
     fit,
     m_step,
     observed_log_likelihood,
@@ -229,3 +232,17 @@ class TestFit:
         assert res.theta_hat.gamma == 0.25
         full = fit(data, diag(0.9, 0.9))
         assert res.obs_loglik <= full.obs_loglik + 1e-9
+
+
+class TestWorkspaceCache:
+    def test_fitted_dataset_is_freed(self):
+        gc.collect()
+        cached_before = len(em._workspaces)
+        data = sim_dataset(18, n_per_arm=30, sens=0.9, spec=0.9)
+        fit(data, diag(0.9, 0.9))
+        assert len(em._workspaces) == cached_before + 1
+        ref = weakref.ref(data)
+        del data
+        gc.collect()
+        assert ref() is None
+        assert len(em._workspaces) == cached_before

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from helpers import sim_dataset
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, stats
 from scipy.special import expit, logit
 
 from mixcox import (
@@ -14,6 +16,7 @@ from mixcox import (
     concordance_prob,
     fd_profile_information,
     fit,
+    inference,
     lr_test,
     overall_concordance_report,
     profile_ci,
@@ -179,6 +182,47 @@ class TestBvnRect:
         lo = bvn_rect_prob(1.95996, 0.0)
         hi = 2 * stats.norm.cdf(1.95996) - 1
         assert lo < val < hi  # strictly between the rho=0 and |rho|=1 values
+
+    @settings(max_examples=50, deadline=None)
+    @given(xi=st.floats(0.01, 6.0), dxi=st.floats(0.0, 3.0),
+           rho=st.floats(-1.0, 1.0))
+    def test_properties(self, xi, dxi, rho):
+        p = bvn_rect_prob(xi, rho)
+        assert 0.0 <= p <= 1.0
+        # quadrature noise is ~1e-15; 1e-12 allows it and nothing more
+        assert bvn_rect_prob(xi + dxi, rho) >= p - 1e-12
+        assert bvn_rect_prob(xi, 0.0) - 1e-12 <= p <= bvn_rect_prob(xi, 1.0) + 1e-12
+
+
+def _reference_bvn_rect_prob(xi, rho):
+    """The scipy.stats formulation of the integrand, with the same quad
+    arguments: bvn_rect_prob must reproduce it bit for bit."""
+    if abs(rho) >= 1.0 - 1e-12:
+        return 2.0 * stats.norm.cdf(xi) - 1.0
+    s = math.sqrt(1.0 - rho * rho)
+
+    def integrand(u):
+        return stats.norm.pdf(u) * (
+            stats.norm.cdf((xi - rho * u) / s) - stats.norm.cdf((-xi - rho * u) / s)
+        )
+
+    val, _ = integrate.quad(integrand, -xi, xi, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return float(val)
+
+
+class TestBvnRectReference:
+    def test_bit_identical_on_grid(self):
+        for xi in (0.01, 0.05, 0.7, 1.95996, 3.5):
+            for rho in (-1.0, -1 + 1e-7, -0.6, 0.0, 0.25, 0.95,
+                        1 - 1e-6, 1 - 1e-9, 1.0):
+                assert bvn_rect_prob(xi, rho) == _reference_bvn_rect_prob(xi, rho)
+
+    def test_scale_bit_identical(self, monkeypatch):
+        grid = np.linspace(-0.99, 0.99, 9)
+        new = [simultaneous_scale(float(r), 0.05) for r in grid]
+        monkeypatch.setattr(inference, "bvn_rect_prob", _reference_bvn_rect_prob)
+        ref = [simultaneous_scale(float(r), 0.05) for r in grid]
+        assert new == ref
 
 
 class TestSimultaneousScale:
