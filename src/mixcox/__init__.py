@@ -12,23 +12,12 @@ and regenerates the accompanying simulation study at desk scale.
 
 from .cox import (
     CoxFit,
-    ExpandedRow,
     RowData,
     breslow_baseline,
-    cumulative_hazard,
     fit_weighted_cox,
     weighted_partial_loglik,
 )
-from .em import (
-    EmConfig,
-    FitResult,
-    PosteriorWeights,
-    e_step,
-    fit,
-    m_step,
-    observed_log_likelihood,
-    update_prevalence,
-)
+from .em import EmConfig, FitResult, PosteriorWeights, fit
 from .errors import (
     ConditioningError,
     DatasetError,
@@ -58,7 +47,6 @@ from .model import (
     EffectParams,
     Subject,
     linear_predictor,
-    log_component_likelihood,
     mixture_survival,
     npv,
     ppv,
@@ -79,15 +67,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BaselineHazard", "ConditioningError", "CoxFit", "Dataset",
     "DatasetError", "DegenerateDataError", "DiagnosticModel", "EffectParams",
-    "EmConfig", "ExpandedRow", "FitResult", "InferenceConfig", "Interval",
-    "MixcoxError", "PosteriorWeights", "RenderedTable", "RngStream",
-    "RowData", "ScenarioConfig", "ScenarioSummary", "SeparationError",
+    "EmConfig", "FitResult", "InferenceConfig", "Interval", "MixcoxError",
+    "PosteriorWeights", "RenderedTable", "RngStream", "RowData",
+    "ScenarioConfig", "ScenarioSummary", "SeparationError",
     "SimultaneousReport", "Subject", "breslow_baseline", "bvn_rect_prob",
-    "concordance_prob", "cumulative_hazard", "draw_survival_time", "e_step",
-    "emit_table", "fd_profile_information", "fit", "fit_weighted_cox",
-    "generate_trial", "linear_predictor", "log_component_likelihood",
-    "lr_test", "m_step", "mixture_survival", "npv", "observed_log_likelihood",
+    "concordance_prob", "draw_survival_time", "emit_table",
+    "fd_profile_information", "fit", "fit_weighted_cox", "generate_trial",
+    "linear_predictor", "lr_test", "mixture_survival", "npv",
     "overall_concordance_report", "ppv", "profile_ci", "profile_loglik",
     "run_scenario", "simultaneous_cis", "simultaneous_scale", "subgroup_cov",
-    "update_prevalence", "weighted_partial_loglik",
+    "weighted_partial_loglik",
 ]

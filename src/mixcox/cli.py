@@ -303,9 +303,7 @@ def run_fit(request: AnalysisRequest) -> AnalysisReport:
         ci = inference.profile_ci(
             data, diag, name, icfg, fit_result=res, em_config=em_cfg, se=float(ses[i])
         )
-        _, p = inference.lr_test(
-            data, diag, name, 0.0, icfg, fit_result=res, em_config=em_cfg
-        )
+        _, p = inference.lr_test(data, diag, name, 0.0, fit_result=res, em_config=em_cfg)
         rows.append(ParamRow(name, labels[name], float(theta[i]), ci, p))
     if estimated:
         ci_pi = inference.profile_ci(
@@ -432,7 +430,8 @@ def main(argv=None) -> int:
                 em_max_iter=args.max_em_iter,
             )
             report = run_fit(request)
-            rendered = report.to_json() if args.format == "structured" else report.to_text()
+            structured = request.output_format == "structured"
+            rendered = report.to_json() if structured else report.to_text()
             if args.out:
                 Path(args.out).write_text(rendered)
             else:

@@ -13,7 +13,6 @@ denominator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -21,13 +20,11 @@ from .errors import DegenerateDataError, SeparationError
 from .model import BaselineHazard
 
 __all__ = [
-    "ExpandedRow",
     "RowData",
     "CoxFit",
     "weighted_partial_loglik",
     "fit_weighted_cox",
     "breslow_baseline",
-    "cumulative_hazard",
 ]
 
 GRAD_TOL = 1e-10
@@ -38,23 +35,6 @@ SEPARATION_BOUND = 50.0
 # a monotone likelihood flattens out numerically well before the runaway
 # bound; a fit that terminates beyond this is quasi-separated
 SEPARATION_FLAG = 15.0
-
-
-@dataclass(frozen=True)
-class ExpandedRow:
-    """One weighted row: (time, event, weight, covariates, offset)."""
-
-    time: float
-    event: int
-    weight: float
-    covariates: tuple[float, ...]
-    offset: float = 0.0
-
-    def __post_init__(self):
-        if not self.time > 0:
-            raise ValueError("time must be positive")
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError("weight must be in [0, 1]")
 
 
 class RowData:
@@ -104,16 +84,6 @@ class RowData:
         self._ev_rows = np.flatnonzero(self.event == 1)
         self._ev_gid = np.searchsorted(self.ets, self.time[self._ev_rows])
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[ExpandedRow]) -> "RowData":
-        return cls(
-            [r.time for r in rows],
-            [r.event for r in rows],
-            [r.weight for r in rows],
-            [r.covariates for r in rows],
-            [r.offset for r in rows],
-        )
-
     def with_weights(self, weight) -> "RowData":
         """Same rows and layout, different weights."""
         return RowData(
@@ -121,10 +91,6 @@ class RowData:
             _share=(self.ets, self.widths, self._order, self._pos,
                     self._ev_rows, self._ev_gid),
         )
-
-
-def _as_rowdata(rows) -> RowData:
-    return rows if isinstance(rows, RowData) else RowData.from_rows(rows)
 
 
 def _risk_sums(rd: RowData, rel_risk: np.ndarray) -> np.ndarray:
@@ -187,12 +153,12 @@ class CoxFit:
     gradient_norm: float
 
 
-def weighted_partial_loglik(rows, beta):
+def weighted_partial_loglik(rd: RowData, beta):
     """Weighted Breslow-ties partial log-likelihood with derivatives.
 
     Parameters
     ----------
-    rows : RowData or sequence of ExpandedRow
+    rd : RowData
     beta : array of length equal to the number of covariate columns;
         the linear predictor is ``covariates @ beta + offset``.
 
@@ -202,14 +168,13 @@ def weighted_partial_loglik(rows, beta):
         Exact analytic derivatives of the returned value; the Hessian is
         symmetric negative semidefinite.
     """
-    rd = _as_rowdata(rows)
     beta = np.asarray(beta, dtype=float)
     if beta.size != rd.n_cov:
         raise ValueError(f"beta must have length {rd.n_cov}")
     return _loglik_parts(rd, beta, np.arange(rd.n_cov), order=2)
 
 
-def fit_weighted_cox(rows, init_beta=None, free_mask=None) -> CoxFit:
+def fit_weighted_cox(rd: RowData, init_beta=None, free_mask=None) -> CoxFit:
     """Maximize the weighted partial likelihood by Newton ascent.
 
     ``free_mask`` selects which covariate columns are estimated; excluded
@@ -226,7 +191,6 @@ def fit_weighted_cox(rows, init_beta=None, free_mask=None) -> CoxFit:
     DegenerateDataError
         If an event's risk set has zero total weight.
     """
-    rd = _as_rowdata(rows)
     if free_mask is None:
         cols = np.arange(rd.n_cov)
     else:
@@ -279,14 +243,13 @@ def fit_weighted_cox(rows, init_beta=None, free_mask=None) -> CoxFit:
     return CoxFit(beta, ll, it, converged, gnorm)
 
 
-def breslow_baseline(rows, beta) -> BaselineHazard:
+def breslow_baseline(rd: RowData, beta) -> BaselineHazard:
     """Piecewise-constant baseline hazard given fitted coefficients.
 
     The increment on the interval ending at the j-th distinct event time
     is the weighted event count there divided by the interval width times
     the weighted relative-risk sum over the risk set.
     """
-    rd = _as_rowdata(rows)
     beta = np.asarray(beta, dtype=float)
     eta = rd.covariates @ beta + rd.offset
     s0 = _risk_sums(rd, rd.weight * np.exp(eta))
@@ -296,9 +259,3 @@ def breslow_baseline(rows, beta) -> BaselineHazard:
             "zero weighted event count or empty risk set at an event time"
         )
     return BaselineHazard(rd.ets, ew / (rd.widths * s0))
-
-
-def cumulative_hazard(baseline: BaselineHazard, t):
-    """Cumulative baseline hazard at ``t`` (piecewise linear, flat past
-    the last event time)."""
-    return baseline.cumulative(t)

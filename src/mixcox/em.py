@@ -18,7 +18,6 @@ is also the convergence monitor.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,18 +34,11 @@ from .model import (
     ppv,
 )
 
-__all__ = [
-    "PosteriorWeights",
-    "EmConfig",
-    "FitResult",
-    "e_step",
-    "m_step",
-    "update_prevalence",
-    "observed_log_likelihood",
-    "fit",
-]
+__all__ = ["PosteriorWeights", "EmConfig", "FitResult", "fit"]
 
 PARAM_NAMES = ("beta1", "beta2", "gamma")
+# estimated prevalences are clipped to [floor, 1 - floor]
+PREVALENCE_FLOOR = 0.01
 
 
 @dataclass(frozen=True)
@@ -64,11 +56,10 @@ class PosteriorWeights:
 
 @dataclass(frozen=True)
 class EmConfig:
-    """EM control knobs: loglik tolerance, iteration cap, prevalence clip."""
+    """EM control knobs: loglik tolerance and iteration cap."""
 
     tol_loglik: float = 1e-8
     max_iter: int = 2000
-    prevalence_floor: float = 0.01
 
     def __post_init__(self):
         if not self.tol_loglik > 0:
@@ -92,12 +83,7 @@ class FitResult:
 
 
 class _Workspace:
-    """Precomputed structures shared by every EM pass over one dataset.
-
-    Holds arrays of the dataset, never the dataset itself: it is the weak
-    key of ``_workspaces``, and a reference from the value would keep the
-    entry alive for the life of the process.
-    """
+    """Precomputed structures shared by every EM iteration of one fit."""
 
     def __init__(self, data: Dataset):
         n = self.n = len(data)
@@ -138,19 +124,11 @@ class _Workspace:
         eta0 = theta.beta1 * self.x
         return eta1, eta0
 
-
-_workspaces = weakref.WeakKeyDictionary()
-
-
-def _workspace(data: Dataset) -> _Workspace:
-    try:
-        ws = _workspaces.get(data)
-    except TypeError:  # unhashable or non-weakrefable stand-in
-        return _Workspace(data)
-    if ws is None:
-        ws = _Workspace(data)
-        _workspaces[data] = ws
-    return ws
+    def rows(self, w: np.ndarray, offsets: np.ndarray) -> cox.RowData:
+        """The expansion weighted by ``w`` (positive block) and ``1 - w``."""
+        rd = self.rowdata.with_weights(np.concatenate([w, 1.0 - w]))
+        rd.offset = offsets
+        return rd
 
 
 def _prior_logits(ws: _Workspace, diag: DiagnosticModel) -> np.ndarray:
@@ -166,23 +144,18 @@ def _prior_logits(ws: _Workspace, diag: DiagnosticModel) -> np.ndarray:
 
 
 def _posterior(ws, theta, baseline, diag) -> np.ndarray:
-    h0 = ws.step_cum(baseline)
-    eta1, eta0 = ws.etas(theta)
-    # the h0(t)^delta factor cancels in the likelihood ratio and is omitted
-    llr = ws.d * (theta.beta2 + theta.gamma * ws.x) - h0 * (np.exp(eta1) - np.exp(eta0))
-    return expit(_prior_logits(ws, diag) + llr)
-
-
-def e_step(data: Dataset, theta: EffectParams, baseline: BaselineHazard,
-           diag: DiagnosticModel) -> PosteriorWeights:
-    """Posterior probability of true positive status for every subject.
+    """E-step: posterior probability of true positive status per subject.
 
     The prior odds come from the predictive values (or the prevalence for
     subjects without a test result); the likelihood ratio of the two
     latent-status component likelihoods updates them.  Everything is
     computed on the log-odds scale.
     """
-    return PosteriorWeights(_posterior(_workspace(data), theta, baseline, diag))
+    h0 = ws.step_cum(baseline)
+    eta1, eta0 = ws.etas(theta)
+    # the h0(t)^delta factor cancels in the likelihood ratio and is omitted
+    llr = ws.d * (theta.beta2 + theta.gamma * ws.x) - h0 * (np.exp(eta1) - np.exp(eta0))
+    return expit(_prior_logits(ws, diag) + llr)
 
 
 def _component_logliks(ws, theta, baseline):
@@ -196,6 +169,15 @@ def _component_logliks(ws, theta, baseline):
 
 
 def _obs_loglik(ws, theta, baseline, diag) -> float:
+    """Marginal log-likelihood of the observed data.
+
+    With known prevalence each subject contributes the log of the mixture
+    of component likelihoods weighted by the predictive values,
+    conditional on the test result.  With unknown prevalence the test
+    result's own probability enters, so the mixture weights become
+    ``pi * sensitivity`` etc.  Subjects without a test result contribute
+    the prevalence-weighted mixture either way.
+    """
     la, lb = _component_logliks(ws, theta, baseline)
     pi = diag.prevalence
     se, sp = diag.sensitivity, diag.specificity
@@ -223,27 +205,9 @@ def _obs_loglik(ws, theta, baseline, diag) -> float:
     return float(np.sum(np.logaddexp(wa + la, wb + lb)))
 
 
-def observed_log_likelihood(data: Dataset, theta: EffectParams,
-                            baseline: BaselineHazard,
-                            diag: DiagnosticModel) -> float:
-    """Marginal log-likelihood of the observed data.
-
-    With known prevalence each subject contributes the log of the mixture
-    of component likelihoods weighted by the predictive values,
-    conditional on the test result.  With unknown prevalence the test
-    result's own probability enters, so the mixture weights become
-    ``pi * sensitivity`` etc.  Subjects without a test result contribute
-    the prevalence-weighted mixture either way.
-    """
-    return _obs_loglik(_workspace(data), theta, baseline, diag)
-
-
-def update_prevalence(weights: PosteriorWeights, floor: float = 0.01) -> float:
+def _update_prevalence(w: np.ndarray) -> float:
     """Mean posterior weight, clipped away from the boundary."""
-    w = np.asarray(weights.w, dtype=float)
-    if w.size < 1:
-        raise ValueError("need at least one weight")
-    return float(np.clip(np.mean(w), floor, 1.0 - floor))
+    return float(np.clip(np.mean(w), PREVALENCE_FLOOR, 1.0 - PREVALENCE_FLOOR))
 
 
 def _offsets_for(ws, fixed: dict[str, float]) -> np.ndarray:
@@ -254,31 +218,24 @@ def _offsets_for(ws, fixed: dict[str, float]) -> np.ndarray:
     return off
 
 
-def m_step(data: Dataset, weights: PosteriorWeights, free_mask=None,
-           offsets=None):
-    """One maximization step: weighted Cox fit, then baseline update.
+def _m_step(ws, w, offsets, mask, init_beta=None):
+    """M-step: weighted Cox fit, then the baseline at the new coefficients.
 
-    Expands each subject into its latent-positive row (posterior weight)
-    and latent-negative row (complement), fits the weighted Cox model over
-    the unmasked covariate columns, and recomputes the baseline hazard at
-    the new coefficients.  Masked components are returned as 0; their
-    contribution, if any, must already be in ``offsets`` (one value per
-    expanded row, positive block first).
+    Expands each subject into its latent-positive row (posterior weight
+    ``w``) and latent-negative row (complement), fits the weighted Cox
+    model over the columns selected by ``mask``, and recomputes the
+    baseline hazard.  Returns the full coefficient vector with masked
+    components 0 (their contribution is in ``offsets``, one value per
+    expanded row, positive block first) and the baseline.
     """
-    ws = _workspace(data)
-    w = np.asarray(weights.w, dtype=float)
-    rd = ws.rowdata.with_weights(np.concatenate([w, 1.0 - w]))
-    if offsets is not None:
-        rd.offset = np.asarray(offsets, dtype=float)
-    mask = np.ones(3, dtype=bool) if free_mask is None else np.asarray(free_mask, bool)
-    fit_res = cox.fit_weighted_cox(rd, init_beta=None, free_mask=mask)
+    rd = ws.rows(w, offsets)
+    cox_fit = cox.fit_weighted_cox(rd, init_beta=init_beta, free_mask=mask)
     beta_full = np.zeros(3)
-    beta_full[mask] = fit_res.beta
-    baseline = cox.breslow_baseline(rd, beta_full)
-    return EffectParams.from_array(beta_full), baseline
+    beta_full[mask] = cox_fit.beta
+    return beta_full, cox.breslow_baseline(rd, beta_full)
 
 
-def _initial_state(ws, diag, fixed):
+def _initial_state(ws, diag, fixed, offsets):
     se, sp = diag.sensitivity, diag.specificity
     if diag.prevalence_known:
         pi = diag.prevalence
@@ -286,12 +243,11 @@ def _initial_state(ws, diag, fixed):
         # method-of-moments inversion of the observed positive fraction
         observed = ws.v != TEST_MISSING
         v_bar = float(np.mean(ws.v[observed] == 1)) if np.any(observed) else 0.5
-        pi = float(np.clip((v_bar + sp - 1) / (se + sp - 1), 0.01, 0.99))
+        pi = float(np.clip((v_bar + sp - 1) / (se + sp - 1),
+                           PREVALENCE_FLOOR, 1.0 - PREVALENCE_FLOOR))
     d0 = diag.with_prevalence(pi)
     prior = expit(_prior_logits(ws, d0))
-    off = _offsets_for(ws, fixed)
-    rd = ws.rowdata.with_weights(np.concatenate([prior, 1.0 - prior]))
-    rd.offset = off
+    rd = ws.rows(prior, offsets)
     theta0 = np.zeros(3)
     for k, name in enumerate(PARAM_NAMES):
         theta0[k] = fixed.get(name, 0.0)
@@ -311,7 +267,8 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
         ``diag.prevalence_known`` is False the prevalence is estimated.
     config : EmConfig
         Convergence tolerance (on the change of the observed
-        log-likelihood), iteration cap and prevalence clipping.
+        log-likelihood) and iteration cap.  An estimated prevalence is
+        clipped to [PREVALENCE_FLOOR, 1 - PREVALENCE_FLOOR].
     fixed : mapping, optional
         Coefficients to hold fixed by name ("beta1", "beta2", "gamma"),
         each contributing through row offsets only; this is the profiling
@@ -330,7 +287,7 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
     unknown = set(fixed) - set(PARAM_NAMES)
     if unknown:
         raise ValueError(f"unknown fixed parameter(s): {sorted(unknown)}")
-    ws = _workspace(data)
+    ws = _Workspace(data)
     mask = np.array([name not in fixed for name in PARAM_NAMES])
     off = _offsets_for(ws, fixed)
 
@@ -343,7 +300,7 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
         baseline = warm.baseline
         pi = warm.pi_hat if not diag.prevalence_known else diag.prevalence
     else:
-        theta, baseline, pi = _initial_state(ws, diag, fixed)
+        theta, baseline, pi = _initial_state(ws, diag, fixed, off)
 
     trace = []
     ll_prev = -np.inf
@@ -351,21 +308,12 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
     it = 0
     w = None
     for it in range(1, config.max_iter + 1):
-        d_cur = diag.with_prevalence(pi)
-        w = _posterior(ws, theta, baseline, d_cur)
-        rd = ws.rowdata.with_weights(np.concatenate([w, 1.0 - w]))
-        rd.offset = off
-        # M-step: coefficients first, then the baseline at the new values
-        theta_arr = theta.as_array()
-        cox_fit = cox.fit_weighted_cox(rd, init_beta=theta_arr[mask], free_mask=mask)
-        beta_full = np.zeros(3)
-        beta_full[mask] = cox_fit.beta
-        baseline = cox.breslow_baseline(rd, beta_full)
+        w = _posterior(ws, theta, baseline, diag.with_prevalence(pi))
+        beta_full, baseline = _m_step(ws, w, off, mask, theta.as_array()[mask])
         beta_full[~mask] = [fixed[PARAM_NAMES[k]] for k in np.flatnonzero(~mask)]
         theta = EffectParams.from_array(beta_full)
         if not diag.prevalence_known:
-            pi = float(np.clip(np.mean(w), config.prevalence_floor,
-                               1.0 - config.prevalence_floor))
+            pi = _update_prevalence(w)
         ll = _obs_loglik(ws, theta, baseline, diag.with_prevalence(pi))
         trace.append(ll)
         if abs(ll - ll_prev) < config.tol_loglik:

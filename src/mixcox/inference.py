@@ -44,7 +44,12 @@ __all__ = [
 _PARAM_INDEX = {"beta1": 0, "beta2": 1, "gamma": 2}
 _SOBOL_SEED = 271828182
 _SOBOL_LOG2_POINTS = 22
+# profile-CI endpoint search: initial bracket half-width in profile
+# standard errors, doubled up to _MAX_BRACKET_EXPANSIONS times, then
+# bisection to _CI_TOL on the parameter scale
+_BRACKET_EXPAND = 4.0
 _MAX_BRACKET_EXPANSIONS = 10
+_CI_TOL = 1e-4
 _SQRT_2PI = math.sqrt(2 * math.pi)  # equals scipy.stats' normal-density constant
 
 
@@ -52,24 +57,18 @@ _SQRT_2PI = math.sqrt(2 * math.pi)  # equals scipy.stats' normal-density constan
 class InferenceConfig:
     """Knobs for interval construction.
 
-    ``fd_step`` is the perturbation used in the second-difference
-    approximation of the profile information; ``ci_tol`` the bisection
-    tolerance for interval endpoints on the parameter scale;
-    ``bracket_expand`` the initial endpoint bracket half-width in
-    profile-standard-error units (doubled on failure).
+    ``alpha`` is the nominal level; ``fd_step`` is the perturbation used
+    in the second-difference approximation of the profile information.
     """
 
     alpha: float = 0.05
     fd_step: float = 0.01
-    ci_tol: float = 1e-4
-    bracket_expand: float = 4.0
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
-        for name in ("fd_step", "ci_tol", "bracket_expand"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        if not self.fd_step > 0:
+            raise ValueError("fd_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,6 @@ def profile_loglik(
     data: Dataset,
     diag: DiagnosticModel,
     fixed: Mapping[str, float],
-    config: InferenceConfig = InferenceConfig(),
     *,
     em_config: em.EmConfig = em.EmConfig(),
     warm: em.FitResult | None = None,
@@ -158,7 +156,6 @@ def lr_test(
     diag: DiagnosticModel,
     param: str,
     null_value: float,
-    config: InferenceConfig = InferenceConfig(),
     *,
     fit_result: em.FitResult | None = None,
     em_config: em.EmConfig = em.EmConfig(),
@@ -169,9 +166,7 @@ def lr_test(
     at zero) and its chi-square(1) p-value.
     """
     res = _fit_or(data, diag, em_config, fit_result)
-    ll0 = profile_loglik(
-        data, diag, {param: null_value}, config, em_config=em_config, warm=res
-    )
+    ll0 = profile_loglik(data, diag, {param: null_value}, em_config=em_config, warm=res)
     lam = max(2.0 * (res.obs_loglik - ll0), 0.0)
     return lam, float(stats.chi2.sf(lam, 1))
 
@@ -195,9 +190,9 @@ def profile_ci(
     """Profile likelihood-ratio confidence interval for one parameter.
 
     Each endpoint solves "LR statistic equals the chi-square(1) quantile"
-    by expanding a bracket outward from the estimate (starting at
-    ``bracket_expand`` profile standard errors, doubling up to 10 times)
-    and then bisecting to ``ci_tol``.  An endpoint that cannot be
+    by expanding a bracket outward from the estimate (starting at 4
+    profile standard errors, doubling up to 10 times) and then bisecting
+    to 1e-4 on the parameter scale.  An endpoint that cannot be
     bracketed -- or, for the prevalence, that runs into the admissible
     range -- is returned at the search boundary with its open flag set.
     """
@@ -218,16 +213,14 @@ def profile_ci(
                                                _PARAM_INDEX[param]])
 
     if param == "pi":
-        lo_bound = em_config.prevalence_floor
-        hi_bound = 1.0 - em_config.prevalence_floor
+        lo_bound = em.PREVALENCE_FLOOR
+        hi_bound = 1.0 - em.PREVALENCE_FLOOR
     else:
         lo_bound, hi_bound = -np.inf, np.inf
 
     def lam_at(value: float) -> float:
         try:
-            ll = profile_loglik(
-                data, diag, {param: value}, config, em_config=em_config, warm=res
-            )
+            ll = profile_loglik(data, diag, {param: value}, em_config=em_config, warm=res)
         except (SeparationError, DegenerateDataError):
             # the constrained fit degenerates this far out; certainly
             # outside the confidence region
@@ -237,7 +230,7 @@ def profile_ci(
     def solve(direction: int) -> tuple[float, bool]:
         bound = hi_bound if direction > 0 else lo_bound
         inner = mle
-        step = config.bracket_expand * se
+        step = _BRACKET_EXPAND * se
         outer = None
         for _ in range(_MAX_BRACKET_EXPANSIONS):
             cand = mle + direction * step
@@ -252,7 +245,7 @@ def profile_ci(
             step *= 2.0
         if outer is None:
             return inner, True
-        while abs(outer - inner) > config.ci_tol:
+        while abs(outer - inner) > _CI_TOL:
             mid = 0.5 * (inner + outer)
             if lam_at(mid) >= target:
                 outer = mid
@@ -336,9 +329,7 @@ def fd_profile_information(
         fixed = {
             p: center[_PARAM_INDEX[p]] + disp[i] for i, p in enumerate(params)
         }
-        return profile_loglik(
-            data, diag, fixed, config, em_config=em_config, warm=res
-        )
+        return profile_loglik(data, diag, fixed, em_config=em_config, warm=res)
 
     info = _fd_information(lp, len(params), config.fd_step)
     _require_positive_definite(info)

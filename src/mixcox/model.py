@@ -7,8 +7,8 @@ biomarker status is latent and the survivor function in each observed test
 group is a two-component mixture of proportional-hazards models.  This
 module holds the value types shared by the estimator, the inference
 routines and the simulator, together with the diagnostic-accuracy algebra
-(predictive values), the component log-likelihoods and the mixture
-survivor function.
+(predictive values), the linear predictor and the mixture survivor
+function.
 
 All types are immutable after construction and all functions are pure, so
 everything here is safe to share across threads.
@@ -32,7 +32,6 @@ __all__ = [
     "ppv",
     "npv",
     "linear_predictor",
-    "log_component_likelihood",
     "mixture_survival",
 ]
 
@@ -213,9 +212,6 @@ class EffectParams:
         return cls(b1, b2, g)
 
 
-NULL_EFFECTS = EffectParams(0.0, 0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class BaselineHazard:
     """Piecewise-constant baseline hazard on inter-event intervals.
@@ -250,10 +246,6 @@ class BaselineHazard:
         cum = np.concatenate(([0.0], np.cumsum(inc * widths)))
         cum.flags.writeable = False
         object.__setattr__(self, "_cum_at_events", cum)
-
-    @property
-    def interval_widths(self) -> np.ndarray:
-        return np.diff(np.concatenate(([0.0], self.event_times)))
 
     def hazard(self, t):
         """Hazard level at time ``t`` (0 beyond the last event time)."""
@@ -309,37 +301,6 @@ def linear_predictor(theta: EffectParams, x, z):
     z = np.asarray(z, dtype=float)
     out = theta.beta1 * x + theta.beta2 * z + theta.gamma * x * z
     return out if out.ndim else float(out)
-
-
-def log_component_likelihood(
-    s: Subject, theta: EffectParams, baseline: BaselineHazard, z: int
-) -> float:
-    """Log-likelihood of one subject given true biomarker status ``z``.
-
-    For an event this is ``log h0(t) + eta - H0(t) exp(eta)``, for a
-    censored subject just ``-H0(t) exp(eta)``, with ``eta`` the linear
-    predictor at (treatment, z) and ``H0`` the piecewise-linear cumulative
-    hazard.
-
-    Raises
-    ------
-    DegenerateDataError
-        If the subject is an event at a time where the hazard is 0 (past
-        the last event time of ``baseline``); this cannot happen when the
-        baseline was estimated from data containing the subject.
-    """
-    from .errors import DegenerateDataError
-
-    eta = linear_predictor(theta, s.treatment, z)
-    total = -baseline.cumulative(s.time) * np.exp(eta)
-    if s.event:
-        h = baseline.hazard(s.time)
-        if h <= 0:
-            raise DegenerateDataError(
-                f"event at t={s.time} where the baseline hazard is 0"
-            )
-        total += np.log(h) + eta
-    return float(total)
 
 
 def mixture_survival(

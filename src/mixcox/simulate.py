@@ -164,7 +164,7 @@ def _replicate(config: ScenarioConfig, rep: int):
         truth = config.theta_true
         covered = report.interval_pos.contains(truth.beta1 + truth.gamma) \
             and report.interval_neg.contains(truth.beta1)
-        lam, _ = inference.lr_test(data, diag, "gamma", 0.0, icfg, fit_result=res)
+        lam, _ = inference.lr_test(data, diag, "gamma", 0.0, fit_result=res)
         reject = lam > stats.chi2.ppf(1.0 - config.alpha, 1)
         return res.theta_hat.as_array(), covered, reject, True
     except (MixcoxError, DatasetError):

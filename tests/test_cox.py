@@ -5,14 +5,17 @@ import pytest
 from helpers import oracle_breslow_cumhaz, oracle_cox, random_rows, sim_dataset
 
 from mixcox import (
-    ExpandedRow,
     RowData,
     SeparationError,
     breslow_baseline,
-    cumulative_hazard,
     fit_weighted_cox,
     weighted_partial_loglik,
 )
+
+
+def one_covariate_rows(time, event, weight, cov):
+    """A RowData with a single covariate column and no offsets."""
+    return RowData(time, event, weight, np.asarray(cov, dtype=float)[:, None])
 
 
 def expand_observed(data):
@@ -36,25 +39,19 @@ def expand_observed(data):
 
 class TestPartialLoglik:
     def test_single_event_row_is_zero(self):
-        rows = [ExpandedRow(1.0, 1, 1.0, (0.0,))]
+        rows = one_covariate_rows([1.0], [1], [1.0], [0.0])
         value, grad, hess = weighted_partial_loglik(rows, np.zeros(1))
         assert value == 0.0
 
     def test_two_at_risk_one_event(self):
-        rows = [
-            ExpandedRow(1.0, 1, 1.0, (0.5,)),
-            ExpandedRow(2.0, 0, 1.0, (-0.5,)),
-        ]
+        rows = one_covariate_rows([1.0, 2.0], [1, 0], [1.0, 1.0], [0.5, -0.5])
         value, _, _ = weighted_partial_loglik(rows, np.zeros(1))
         assert value == pytest.approx(-math.log(2), abs=1e-12)
 
     def test_ties_share_risk_set(self):
         # a subject whose time equals the event time is at risk there
-        rows = [
-            ExpandedRow(1.0, 1, 1.0, (0.0,)),
-            ExpandedRow(1.0, 0, 1.0, (0.0,)),
-            ExpandedRow(1.0, 1, 1.0, (0.0,)),
-        ]
+        rows = one_covariate_rows([1.0, 1.0, 1.0], [1, 0, 1], [1.0, 1.0, 1.0],
+                                  [0.0, 0.0, 0.0])
         value, _, _ = weighted_partial_loglik(rows, np.zeros(1))
         assert value == pytest.approx(-2 * math.log(3), abs=1e-12)
 
@@ -125,8 +122,8 @@ class TestFit:
 
     def test_separation_raises(self):
         # events only in the x=0 arm: the coefficient runs to -infinity
-        rows = [ExpandedRow(float(i + 1), 1, 1.0, (0.0,)) for i in range(5)]
-        rows += [ExpandedRow(float(i + 6), 0, 1.0, (1.0,)) for i in range(5)]
+        rows = one_covariate_rows(np.arange(1.0, 11.0), [1] * 5 + [0] * 5,
+                                  np.ones(10), [0.0] * 5 + [1.0] * 5)
         with pytest.raises(SeparationError):
             fit_weighted_cox(rows)
 
@@ -156,12 +153,8 @@ class TestFit:
 class TestBreslow:
     def test_single_event_unit_risks(self):
         # both latent copies of an event subject carry the event indicator
-        rows = [
-            ExpandedRow(2.0, 1, 0.7, (0.0,)),
-            ExpandedRow(2.0, 1, 0.3, (0.0,)),
-            ExpandedRow(3.0, 0, 0.6, (0.0,)),
-            ExpandedRow(3.0, 0, 0.4, (0.0,)),
-        ]
+        rows = one_covariate_rows([2.0, 2.0, 3.0, 3.0], [1, 1, 0, 0],
+                                  [0.7, 0.3, 0.6, 0.4], np.zeros(4))
         # pairs sum to one subject each: weighted event count 1, risk sum 2
         bl = breslow_baseline(rows, np.zeros(1))
         assert bl.increments[0] == pytest.approx(1.0 / (2.0 * 2.0), abs=1e-12)
@@ -214,10 +207,10 @@ class TestBreslow:
 
 class TestCumulativeHazard:
     def test_examples(self):
-        rows = [ExpandedRow(2.0, 1, 1.0, (0.0,)), ExpandedRow(2.0, 0, 1.0, (0.0,))]
+        rows = one_covariate_rows([2.0, 2.0], [1, 0], [1.0, 1.0], [0.0, 0.0])
         bl = breslow_baseline(rows, np.zeros(1))
         assert bl.increments[0] == pytest.approx(0.25)
-        assert cumulative_hazard(bl, 0.0) == 0.0
-        assert cumulative_hazard(bl, 1.0) == pytest.approx(0.25)  # interpolated
-        assert cumulative_hazard(bl, 2.0) == pytest.approx(0.5)
-        assert cumulative_hazard(bl, 50.0) == pytest.approx(0.5)  # flat
+        assert bl.cumulative(0.0) == 0.0
+        assert bl.cumulative(1.0) == pytest.approx(0.25)  # interpolated
+        assert bl.cumulative(2.0) == pytest.approx(0.5)
+        assert bl.cumulative(50.0) == pytest.approx(0.5)  # flat

@@ -6,21 +6,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from helpers import oracle_cox, sim_dataset
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixcox import (
     BaselineHazard,
     Dataset,
+    DegenerateDataError,
     DiagnosticModel,
     EffectParams,
     EmConfig,
-    PosteriorWeights,
+    SeparationError,
     Subject,
-    e_step,
     em,
     fit,
-    m_step,
-    observed_log_likelihood,
-    update_prevalence,
 )
 
 
@@ -28,11 +27,26 @@ def diag(sens=0.8, spec=0.8, pi=0.3, known=True):
     return DiagnosticModel(sens, spec, pi, prevalence_known=known)
 
 
+def e_step(data, theta, baseline, d):
+    return em._posterior(em._Workspace(data), theta, baseline, d)
+
+
+def m_step(data, w, free_mask=(True, True, True)):
+    """One M-step from zero, no offsets; returns (theta, baseline)."""
+    ws = em._Workspace(data)
+    beta, baseline = em._m_step(ws, w, np.zeros(2 * len(data)), np.array(free_mask))
+    return EffectParams.from_array(beta), baseline
+
+
+def observed_log_likelihood(data, theta, baseline, d):
+    return em._obs_loglik(em._Workspace(data), theta, baseline, d)
+
+
 class TestEStep:
     def test_perfect_test_recovers_observed_status(self):
         data = sim_dataset(1, n_per_arm=40, sens=1.0, spec=1.0)
         res = fit(data, diag(1.0, 1.0))
-        w = e_step(data, res.theta_hat, res.baseline, diag(1.0, 1.0)).w
+        w = e_step(data, res.theta_hat, res.baseline, diag(1.0, 1.0))
         assert np.array_equal(w, (data.test == 1).astype(float))
 
     def test_null_effects_give_prior_weights(self):
@@ -43,7 +57,7 @@ class TestEStep:
         ])
         d = diag()
         bl = BaselineHazard(np.array([1.0]), np.array([0.2]))
-        w = e_step(data, EffectParams(0, 0, 0), bl, d).w
+        w = e_step(data, EffectParams(0, 0, 0), bl, d)
         assert w[0] == pytest.approx(0.24 / 0.38, abs=1e-12)       # PPV
         assert w[1] == pytest.approx(1 - 0.56 / 0.62, abs=1e-12)   # 1 - NPV
         assert w[2] == pytest.approx(0.3, abs=1e-12)               # prevalence
@@ -56,7 +70,7 @@ class TestEStep:
         ])
         bl = BaselineHazard(np.array([2.0]), np.array([0.5]))
         theta = EffectParams(0.0, 0.1, 0.0)
-        w = e_step(data, theta, bl, diag()).w
+        w = e_step(data, theta, bl, diag())
         ppv = 0.24 / 0.38
         num = ppv * math.exp(-math.exp(0.1))
         den = num + (1 - ppv) * math.exp(-1.0)
@@ -73,7 +87,7 @@ class TestEStep:
 class TestMStep:
     def test_degenerate_weights_equal_observed_fit(self):
         data = sim_dataset(4, n_per_arm=60, sens=1.0, spec=1.0)
-        w = PosteriorWeights((data.test == 1).astype(float))
+        w = (data.test == 1).astype(float)
         theta, _ = m_step(data, w)
         x = data.treatment.astype(float)
         v = data.test.astype(float)
@@ -84,12 +98,12 @@ class TestMStep:
     def test_fixed_point_at_convergence(self):
         data = sim_dataset(5, n_per_arm=60, sens=0.9, spec=0.9)
         res = fit(data, diag(0.9, 0.9), EmConfig(tol_loglik=1e-11))
-        theta2, _ = m_step(data, res.weights)
+        theta2, _ = m_step(data, res.weights.w)
         assert np.max(np.abs(theta2.as_array() - res.theta_hat.as_array())) < 1e-8
 
     def test_uninformative_weights_collapse_to_treatment_fit(self):
         data = sim_dataset(6, n_per_arm=60, sens=0.9, spec=0.9)
-        w = PosteriorWeights(np.full(len(data), 0.5))
+        w = np.full(len(data), 0.5)
         theta, _ = m_step(data, w, free_mask=[True, False, False])
         beta_ref, _ = oracle_cox(data.time, data.event,
                                  data.treatment.astype(float))
@@ -99,12 +113,12 @@ class TestMStep:
 
 class TestPrevalenceUpdate:
     def test_mean(self):
-        assert update_prevalence(PosteriorWeights(np.full(7, 0.3))) == pytest.approx(0.3)
-        assert update_prevalence(PosteriorWeights(np.array([0.0, 1.0]))) == 0.5
+        assert em._update_prevalence(np.full(7, 0.3)) == pytest.approx(0.3)
+        assert em._update_prevalence(np.array([0.0, 1.0])) == 0.5
 
     def test_clipping(self):
-        assert update_prevalence(PosteriorWeights(np.zeros(10))) == 0.01
-        assert update_prevalence(PosteriorWeights(np.ones(10))) == 0.99
+        assert em._update_prevalence(np.zeros(10)) == 0.01
+        assert em._update_prevalence(np.ones(10)) == 0.99
 
 
 class TestObservedLoglik:
@@ -236,13 +250,54 @@ class TestFit:
 
 class TestWorkspaceCache:
     def test_fitted_dataset_is_freed(self):
-        gc.collect()
-        cached_before = len(em._workspaces)
         data = sim_dataset(18, n_per_arm=30, sens=0.9, spec=0.9)
         fit(data, diag(0.9, 0.9))
-        assert len(em._workspaces) == cached_before + 1
         ref = weakref.ref(data)
         del data
         gc.collect()
         assert ref() is None
-        assert len(em._workspaces) == cached_before
+
+
+@st.composite
+def small_trials(draw, missing_tests=True):
+    """Up to 30 subjects per arm, times on five tied values, random
+    censoring and (optionally) missing test results."""
+    n_arm = (draw(st.integers(2, 30)), draw(st.integers(2, 30)))
+    n = sum(n_arm)
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    time = np.array(column(st.integers(1, 5)), dtype=float)
+    event = np.array(column(st.integers(0, 1)))
+    event[0] = 1
+    test = column(st.sampled_from((0, 1, -1) if missing_tests else (0, 1)))
+    return Dataset.from_arrays(time, event, np.repeat([0, 1], n_arm), test)
+
+
+accuracies = st.floats(0.7, 1.0)
+
+
+class TestProperties:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(small_trials(), accuracies, accuracies, st.floats(0.1, 0.9), st.booleans())
+    def test_posteriors_in_unit_interval_and_ascent(self, data, sens, spec, pi, known):
+        try:
+            res = fit(data, diag(sens, spec, pi, known), EmConfig(max_iter=300))
+        except (SeparationError, DegenerateDataError):
+            return
+        w = res.weights.w
+        assert np.all((w >= 0) & (w <= 1))
+        assert np.diff(res.loglik_trace).min(initial=0.0) >= -1e-9
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(small_trials(missing_tests=False), st.floats(0.1, 0.9))
+    def test_perfect_test_with_known_prevalence_is_plain_cox(self, data, pi):
+        try:
+            res = fit(data, diag(1.0, 1.0, pi))
+        except (SeparationError, DegenerateDataError):
+            return
+        x = data.treatment.astype(float)
+        v = data.test.astype(float)
+        beta_ref, _ = oracle_cox(data.time, data.event, np.column_stack([x, v, x * v]))
+        assert np.max(np.abs(res.theta_hat.as_array() - beta_ref)) < 1e-6

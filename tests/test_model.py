@@ -11,12 +11,10 @@ from mixcox import (
     EffectParams,
     Subject,
     linear_predictor,
-    log_component_likelihood,
     mixture_survival,
     npv,
     ppv,
 )
-from mixcox.errors import DegenerateDataError
 
 
 class TestTypes:
@@ -117,54 +115,6 @@ class TestLinearPredictor:
         theta = EffectParams(1.0, 2.0, 4.0)
         out = linear_predictor(theta, np.array([0, 1, 1]), np.array([1, 0, 1]))
         assert np.allclose(out, [2.0, 1.0, 7.0])
-
-
-class TestComponentLikelihood:
-    # baseline with a single event time at 2 and hazard 0.25, so the
-    # cumulative hazard at t=2 is 0.5
-    baseline = BaselineHazard(np.array([2.0]), np.array([0.25]))
-
-    def test_censored_null_effects(self):
-        s = Subject(2.0, 0, 0, 1)
-        val = log_component_likelihood(s, EffectParams(0, 0, 0), self.baseline, z=1)
-        assert val == pytest.approx(-0.5, abs=1e-12)
-
-    def test_event_case(self):
-        s = Subject(2.0, 1, 0, 1)
-        val = log_component_likelihood(s, EffectParams(0, 0, 0), self.baseline, z=0)
-        assert val == pytest.approx(math.log(0.25) - 0.5, abs=1e-12)
-
-    def test_group_difference_censored(self):
-        # doubling the hazard scale: baseline with H0(t)=1 at t=2
-        bl = BaselineHazard(np.array([2.0]), np.array([0.5]))
-        theta = EffectParams(0.0, 0.1, 0.0)
-        s = Subject(2.0, 0, 0, 1)
-        diff = log_component_likelihood(s, theta, bl, 1) - log_component_likelihood(
-            s, theta, bl, 0
-        )
-        assert diff == pytest.approx(1 - math.exp(0.1), abs=1e-12)
-
-    def test_group_difference_identity(self):
-        # general identity: delta*(beta2 + gamma*x) - H0*(e^eta1 - e^eta0)
-        bl = BaselineHazard(np.array([1.0, 2.5]), np.array([0.3, 0.2]))
-        theta = EffectParams(-0.4, 0.6, 0.25)
-        for t, d, x in [(1.0, 1, 1), (1.7, 0, 0), (2.5, 1, 0), (4.0, 0, 1)]:
-            s = Subject(t, d, x, 0)
-            got = log_component_likelihood(s, theta, bl, 1) - log_component_likelihood(
-                s, theta, bl, 0
-            )
-            h0t = bl.cumulative(t)
-            eta1 = linear_predictor(theta, x, 1)
-            eta0 = linear_predictor(theta, x, 0)
-            expected = d * (theta.beta2 + theta.gamma * x) - h0t * (
-                math.exp(eta1) - math.exp(eta0)
-            )
-            assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_event_beyond_last_event_time_rejected(self):
-        s = Subject(3.0, 1, 0, 1)
-        with pytest.raises(DegenerateDataError):
-            log_component_likelihood(s, EffectParams(0, 0, 0), self.baseline, 1)
 
 
 class TestMixtureSurvival:
