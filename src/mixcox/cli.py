@@ -72,6 +72,10 @@ class AnalysisRequest:
             raise DatasetError("prevalence must be in (0, 1)")
         if not 0 < self.alpha < 1:
             raise DatasetError("alpha must be in (0, 1)")
+        if not 0 < self.fd_step < math.inf:
+            raise DatasetError("fd-step must be positive and finite")
+        if self.em_max_iter < 1:
+            raise DatasetError("max-em-iter must be at least 1")
         if self.output_format not in ("text", "structured"):
             raise DatasetError("format must be 'text' or 'structured'")
 

@@ -44,12 +44,17 @@ __all__ = [
 _PARAM_INDEX = {"beta1": 0, "beta2": 1, "gamma": 2}
 _SOBOL_SEED = 271828182
 _SOBOL_LOG2_POINTS = 22
-# profile-CI endpoint search: initial bracket half-width in profile
-# standard errors, doubled up to _MAX_BRACKET_EXPANSIONS times, then
-# bisection to _CI_TOL on the parameter scale
-_BRACKET_EXPAND = 4.0
-_MAX_BRACKET_EXPANSIONS = 10
+# profile-CI endpoint search: a safeguarded secant solve of
+# sqrt(LR statistic) = sqrt(chi-square quantile) in the distance from the
+# estimate.  The signed root of the LR statistic is nearly linear in the
+# parameter (Venzon & Moolgavkar 1988), so the solve starts at the Wald
+# point and usually stops after 3-4 refits, once the statistic is within
+# _LR_TOL of the quantile or the bracket is narrower than _CI_TOL.  An
+# endpoint not bracketed within _MAX_REACH_SE profile standard errors is
+# returned open.
+_MAX_REACH_SE = 4.0 * 2**9
 _CI_TOL = 1e-4
+_LR_TOL = 1e-4
 _SQRT_2PI = math.sqrt(2 * math.pi)  # equals scipy.stats' normal-density constant
 
 
@@ -189,18 +194,26 @@ def profile_ci(
 ) -> Interval:
     """Profile likelihood-ratio confidence interval for one parameter.
 
-    Each endpoint solves "LR statistic equals the chi-square(1) quantile"
-    by expanding a bracket outward from the estimate (starting at 4
-    profile standard errors, doubling up to 10 times) and then bisecting
-    to 1e-4 on the parameter scale.  An endpoint that cannot be
-    bracketed -- or, for the prevalence, that runs into the admissible
-    range -- is returned at the search boundary with its open flag set.
+    Each endpoint solves g(x) = sqrt(lambda(estimate +- x)) - sqrt(q) = 0,
+    where lambda is the LR statistic, q the chi-square(1) quantile and x
+    the distance from the estimate, by a safeguarded secant iteration.  It
+    starts from the Wald point x = sqrt(q) * se, with the secant through
+    g(0) = -sqrt(q).  Until g changes sign each step grows the distance by
+    at most a factor of 2; afterwards the sign change is kept as a bracket
+    and a step that leaves it, or that fails to halve the step before
+    last, is replaced by bisection.  The search stops when lambda is within
+    1e-4 of q or the bracket is narrower than 1e-4 on the parameter scale.
+    A constrained fit that separates or degenerates counts as lambda =
+    infinity.  An endpoint not bracketed within 2048 profile standard
+    errors -- or, for the prevalence, within the admissible range -- is
+    returned at that limit with its open flag set.
     """
     if param not in ("beta1", "beta2", "gamma", "pi"):
         raise ValueError(f"unknown parameter: {param}")
     res = _fit_or(data, diag, em_config, fit_result)
     mle = _param_estimate(res, param)
     target = float(stats.chi2.ppf(1.0 - config.alpha, 1))
+    root_target = math.sqrt(target)
     if se is None:
         if param == "pi":
             se = math.sqrt(max(mle * (1 - mle), 1e-4) / len(data))
@@ -211,12 +224,8 @@ def profile_ci(
             )
             se = math.sqrt(np.linalg.inv(info)[_PARAM_INDEX[param],
                                                _PARAM_INDEX[param]])
-
-    if param == "pi":
-        lo_bound = em.PREVALENCE_FLOOR
-        hi_bound = 1.0 - em.PREVALENCE_FLOOR
-    else:
-        lo_bound, hi_bound = -np.inf, np.inf
+    elif not 0 < se < math.inf:
+        raise ValueError("se must be positive and finite")
 
     def lam_at(value: float) -> float:
         try:
@@ -228,34 +237,54 @@ def profile_ci(
         return 2.0 * (res.obs_loglik - ll)
 
     def solve(direction: int) -> tuple[float, bool]:
-        bound = hi_bound if direction > 0 else lo_bound
-        inner = mle
-        step = _BRACKET_EXPAND * se
-        outer = None
-        for _ in range(_MAX_BRACKET_EXPANSIONS):
-            cand = mle + direction * step
-            clipped = min(cand, bound) if direction > 0 else max(cand, bound)
-            lam = lam_at(clipped)
-            if lam >= target:
-                outer = clipped
-                break
-            inner = clipped
-            if clipped == bound:
-                return bound, True  # open at the admissible boundary
-            step *= 2.0
-        if outer is None:
-            return inner, True
-        while abs(outer - inner) > _CI_TOL:
-            mid = 0.5 * (inner + outer)
-            if lam_at(mid) >= target:
-                outer = mid
+        if param == "pi":
+            bound = 1.0 - em.PREVALENCE_FLOOR if direction > 0 else em.PREVALENCE_FLOOR
+        else:
+            bound = mle + direction * _MAX_REACH_SE * se
+        reach = abs(bound - mle)
+
+        def at(x: float) -> float:
+            return bound if x >= reach else mle + direction * x
+
+        x_in, x_out = 0.0, math.inf  # g(x_in) < 0 <= g(x_out)
+        x_prev, g_prev = 0.0, -root_target
+        step_last = step_before = math.inf
+        x = min(root_target * se, reach)
+        while True:
+            lam = lam_at(at(x))
+            if abs(lam - target) < _LR_TOL:
+                return at(x), False
+            g = math.sqrt(max(lam, 0.0)) - root_target
+            if g < 0:
+                x_in = x
             else:
-                inner = mid
-        return 0.5 * (inner + outer), False
+                x_out = x  # also an infinite or undefined statistic
+            if x_out - x_in < _CI_TOL:
+                return at(0.5 * (x_in + x_out)), False
+            cand = _secant_step(x_prev, g_prev, x, g)
+            x_prev, g_prev = x, g
+            if math.isinf(x_out):
+                if x >= reach:
+                    return bound, True
+                x_new = min(cand if cand > x else 2.0 * x, 2.0 * x, reach)
+            elif x_in < cand < x_out and abs(cand - x) < 0.5 * step_before:
+                x_new = cand
+            else:
+                x_new = 0.5 * (x_in + x_out)
+            step_before, step_last = step_last, abs(x_new - x)
+            x = x_new
 
     high, open_high = solve(+1)
     low, open_low = solve(-1)
     return Interval(low, high, open_low=open_low, open_high=open_high)
+
+
+def _secant_step(x0: float, g0: float, x1: float, g1: float) -> float:
+    """Root of the line through (x0, g0) and (x1, g1); NaN when that line
+    is undefined or flat."""
+    if not (math.isfinite(g0) and math.isfinite(g1)) or g0 == g1:
+        return math.nan
+    return x1 - g1 * (x1 - x0) / (g1 - g0)
 
 
 def _fd_information(fun, k: int, h: float) -> np.ndarray:

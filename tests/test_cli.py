@@ -135,6 +135,21 @@ class TestRunFit:
         for row in report.parameters:
             assert row.ci.contains(row.estimate)
 
+    def test_open_interval_marked_in_text(self, tmp_path, capsys, monkeypatch):
+        data = sim_dataset(35, n_per_arm=40, sens=1.0, spec=1.0)
+        p = tmp_path / "d.csv"
+        write_dataset(data, p)
+        monkeypatch.setattr(
+            inference, "profile_ci",
+            lambda data, diag, param, *args, **kwargs: inference.Interval(
+                -50.0, 50.0, open_high=param == "gamma"),
+        )
+        assert main(["fit", str(p), "--sens", "1", "--spec", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        marked = [line for line in lines if ") *" in line]
+        assert [line.split()[0] for line in marked] == ["interaction"]
+        assert "  * endpoint not bracketed; interval open" in lines
+
 
 class TestGoldenReport:
     def test_text_layout(self, tmp_path):
@@ -176,6 +191,10 @@ class TestExitCodes:
         p = write(tmp_path, GOOD)
         assert main(["fit", str(p), "--sens", "1.5", "--spec", "1"]) == 1
         assert main(["fit", str(p), "--sens", "0.4", "--spec", "0.4"]) == 1
+        capsys.readouterr()
+        for flags in (["--max-em-iter", "0"], ["--fd-step", "0"], ["--fd-step", "-0.01"]):
+            assert main(["fit", str(p), "--sens", "1", "--spec", "1", *flags]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_convergence_failure(self, tmp_path, capsys):
         data = sim_dataset(36, n_per_arm=60, sens=0.8, spec=0.8)

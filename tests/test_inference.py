@@ -1,19 +1,23 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import sim_dataset
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import expit, logit
 
 from mixcox import (
     ConditioningError,
+    DegenerateDataError,
     DiagnosticModel,
     EffectParams,
+    SeparationError,
     bvn_rect_prob,
     concordance_prob,
+    em,
     fd_profile_information,
     fit,
     inference,
@@ -25,6 +29,7 @@ from mixcox import (
     simultaneous_scale,
     subgroup_cov,
 )
+from mixcox.cli import parse_dataset
 from mixcox.inference import _fd_information
 
 
@@ -106,6 +111,137 @@ class TestProfileCi:
         ci = profile_ci(data, diag, "pi", fit_result=res)
         assert ci.low < res.pi_hat < ci.high
         assert 0.01 <= ci.low and ci.high <= 0.99
+
+    def test_nonpositive_se_rejected(self, fitted):
+        data, diag, res = fitted
+        for se in (0.0, -0.1, math.inf):
+            with pytest.raises(ValueError, match="se must be"):
+                profile_ci(data, diag, "pi", fit_result=res, se=se)
+
+
+def _fake_profile(monkeypatch, res, param, lam_of_distance):
+    """Replace ``inference.profile_loglik`` by a profile whose LR statistic
+    is ``lam_of_distance(value - estimate)``; returns the estimate and the
+    list of values the profile is evaluated at."""
+    mle = res.pi_hat if param == "pi" else getattr(res.theta_hat, param)
+    calls = []
+
+    def fake(data, diag, fixed, **kwargs):
+        (value,) = fixed.values()
+        calls.append(value)
+        return res.obs_loglik - 0.5 * lam_of_distance(value - mle)
+
+    monkeypatch.setattr(inference, "profile_loglik", fake)
+    return mle, calls
+
+
+class TestProfileCiOpenEndpoints:
+    def test_flat_profile_is_open_at_maximum_reach(self, fitted, monkeypatch):
+        data, diag, res = fitted
+        se = 0.2
+        # rises towards 1, never reaching the chi-square(1) quantile
+        mle, _ = _fake_profile(monkeypatch, res, "gamma",
+                               lambda d: 1.0 - math.exp(-abs(d)))
+        ci = profile_ci(data, diag, "gamma", fit_result=res, se=se)
+        assert ci.open_low and ci.open_high
+        reach = 4.0 * 2**9 * se
+        assert ci.low == pytest.approx(mle - reach, rel=1e-12)
+        assert ci.high == pytest.approx(mle + reach, rel=1e-12)
+
+    def test_separation_region_is_bracketed_and_closed(self, fitted, monkeypatch):
+        data, diag, res = fitted
+        sd = 0.2
+        target = stats.chi2.ppf(0.95, 1)
+
+        def lam(d):
+            if abs(d) > 2.5 * sd:
+                raise SeparationError("constrained fit diverges")
+            return (d / sd) ** 2
+
+        mle, calls = _fake_profile(monkeypatch, res, "gamma", lam)
+        # a standard error three times too large puts the first trial
+        # points inside the separation region
+        ci = profile_ci(data, diag, "gamma", fit_result=res, se=3 * sd)
+        assert not (ci.open_low or ci.open_high)
+        assert any(abs(v - mle) > 2.5 * sd for v in calls)
+        half = math.sqrt(target) * sd
+        assert ci.low == pytest.approx(mle - half, abs=2e-4)
+        assert ci.high == pytest.approx(mle + half, abs=2e-4)
+
+    def test_pi_open_at_admissible_range(self, fitted, monkeypatch):
+        data, diag, res = fitted
+        _fake_profile(monkeypatch, res, "pi", lambda d: 1.0 - math.exp(-abs(d)))
+        ci = profile_ci(data, diag, "pi", fit_result=res)
+        assert ci.open_low and ci.open_high
+        assert ci.low == em.PREVALENCE_FLOOR
+        assert ci.high == 1.0 - em.PREVALENCE_FLOOR
+
+
+CHI2_95 = float(stats.chi2.ppf(0.95, 1))
+
+
+def _lr_at(data, diag, res, param, value):
+    return 2.0 * (res.obs_loglik - profile_loglik(data, diag, {param: value}, warm=res))
+
+
+class TestProfileCiSolve:
+    def test_refit_budget_and_accuracy_on_golden_trial(self, monkeypatch):
+        data = parse_dataset(Path(__file__).parent / "data" / "golden_trial.csv")
+        diag = DiagnosticModel(0.9, 0.85, 0.5, prevalence_known=False)
+        res = fit(data, diag)
+        info = fd_profile_information(
+            data, diag, res.theta_hat, ("beta1", "beta2", "gamma"), fit_result=res
+        )
+        ses = np.sqrt(np.diag(np.linalg.inv(info)))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return profile_loglik(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "profile_loglik", counting)
+        cis = {
+            name: profile_ci(data, diag, name, fit_result=res, se=float(ses[i]))
+            for i, name in enumerate(("beta1", "beta2", "gamma"))
+        }
+        cis["pi"] = profile_ci(data, diag, "pi", fit_result=res)
+        monkeypatch.undo()
+        assert len(calls) <= 5 * 2 * len(cis)
+        for name, ci in cis.items():
+            for value, is_open in ((ci.low, ci.open_low), (ci.high, ci.open_high)):
+                assert not is_open
+                assert abs(_lr_at(data, diag, res, name, value) - CHI2_95) <= 1e-3
+
+    @settings(derandomize=True, deadline=None, max_examples=8)
+    @given(st.integers(0, 2**31 - 1), st.integers(20, 60),
+           st.floats(0.8, 1.0), st.floats(0.8, 1.0))
+    @example(0, 20, 1.0, 0.875)  # a profile that jumps across the quantile
+    def test_interval_contains_estimate(self, seed, n_per_arm, sens, spec):
+        data = sim_dataset(seed, n_per_arm=n_per_arm, theta=(-0.4, 0.2, 0.4),
+                           sens=sens, spec=spec)
+        diag = DiagnosticModel(sens, spec, 0.3, prevalence_known=False)
+        try:
+            res = fit(data, diag)
+        except (SeparationError, DegenerateDataError):
+            return
+
+        def lam(param, value):
+            try:
+                return _lr_at(data, diag, res, param, value)
+            except (SeparationError, DegenerateDataError):
+                return math.inf
+
+        for param, estimate in (("gamma", res.theta_hat.gamma), ("pi", res.pi_hat)):
+            ci = profile_ci(data, diag, param, fit_result=res)
+            assert ci.low < estimate < ci.high
+            for value, is_open, out in ((ci.low, ci.open_low, -1), (ci.high, ci.open_high, 1)):
+                if is_open or abs(lam(param, value) - CHI2_95) <= 1e-3:
+                    continue
+                # small trials can have profiles that jump across the
+                # quantile (in the explicit example lambda is 0.63 at
+                # gamma = 5.5 and 10.4 at 5.6); there the endpoint must
+                # sit on the jump, within the 1e-4 bracket tolerance
+                assert lam(param, value - out * 1e-4) < CHI2_95 <= lam(param, value + out * 1e-4)
 
 
 class TestFdInformation:
