@@ -60,7 +60,7 @@ for group, label in ((1, "test-positive"), (0, "test-negative")):
     print(f"  {label}: control {s_control:.3f}, treated {s_treated:.3f}")
 
 # posterior probability of true positive status, by observed result
-w = corrected.weights.w
+w = corrected.weights
 for group, label in ((1, "test-positive"), (0, "test-negative")):
     sel = np.asarray(data.test) == group
     print(f"mean posterior P(true positive | data), {label}: "

@@ -48,8 +48,7 @@ for name in ("beta1", "beta2", "gamma", "pi"):
 
 # simultaneous intervals for the two subgroup effects: the common scale
 # factor inflates the normal quantile according to the correlation
-info2 = fd_profile_information(data, diag, res.theta_hat,
-                               ("beta1", "gamma"), fit_result=res)
+info2 = fd_profile_information(data, diag, ("beta1", "gamma"), fit_result=res)
 sigma = subgroup_cov(info2)
 rep2 = simultaneous_cis(res.theta_hat, sigma, alpha=0.05)
 print(f"\ncorrelation of the subgroup estimates: {rep2.rho:.3f}")

@@ -17,7 +17,7 @@ from .cox import (
     fit_weighted_cox,
     weighted_partial_loglik,
 )
-from .em import EmConfig, FitResult, PosteriorWeights, fit
+from .em import EmConfig, FitResult, fit
 from .errors import (
     ConditioningError,
     DatasetError,
@@ -45,7 +45,6 @@ from .model import (
     Dataset,
     DiagnosticModel,
     EffectParams,
-    Subject,
     linear_predictor,
     mixture_survival,
     npv,
@@ -68,10 +67,10 @@ __all__ = [
     "BaselineHazard", "ConditioningError", "CoxFit", "Dataset",
     "DatasetError", "DegenerateDataError", "DiagnosticModel", "EffectParams",
     "EmConfig", "FitResult", "InferenceConfig", "Interval", "MixcoxError",
-    "PosteriorWeights", "RenderedTable", "RngStream", "RowData",
-    "ScenarioConfig", "ScenarioSummary", "SeparationError",
-    "SimultaneousReport", "Subject", "breslow_baseline", "bvn_rect_prob",
-    "concordance_prob", "draw_survival_time", "emit_table",
+    "RenderedTable", "RngStream", "RowData", "ScenarioConfig",
+    "ScenarioSummary", "SeparationError", "SimultaneousReport",
+    "breslow_baseline", "bvn_rect_prob", "concordance_prob",
+    "draw_survival_time", "emit_table",
     "fd_profile_information", "fit", "fit_weighted_cox", "generate_trial",
     "linear_predictor", "lr_test", "mixture_survival", "npv",
     "overall_concordance_report", "ppv", "profile_ci", "profile_loglik",

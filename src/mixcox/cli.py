@@ -230,7 +230,7 @@ def parse_dataset(path) -> Dataset:
         treat_v.append(_parse_binary(row[col["treatment"]], "treatment", path, line_no))
         test_v.append(_parse_test(row[col["biomarker_test"]], path, line_no))
     try:
-        return Dataset.from_arrays(time_v, event_v, treat_v, test_v)
+        return Dataset(time_v, event_v, treat_v, test_v)
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from None
 
@@ -240,8 +240,10 @@ def _parse_time(token, path, line_no) -> float:
         value = float(token)
     except ValueError:
         raise DatasetError(f"{path}:{line_no}: column time: not a number: {token!r}") from None
-    if not value > 0:
-        raise DatasetError(f"{path}:{line_no}: column time: must be positive, got {value}")
+    if not 0 < value < math.inf:
+        raise DatasetError(
+            f"{path}:{line_no}: column time: must be positive and finite, got {value}"
+        )
     return value
 
 
@@ -292,8 +294,7 @@ def run_fit(request: AnalysisRequest) -> AnalysisReport:
             f"(last log-likelihood {res.obs_loglik:.6f})"
         )
     info = inference.fd_profile_information(
-        data, diag, res.theta_hat, ("beta1", "beta2", "gamma"), icfg,
-        fit_result=res, em_config=em_cfg,
+        data, diag, ("beta1", "beta2", "gamma"), icfg, fit_result=res, em_config=em_cfg,
     )
     ses = np.sqrt(np.diag(np.linalg.inv(info)))
     labels = {

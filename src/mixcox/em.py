@@ -34,36 +34,22 @@ from .model import (
     ppv,
 )
 
-__all__ = ["PosteriorWeights", "EmConfig", "FitResult", "fit"]
+__all__ = ["EmConfig", "FitResult", "fit"]
 
 PARAM_NAMES = ("beta1", "beta2", "gamma")
 # estimated prevalences are clipped to [floor, 1 - floor]
 PREVALENCE_FLOOR = 0.01
-
-
-@dataclass(frozen=True)
-class PosteriorWeights:
-    """Per-subject posterior probability of true biomarker-positive status."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if np.any(w < 0) or np.any(w > 1):
-            raise ValueError("posterior weights must lie in [0, 1]")
-        object.__setattr__(self, "w", w)
+# the loop stops once the observed log-likelihood changes by less than this
+TOL_LOGLIK = 1e-8
 
 
 @dataclass(frozen=True)
 class EmConfig:
-    """EM control knobs: loglik tolerance and iteration cap."""
+    """EM control knob: the iteration cap."""
 
-    tol_loglik: float = 1e-8
     max_iter: int = 2000
 
     def __post_init__(self):
-        if not self.tol_loglik > 0:
-            raise ValueError("tol_loglik must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -75,7 +61,7 @@ class FitResult:
     theta_hat: EffectParams
     baseline: BaselineHazard
     pi_hat: float
-    weights: PosteriorWeights
+    weights: np.ndarray  # posterior P(true positive) per subject
     obs_loglik: float
     iterations: int
     converged: bool
@@ -175,7 +161,7 @@ def _obs_loglik(ws, theta, baseline, diag) -> float:
     of component likelihoods weighted by the predictive values,
     conditional on the test result.  With unknown prevalence the test
     result's own probability enters, so the mixture weights become
-    ``pi * sensitivity`` etc.  Subjects without a test result contribute
+    ``pi * sensitivity`` etc.  Those without a test result contribute
     the prevalence-weighted mixture either way.
     """
     la, lb = _component_logliks(ws, theta, baseline)
@@ -266,8 +252,8 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
     data, diag : the trial and the diagnostic-test model.  When
         ``diag.prevalence_known`` is False the prevalence is estimated.
     config : EmConfig
-        Convergence tolerance (on the change of the observed
-        log-likelihood) and iteration cap.  An estimated prevalence is
+        Iteration cap.  The loop stops once the observed log-likelihood
+        changes by less than TOL_LOGLIK.  An estimated prevalence is
         clipped to [PREVALENCE_FLOOR, 1 - PREVALENCE_FLOOR].
     fixed : mapping, optional
         Coefficients to hold fixed by name ("beta1", "beta2", "gamma"),
@@ -316,7 +302,7 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
             pi = _update_prevalence(w)
         ll = _obs_loglik(ws, theta, baseline, diag.with_prevalence(pi))
         trace.append(ll)
-        if abs(ll - ll_prev) < config.tol_loglik:
+        if abs(ll - ll_prev) < TOL_LOGLIK:
             converged = True
             break
         ll_prev = ll
@@ -325,7 +311,7 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
         theta_hat=theta,
         baseline=baseline,
         pi_hat=pi,
-        weights=PosteriorWeights(w),
+        weights=w,
         obs_loglik=trace[-1],
         iterations=it,
         converged=converged,

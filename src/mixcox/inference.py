@@ -108,12 +108,6 @@ class SimultaneousReport:
     interval_overall: Interval | None = None
 
 
-def _fit_or(data, diag, em_config, fit_result):
-    if fit_result is None:
-        return em.fit(data, diag, em_config)
-    return fit_result
-
-
 def _v_marginal_loglik(data: Dataset, diag: DiagnosticModel, pi: float) -> float:
     """Log-probability of the observed test results under prevalence pi."""
     se, sp = diag.sensitivity, diag.specificity
@@ -162,17 +156,18 @@ def lr_test(
     param: str,
     null_value: float,
     *,
-    fit_result: em.FitResult | None = None,
+    fit_result: em.FitResult,
     em_config: em.EmConfig = em.EmConfig(),
 ) -> tuple[float, float]:
     """Likelihood-ratio test of ``param == null_value``.
 
-    Returns the statistic (twice the profile log-likelihood drop, clipped
-    at zero) and its chi-square(1) p-value.
+    Returns the statistic (twice the profile log-likelihood drop from the
+    unconstrained ``fit_result``, clipped at zero) and its chi-square(1)
+    p-value.
     """
-    res = _fit_or(data, diag, em_config, fit_result)
-    ll0 = profile_loglik(data, diag, {param: null_value}, em_config=em_config, warm=res)
-    lam = max(2.0 * (res.obs_loglik - ll0), 0.0)
+    ll0 = profile_loglik(data, diag, {param: null_value}, em_config=em_config,
+                         warm=fit_result)
+    lam = max(2.0 * (fit_result.obs_loglik - ll0), 0.0)
     return lam, float(stats.chi2.sf(lam, 1))
 
 
@@ -188,11 +183,12 @@ def profile_ci(
     param: str,
     config: InferenceConfig = InferenceConfig(),
     *,
-    fit_result: em.FitResult | None = None,
+    fit_result: em.FitResult,
     em_config: em.EmConfig = em.EmConfig(),
     se: float | None = None,
 ) -> Interval:
-    """Profile likelihood-ratio confidence interval for one parameter.
+    """Profile likelihood-ratio confidence interval for one parameter,
+    around the unconstrained ``fit_result``.
 
     Each endpoint solves g(x) = sqrt(lambda(estimate +- x)) - sqrt(q) = 0,
     where lambda is the LR statistic, q the chi-square(1) quantile and x
@@ -210,8 +206,7 @@ def profile_ci(
     """
     if param not in ("beta1", "beta2", "gamma", "pi"):
         raise ValueError(f"unknown parameter: {param}")
-    res = _fit_or(data, diag, em_config, fit_result)
-    mle = _param_estimate(res, param)
+    mle = _param_estimate(fit_result, param)
     target = float(stats.chi2.ppf(1.0 - config.alpha, 1))
     root_target = math.sqrt(target)
     if se is None:
@@ -219,8 +214,8 @@ def profile_ci(
             se = math.sqrt(max(mle * (1 - mle), 1e-4) / len(data))
         else:
             info = fd_profile_information(
-                data, diag, res.theta_hat, ("beta1", "beta2", "gamma"), config,
-                fit_result=res, em_config=em_config,
+                data, diag, ("beta1", "beta2", "gamma"), config,
+                fit_result=fit_result, em_config=em_config,
             )
             se = math.sqrt(np.linalg.inv(info)[_PARAM_INDEX[param],
                                                _PARAM_INDEX[param]])
@@ -229,12 +224,13 @@ def profile_ci(
 
     def lam_at(value: float) -> float:
         try:
-            ll = profile_loglik(data, diag, {param: value}, em_config=em_config, warm=res)
+            ll = profile_loglik(data, diag, {param: value}, em_config=em_config,
+                                warm=fit_result)
         except (SeparationError, DegenerateDataError):
             # the constrained fit degenerates this far out; certainly
             # outside the confidence region
             return math.inf
-        return 2.0 * (res.obs_loglik - ll)
+        return 2.0 * (fit_result.obs_loglik - ll)
 
     def solve(direction: int) -> tuple[float, bool]:
         if param == "pi":
@@ -326,18 +322,17 @@ def _fd_information(fun, k: int, h: float) -> np.ndarray:
 def fd_profile_information(
     data: Dataset,
     diag: DiagnosticModel,
-    theta_hat: EffectParams,
     params: Sequence[str],
     config: InferenceConfig = InferenceConfig(),
     *,
-    fit_result: em.FitResult | None = None,
+    fit_result: em.FitResult,
     em_config: em.EmConfig = em.EmConfig(),
 ) -> np.ndarray:
     """Profile information matrix over ``params`` by finite differences.
 
     Evaluates the profile log-likelihood on one-sided stencils around the
-    maximum (step ``fd_step``), profiling out all remaining parameters and
-    the baseline through the EM, and symmetrizes the result.
+    maximum ``fit_result`` (step ``fd_step``), profiling out all remaining
+    parameters and the baseline through the EM, and symmetrizes the result.
 
     Raises
     ------
@@ -349,16 +344,15 @@ def fd_profile_information(
     for p in params:
         if p not in _PARAM_INDEX:
             raise ValueError(f"unknown parameter: {p}")
-    res = _fit_or(data, diag, em_config, fit_result)
-    center = res.theta_hat.as_array()
+    center = fit_result.theta_hat.as_array()
 
     def lp(disp: np.ndarray) -> float:
         if not np.any(disp):
-            return res.obs_loglik
+            return fit_result.obs_loglik
         fixed = {
             p: center[_PARAM_INDEX[p]] + disp[i] for i, p in enumerate(params)
         }
-        return profile_loglik(data, diag, fixed, em_config=em_config, warm=res)
+        return profile_loglik(data, diag, fixed, em_config=em_config, warm=fit_result)
 
     info = _fd_information(lp, len(params), config.fd_step)
     _require_positive_definite(info)
@@ -522,7 +516,7 @@ def overall_concordance_report(
     info = information
     if info is None:
         info = fd_profile_information(
-            data, diag, fit_result.theta_hat, ("beta1", "beta2", "gamma"), config,
+            data, diag, ("beta1", "beta2", "gamma"), config,
             fit_result=fit_result, em_config=em_config,
         )
     cov_theta = np.linalg.inv(info)

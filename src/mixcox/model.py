@@ -17,14 +17,12 @@ everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 from .errors import DatasetError
 
 __all__ = [
-    "Subject",
     "Dataset",
     "DiagnosticModel",
     "EffectParams",
@@ -35,88 +33,43 @@ __all__ = [
     "mixture_survival",
 ]
 
-# Sentinel used for a missing diagnostic-test result in array form.
+# Sentinel used for a missing diagnostic-test result.
 TEST_MISSING = -1
-
-
-@dataclass(frozen=True)
-class Subject:
-    """One subject: follow-up time, event status, arm and test result.
-
-    Parameters
-    ----------
-    time : float
-        Follow-up time, strictly positive.
-    event : int
-        1 if the event was observed, 0 if censored.
-    treatment : int
-        1 for the experimental arm, 0 for control.
-    test : int or None
-        Observed biomarker test result: 1 positive, 0 negative,
-        None when the test was not taken.
-    """
-
-    time: float
-    event: int
-    treatment: int
-    test: int | None
-
-    def __post_init__(self):
-        if not self.time > 0:
-            raise DatasetError(f"time must be positive, got {self.time}")
-        if self.event not in (0, 1):
-            raise DatasetError(f"event must be 0 or 1, got {self.event}")
-        if self.treatment not in (0, 1):
-            raise DatasetError(f"treatment must be 0 or 1, got {self.treatment}")
-        if self.test not in (0, 1, None):
-            raise DatasetError(f"test must be 0, 1 or None, got {self.test}")
 
 
 class Dataset:
     """Immutable column store for a trial's subjects.
 
-    Validates that the data can identify anything at all: at least one
-    observed event and at least one subject in each treatment arm.
+    Validates every value before storing it: follow-up times finite and
+    positive, event and treatment indicators 0 or 1, test results 1, 0 or
+    -1 (missing).  Also checks that the data can identify anything at all:
+    at least one observed event and at least one subject in each arm.
     """
 
     __slots__ = ("time", "event", "treatment", "test", "__weakref__")
 
-    def __init__(self, subjects: Iterable[Subject]):
-        subs = list(subjects)
-        time = np.array([s.time for s in subs], dtype=float)
-        event = np.array([s.event for s in subs], dtype=np.int8)
-        treatment = np.array([s.treatment for s in subs], dtype=np.int8)
-        test = np.array(
-            [TEST_MISSING if s.test is None else s.test for s in subs], dtype=np.int8
-        )
-        self._init_arrays(time, event, treatment, test)
-
-    @classmethod
-    def from_arrays(cls, time, event, treatment, test) -> "Dataset":
-        """Build a dataset from columns; ``test`` uses -1 for missing."""
-        obj = cls.__new__(cls)
-        obj._init_arrays(
-            np.array(time, dtype=float),
-            np.array(event, dtype=np.int8),
-            np.array(treatment, dtype=np.int8),
-            np.array(test, dtype=np.int8),
-        )
-        return obj
-
-    def _init_arrays(self, time, event, treatment, test):
+    def __init__(self, time, event, treatment, test):
+        time = np.array(time, dtype=float)
+        event, treatment, test = (np.asarray(c) for c in (event, treatment, test))
+        columns = (time, event, treatment, test)
+        if any(c.ndim != 1 for c in columns):
+            raise DatasetError("columns must be one-dimensional")
         n = time.size
-        if not (event.size == treatment.size == test.size == n):
+        if any(c.size != n for c in columns):
             raise DatasetError("column lengths differ")
         if n == 0:
             raise DatasetError("dataset is empty")
-        if not np.all(time > 0):
-            raise DatasetError("all follow-up times must be positive")
+        # checked on the raw values: a cast to int8 would truncate 0.5 to 0
+        # and wrap or reject out-of-range integers
+        if not np.all(np.isfinite(time) & (time > 0)):
+            raise DatasetError("all follow-up times must be positive and finite")
         if not np.all(np.isin(event, (0, 1))):
             raise DatasetError("event indicators must be 0 or 1")
         if not np.all(np.isin(treatment, (0, 1))):
             raise DatasetError("treatment indicators must be 0 or 1")
         if not np.all(np.isin(test, (0, 1, TEST_MISSING))):
             raise DatasetError("test results must be 0, 1 or -1 (missing)")
+        event, treatment, test = (c.astype(np.int8) for c in (event, treatment, test))
         if not np.any(event == 1):
             raise DatasetError("dataset has no observed events")
         if len(np.unique(treatment)) < 2:
@@ -129,18 +82,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.time.size
-
-    def subjects(self) -> list[Subject]:
-        """Materialize the rows as Subject values."""
-        return [
-            Subject(
-                float(t),
-                int(d),
-                int(x),
-                None if v == TEST_MISSING else int(v),
-            )
-            for t, d, x, v in zip(self.time, self.event, self.treatment, self.test)
-        ]
 
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")

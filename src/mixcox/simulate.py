@@ -3,9 +3,9 @@
 Generates biomarker-stratified two-arm trials with a decreasing Weibull
 baseline hazard, misclassified biomarker status and uniform censoring,
 then fits each replication and summarizes bias, spread, simultaneous
-coverage and the interaction test's rejection rate.  Replications draw
-from independent deterministic substreams of a base seed, so results are
-bitwise reproducible regardless of how many workers run them.
+coverage and the interaction test's rejection rate.  Replication ``rep``
+draws from its own deterministic stream ``RngStream(base_seed, rep)``, so
+results are bitwise reproducible regardless of how many workers run them.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ class ScenarioSummary:
 
 @dataclass(frozen=True)
 class RngStream:
-    """Deterministic substream: (seed, counter) feeds a seed sequence, so
-    stream ``counter`` of a given seed is the same on every run and every
+    """Deterministic random stream: (seed, counter) feeds a seed sequence,
+    so stream ``counter`` of a given seed is the same on every run and every
     worker."""
 
     seed: int
@@ -92,9 +92,6 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence((self.seed, self.counter)))
-
-    def substream(self, index: int) -> "RngStream":
-        return RngStream(self.seed, index)
 
 
 def draw_survival_time(u, eta):
@@ -135,28 +132,26 @@ def _draw_trial(config: ScenarioConfig, rng: np.random.Generator):
     return time, event, x, v, z
 
 
-def generate_trial(config: ScenarioConfig, rng: RngStream | np.random.Generator) -> Dataset:
-    """Simulate one trial of ``2 * n_per_arm`` subjects."""
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    time, event, x, v, _ = _draw_trial(config, gen)
-    return Dataset.from_arrays(time, event, x, v)
+def generate_trial(config: ScenarioConfig, stream: RngStream) -> Dataset:
+    """Simulate one trial of ``2 * n_per_arm`` subjects from ``stream``."""
+    time, event, x, v, _ = _draw_trial(config, stream.generator())
+    return Dataset(time, event, x, v)
 
 
 def _replicate(config: ScenarioConfig, rep: int):
     """Run one replication; returns (theta_hat(3), covered, reject, ok)."""
-    rng = RngStream(config.base_seed, rep).generator()
     diag = DiagnosticModel(
         config.sens, config.spec, config.pi_true,
         prevalence_known=config.prevalence_known,
     )
     icfg = inference.InferenceConfig(alpha=config.alpha)
     try:
-        data = generate_trial(config, rng)
+        data = generate_trial(config, RngStream(config.base_seed, rep))
         res = em.fit(data, diag)
         if not res.converged:
             return np.full(3, np.nan), False, False, False
         info = inference.fd_profile_information(
-            data, diag, res.theta_hat, ("beta1", "gamma"), icfg, fit_result=res
+            data, diag, ("beta1", "gamma"), icfg, fit_result=res
         )
         report = inference.simultaneous_cis(
             res.theta_hat, inference.subgroup_cov(info), config.alpha
@@ -177,7 +172,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioSummary:
     Failed replications (non-convergence or degenerate data) are counted
     and excluded; a warning is issued if they exceed 1% of the total.
     Results are identical for any ``workers`` because every replication
-    has its own seed substream and aggregation is in replication order.
+    has its own seeded stream and aggregation is in replication order.
     """
     reps = range(config.replications)
     if workers > 1:

@@ -77,8 +77,7 @@ def test_criterion_02_em_monotonicity():
             test = np.array(data.test)
             test[rng.random(test.size) < 0.15] = -1
             from mixcox import Dataset
-            data = Dataset.from_arrays(data.time, data.event,
-                                       data.treatment, test)
+            data = Dataset(data.time, data.event, data.treatment, test)
         known = bool(k % 3 == 0)
         diag = DiagnosticModel(sens, spec, 0.3, prevalence_known=known)
         res = fit(data, diag)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from helpers import oracle_cox, sim_dataset
 
-from mixcox import DatasetError, DiagnosticModel, fit, inference
+from mixcox import Dataset, DatasetError, DiagnosticModel, fit, inference
 from mixcox.cli import (
     AnalysisRequest,
     main,
@@ -52,9 +52,10 @@ class TestParseDataset:
             parse_dataset(p)
 
     def test_nonpositive_time_rejected(self, tmp_path):
-        p = write(tmp_path, GOOD.replace("1.5,1,0,1", "0.0,1,0,1"))
-        with pytest.raises(DatasetError, match=r":2: column time"):
-            parse_dataset(p)
+        for bad in ("0.0,1,0,1", "inf,1,0,1", "inf,0,0,1"):
+            p = write(tmp_path, GOOD.replace("1.5,1,0,1", bad))
+            with pytest.raises(DatasetError, match=r":2: column time"):
+                parse_dataset(p)
 
     def test_unknown_test_token(self, tmp_path):
         p = write(tmp_path, GOOD.replace("3.25,1,1,NA", "3.25,1,1,maybe"))
@@ -215,6 +216,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: estimation failed: ")
         assert "excludes the estimate" in err
+
+    @staticmethod
+    def edge_trial(tmp_path, time, event):
+        """40 subjects, 20 per arm, random test results."""
+        rng = np.random.default_rng(0)
+        data = Dataset(time, event, np.repeat([0, 1], 20), rng.integers(0, 2, 40))
+        p = tmp_path / "edge.csv"
+        write_dataset(data, p)
+        return ["fit", str(p), "--sens", "0.9", "--spec", "0.85"]
+
+    def test_single_event_is_estimation_failure(self, tmp_path, capsys):
+        event = np.zeros(40, dtype=int)
+        event[3] = 1
+        assert main(self.edge_trial(tmp_path, np.arange(1.0, 41.0), event)) == 2
+        assert capsys.readouterr().err.startswith("error: estimation failed: ")
+
+    def test_events_in_one_arm_is_estimation_failure(self, tmp_path, capsys):
+        event = np.zeros(40, dtype=int)
+        event[:20:2] = 1  # every other control subject, no treated subject
+        assert main(self.edge_trial(tmp_path, np.arange(1.0, 41.0), event)) == 2
+        assert capsys.readouterr().err.startswith("error: estimation failed: ")
+
+    def test_all_tied_times_fit(self, tmp_path, capsys):
+        event = (np.random.default_rng(1).random(40) < 0.6).astype(int)
+        assert main(self.edge_trial(tmp_path, np.full(40, 5.0), event)) == 0
+        assert "converged: True" in capsys.readouterr().out
 
     def test_io_error(self, capsys):
         assert main(["fit", "/nonexistent/file.csv",

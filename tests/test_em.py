@@ -17,7 +17,6 @@ from mixcox import (
     EffectParams,
     EmConfig,
     SeparationError,
-    Subject,
     em,
     fit,
 )
@@ -50,11 +49,7 @@ class TestEStep:
         assert np.array_equal(w, (data.test == 1).astype(float))
 
     def test_null_effects_give_prior_weights(self):
-        data = Dataset([
-            Subject(1.0, 1, 0, 1),
-            Subject(2.0, 0, 1, 0),
-            Subject(3.0, 0, 0, None),
-        ])
+        data = Dataset([1.0, 2.0, 3.0], [1, 0, 0], [0, 1, 0], [1, 0, -1])
         d = diag()
         bl = BaselineHazard(np.array([1.0]), np.array([0.2]))
         w = e_step(data, EffectParams(0, 0, 0), bl, d)
@@ -64,10 +59,9 @@ class TestEStep:
 
     def test_hand_value_censored_positive(self):
         # censored at t=3 with a single event time at 2 and mass 1 there
-        data = Dataset([
-            Subject(2.0, 1, 1, 0),   # filler event to satisfy invariants
-            Subject(3.0, 0, 0, 1),   # the subject under test
-        ])
+        # subject 0 is a filler event to satisfy invariants; subject 1 is
+        # the one under test
+        data = Dataset([2.0, 3.0], [1, 0], [1, 0], [0, 1])
         bl = BaselineHazard(np.array([2.0]), np.array([0.5]))
         theta = EffectParams(0.0, 0.1, 0.0)
         w = e_step(data, theta, bl, diag())
@@ -80,7 +74,7 @@ class TestEStep:
     def test_weights_in_unit_interval(self):
         data = sim_dataset(2, n_per_arm=60, sens=0.85, spec=0.75)
         res = fit(data, diag(0.85, 0.75, known=False))
-        w = res.weights.w
+        w = res.weights
         assert np.all((w >= 0) & (w <= 1))
 
 
@@ -95,10 +89,11 @@ class TestMStep:
                                  np.column_stack([x, v, x * v]))
         assert np.max(np.abs(theta.as_array() - beta_ref)) < 1e-7
 
-    def test_fixed_point_at_convergence(self):
+    def test_fixed_point_at_convergence(self, monkeypatch):
+        monkeypatch.setattr(em, "TOL_LOGLIK", 1e-11)
         data = sim_dataset(5, n_per_arm=60, sens=0.9, spec=0.9)
-        res = fit(data, diag(0.9, 0.9), EmConfig(tol_loglik=1e-11))
-        theta2, _ = m_step(data, res.weights.w)
+        res = fit(data, diag(0.9, 0.9))
+        theta2, _ = m_step(data, res.weights)
         assert np.max(np.abs(theta2.as_array() - res.theta_hat.as_array())) < 1e-8
 
     def test_uninformative_weights_collapse_to_treatment_fit(self):
@@ -141,10 +136,7 @@ class TestObservedLoglik:
     def test_hand_values_single_censored_subject(self):
         # subject B is censored at t=1, before the only event time, so its
         # survivor factors are exactly 1 under the jump-form evaluation
-        data = Dataset([
-            Subject(2.0, 1, 0, 0),   # A
-            Subject(1.0, 0, 1, 1),   # B
-        ])
+        data = Dataset([2.0, 1.0], [1, 0], [0, 1], [0, 1])  # A, B
         bl = BaselineHazard(np.array([2.0]), np.array([0.5]))
         theta = EffectParams(0, 0, 0)
         pi, se, sp = 0.3, 0.8, 0.8
@@ -163,14 +155,16 @@ class TestObservedLoglik:
         assert got_known == pytest.approx(term_a_known + term_b_known, rel=1e-12)
 
     def test_missing_subject_contribution(self):
-        base = [Subject(2.0, 1, 0, 0), Subject(1.0, 0, 1, 1)]
-        extra = Subject(1.0, 0, 0, None)
+        # columns (time, event, treatment, test) of two subjects, then
+        # with a third, untested one censored at t=1
+        base = Dataset([2.0, 1.0], [1, 0], [0, 1], [0, 1])
+        extended = Dataset([2.0, 1.0, 1.0], [1, 0, 0], [0, 1, 0], [0, 1, -1])
         bl = BaselineHazard(np.array([2.0]), np.array([0.5]))
         theta = EffectParams(0, 0, 0)
         for known in (True, False):
             d = diag(known=known)
-            delta = observed_log_likelihood(Dataset(base + [extra]), theta, bl, d) \
-                - observed_log_likelihood(Dataset(base), theta, bl, d)
+            delta = observed_log_likelihood(extended, theta, bl, d) \
+                - observed_log_likelihood(base, theta, bl, d)
             # survivor factors are 1 at t=1, so the term is log(pi + (1-pi))
             assert delta == pytest.approx(0.0, abs=1e-12)
 
@@ -201,16 +195,15 @@ class TestFit:
         res = fit(data, diag(0.85, 0.85, pi=0.4, known=True))
         assert res.pi_hat == 0.4
 
-    def test_extra_cycle_is_fixed_point(self):
+    def test_extra_cycle_is_fixed_point(self, monkeypatch):
         # a loglik change below tol bounds the parameter movement at the
         # sqrt scale (quadratic objective near the optimum)
-        cfg = EmConfig(tol_loglik=1e-9)
+        monkeypatch.setattr(em, "TOL_LOGLIK", 1e-9)
         data = sim_dataset(16, n_per_arm=70, sens=0.85, spec=0.9)
-        res = fit(data, diag(0.85, 0.9, known=False), cfg)
-        res2 = fit(data, diag(0.85, 0.9, known=False),
-                   EmConfig(tol_loglik=1e-9, max_iter=1), warm=res)
+        res = fit(data, diag(0.85, 0.9, known=False))
+        res2 = fit(data, diag(0.85, 0.9, known=False), EmConfig(max_iter=1), warm=res)
         delta = np.max(np.abs(res2.theta_hat.as_array() - res.theta_hat.as_array()))
-        assert delta < 10 * math.sqrt(cfg.tol_loglik)
+        assert delta < 10 * math.sqrt(em.TOL_LOGLIK)
 
     def test_initialization_invariance(self):
         data = sim_dataset(17, n_per_arm=80, sens=0.9, spec=0.9)
@@ -228,8 +221,7 @@ class TestFit:
 
     def test_all_missing_unsupervised_mixture_runs(self):
         base = sim_dataset(18, n_per_arm=50, sens=0.9, spec=0.9)
-        data = Dataset.from_arrays(base.time, base.event, base.treatment,
-                                   np.full(len(base), -1))
+        data = Dataset(base.time, base.event, base.treatment, np.full(len(base), -1))
         res = fit(data, diag(0.9, 0.9, known=False), EmConfig(max_iter=5000))
         assert res.converged
         assert 0.01 <= res.pi_hat <= 0.99
@@ -272,7 +264,7 @@ def small_trials(draw, missing_tests=True):
     event = np.array(column(st.integers(0, 1)))
     event[0] = 1
     test = column(st.sampled_from((0, 1, -1) if missing_tests else (0, 1)))
-    return Dataset.from_arrays(time, event, np.repeat([0, 1], n_arm), test)
+    return Dataset(time, event, np.repeat([0, 1], n_arm), test)
 
 
 accuracies = st.floats(0.7, 1.0)
@@ -286,7 +278,7 @@ class TestProperties:
             res = fit(data, diag(sens, spec, pi, known), EmConfig(max_iter=300))
         except (SeparationError, DegenerateDataError):
             return
-        w = res.weights.w
+        w = res.weights
         assert np.all((w >= 0) & (w <= 1))
         assert np.diff(res.loglik_trace).min(initial=0.0) >= -1e-9
 

@@ -100,7 +100,7 @@ class TestProfileCi:
         data, diag, res = fitted
         ci_b1 = profile_ci(data, diag, "beta1", fit_result=res)
         info = fd_profile_information(
-            data, diag, res.theta_hat, ("beta1", "gamma"), fit_result=res
+            data, diag, ("beta1", "gamma"), fit_result=res
         )
         report = simultaneous_cis(res.theta_hat, subgroup_cov(info))
         assert report.interval_neg.low <= ci_b1.low
@@ -190,7 +190,7 @@ class TestProfileCiSolve:
         diag = DiagnosticModel(0.9, 0.85, 0.5, prevalence_known=False)
         res = fit(data, diag)
         info = fd_profile_information(
-            data, diag, res.theta_hat, ("beta1", "beta2", "gamma"), fit_result=res
+            data, diag, ("beta1", "beta2", "gamma"), fit_result=res
         )
         ses = np.sqrt(np.diag(np.linalg.inv(info)))
         calls = []
@@ -267,7 +267,7 @@ class TestFdInformation:
     def test_profile_information_positive_definite(self, fitted):
         data, diag, res = fitted
         info = fd_profile_information(
-            data, diag, res.theta_hat, ("beta1", "beta2", "gamma"), fit_result=res
+            data, diag, ("beta1", "beta2", "gamma"), fit_result=res
         )
         assert np.allclose(info, info.T)
         assert np.all(np.linalg.eigvalsh(info) > 0)

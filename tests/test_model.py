@@ -9,7 +9,6 @@ from mixcox import (
     DatasetError,
     DiagnosticModel,
     EffectParams,
-    Subject,
     linear_predictor,
     mixture_survival,
     npv,
@@ -17,33 +16,53 @@ from mixcox import (
 )
 
 
+# columns (time, event, treatment, test) of a valid three-subject trial;
+# each invalid case replaces the last subject's value in one column, where
+# a silent cast to int8 would leave a valid trial
+VALID = {"time": [1.0, 2.0, 3.0], "event": [1, 0, 1],
+         "treatment": [0, 1, 1], "test": [1, 0, -1]}
+INVALID = [
+    ("time", 0.0, "follow-up times"),
+    ("time", -1.0, "follow-up times"),
+    ("time", math.inf, "follow-up times"),
+    ("time", math.nan, "follow-up times"),
+    ("event", 2, "event indicators"),
+    ("event", 0.5, "event indicators"),
+    ("event", 256, "event indicators"),
+    ("treatment", 3, "treatment indicators"),
+    ("treatment", 0.7, "treatment indicators"),
+    ("test", 2, "test results"),
+    ("test", -1.5, "test results"),
+]
+
+
 class TestTypes:
-    def test_subject_validation(self):
-        Subject(1.0, 1, 0, None)
-        with pytest.raises(DatasetError):
-            Subject(0.0, 1, 0, 1)
-        with pytest.raises(DatasetError):
-            Subject(1.0, 2, 0, 1)
-        with pytest.raises(DatasetError):
-            Subject(1.0, 1, 3, 1)
-        with pytest.raises(DatasetError):
-            Subject(1.0, 1, 0, 2)
+    @pytest.mark.parametrize("column,value,message", INVALID,
+                             ids=[f"{c}={v}" for c, v, _ in INVALID])
+    def test_dataset_rejects_invalid_value(self, column, value, message):
+        columns = {name: list(values) for name, values in VALID.items()}
+        columns[column][-1] = value
+        with pytest.raises(DatasetError, match=message):
+            Dataset(**columns)
+
+    def test_dataset_columns_are_equal_length_vectors(self):
+        with pytest.raises(DatasetError, match="one-dimensional"):
+            Dataset(np.ones((2, 2)), [1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 1, 1])
+        with pytest.raises(DatasetError, match="lengths"):
+            Dataset([1.0, 2.0], [1, 0], [0, 1], [1])
 
     def test_dataset_requires_event_and_both_arms(self):
         with pytest.raises(DatasetError):
-            Dataset([Subject(1.0, 0, 0, 1), Subject(2.0, 0, 1, 0)])
+            Dataset([1.0, 2.0], [0, 0], [0, 1], [1, 0])
         with pytest.raises(DatasetError):
-            Dataset([Subject(1.0, 1, 1, 1), Subject(2.0, 1, 1, 0)])
-        data = Dataset([Subject(1.0, 1, 0, 1), Subject(2.0, 0, 1, None)])
+            Dataset([1.0, 2.0], [1, 1], [1, 1], [1, 0])
+        data = Dataset([1.0, 2.0], [1, 0], [0, 1], [1, -1])
         assert len(data) == 2
         assert data.test[1] == -1
-
-    def test_dataset_roundtrip_subjects(self):
-        subs = [Subject(1.5, 1, 0, 1), Subject(2.0, 0, 1, None)]
-        assert Dataset(subs).subjects() == subs
+        assert data.event.dtype == np.int8
 
     def test_dataset_immutable(self):
-        data = Dataset([Subject(1.0, 1, 0, 1), Subject(2.0, 0, 1, 0)])
+        data = Dataset([1.0, 2.0], [1, 0], [0, 1], [1, 0])
         with pytest.raises(AttributeError):
             data.time = np.array([1.0])
         with pytest.raises(ValueError):

@@ -100,10 +100,9 @@ class TestGenerateTrial:
 
 class TestRngStream:
     def test_substreams_differ_and_reproduce(self):
-        s = RngStream(99)
-        x1 = s.substream(7).generator().random(4)
-        x2 = s.substream(7).generator().random(4)
-        x3 = s.substream(8).generator().random(4)
+        x1 = RngStream(99, 7).generator().random(4)
+        x2 = RngStream(99, 7).generator().random(4)
+        x3 = RngStream(99, 8).generator().random(4)
         assert np.array_equal(x1, x2)
         assert not np.array_equal(x1, x3)
 
