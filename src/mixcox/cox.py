@@ -180,8 +180,9 @@ def fit_weighted_cox(rd: RowData, init_beta=None, free_mask=None) -> CoxFit:
     ``free_mask`` selects which covariate columns are estimated; excluded
     columns contribute only through the row offsets (the caller folds any
     fixed coefficient times its column into the offsets).  Steps are
-    halved until the loglik does not decrease, so the loglik at return is
-    never below its value at ``init_beta``.
+    halved until the loglik does not decrease (a trial point whose loglik
+    is NaN counts as a decrease), so the loglik at return is never below
+    its value at ``init_beta``.
 
     Raises
     ------
@@ -214,13 +215,16 @@ def fit_weighted_cox(rd: RowData, init_beta=None, free_mask=None) -> CoxFit:
         except np.linalg.LinAlgError:
             raise DegenerateDataError("singular Hessian in Cox fit") from None
         new = beta + step
-        ll_new, g_new, h_new = _loglik_parts(rd, new, cols, order=2)
-        halvings = 0
-        while ll_new < ll and halvings < MAX_HALVINGS:
-            new = (beta + new) / 2.0
+        # a step far out along a separating direction can overflow
+        # exp(eta); its loglik is then -inf or NaN, a failed step to halve
+        with np.errstate(over="ignore", invalid="ignore"):
             ll_new, g_new, h_new = _loglik_parts(rd, new, cols, order=2)
-            halvings += 1
-        if ll_new < ll:
+            halvings = 0
+            while not ll_new >= ll and halvings < MAX_HALVINGS:
+                new = (beta + new) / 2.0
+                ll_new, g_new, h_new = _loglik_parts(rd, new, cols, order=2)
+                halvings += 1
+        if not ll_new >= ll:
             break  # ascent impossible at numerical precision; keep old point
         if np.max(np.abs(new)) > SEPARATION_BOUND:
             raise SeparationError(

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,20 @@ class TestExitCodes:
     def test_all_tied_times_fit(self, tmp_path, capsys):
         event = (np.random.default_rng(1).random(40) < 0.6).astype(int)
         assert main(self.edge_trial(tmp_path, np.full(40, 5.0), event)) == 0
+        assert "converged: True" in capsys.readouterr().out
+
+    def test_tied_trial_near_separation_is_quiet(self, tmp_path, capsys):
+        # profile refits on this trial push Newton trial steps far enough
+        # along a separating direction to overflow exp(eta); such a step
+        # must count as failed, not print floating-point warnings
+        rng = np.random.default_rng(0)
+        rng.integers(0, 2, 40)  # the test results edge_trial draws; events come next
+        event = (rng.random(40) < 0.6).astype(int)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(self.edge_trial(tmp_path, np.full(40, 5.0), event))
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert rc == 0
         assert "converged: True" in capsys.readouterr().out
 
     def test_io_error(self, capsys):

@@ -386,6 +386,109 @@ class TestSimultaneousScale:
         )
 
 
+def _near_combination(eps):
+    """Correlation of (Z1, Z2, Z3) with Z3 a combination of Z1 and Z2 plus
+    independent noise of variance eps**2: the usual shape of the overall
+    contrast against the two subgroup effects."""
+    lower = np.array([[1.0, 0.0, 0.0], [0.2, math.sqrt(0.96), 0.0], [0.6, 0.8, 0.0]])
+    lower[2, :2] *= math.sqrt(1 - eps**2) / np.linalg.norm(lower[2, :2])
+    lower[2, 2] = eps
+    return lower @ lower.T
+
+
+def _tensor_box_prob(xi, corr, n=1024):
+    """Reference box probability: an n x n tensor Gauss-Legendre grid on
+    the separation-of-variables form, a different discretization from the
+    package's piecewise one (accurate to ~1e-9 while l33 >= 0.01)."""
+    chol = np.linalg.cholesky(corr)
+    x, w = np.polynomial.legendre.leggauss(n)
+    t, w = 0.5 * (x + 1.0), 0.5 * w
+    ndtr, ndtri = stats.norm.cdf, stats.norm.ppf
+    a1, b1 = ndtr(-xi / chol[0, 0]), ndtr(xi / chol[0, 0])
+    y1 = ndtri(a1 + t * (b1 - a1))
+    a2 = ndtr((-xi - chol[1, 0] * y1) / chol[1, 1])
+    b2 = ndtr((xi - chol[1, 0] * y1) / chol[1, 1])
+    y2 = ndtri(a2[:, None] + t[None, :] * (b2 - a2)[:, None])
+    m3 = chol[2, 0] * y1[:, None] + chol[2, 1] * y2
+    e3 = ndtr((xi - m3) / chol[2, 2]) - ndtr((-xi - m3) / chol[2, 2])
+    return float((b1 - a1) * (w @ ((b2 - a2)[:, None] * e3) @ w))
+
+
+class TestTrivariateScale:
+    UNIVARIATE = stats.norm.ppf(0.975)
+    SIDAK = stats.norm.ppf(0.5 * (1 + 0.95 ** (1 / 3)))
+    SOBOL_GOLDEN = 2.327385926387351  # the former 2^22-point Sobol estimate
+
+    def test_identity_is_sidak(self):
+        xi = inference._equicoordinate_scale_mvn(np.eye(3), 0.05)
+        assert (2 * stats.norm.cdf(xi) - 1) ** 3 == pytest.approx(0.95, abs=1e-9)
+
+    def test_block_diagonal_factorizes(self):
+        corr = np.array([[1.0, 0.6, 0.0], [0.6, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        expected = bvn_rect_prob(2.2, 0.6) * (2 * stats.norm.cdf(2.2) - 1)
+        assert inference._trivariate_box_prob(2.2, corr) == pytest.approx(
+            expected, abs=1e-9)
+
+    def test_all_ones_is_univariate(self):
+        xi = inference._equicoordinate_scale_mvn(np.ones((3, 3)), 0.05)
+        assert xi == pytest.approx(self.UNIVARIATE, abs=1e-8)
+
+    @pytest.mark.parametrize("rho", [0.3, -0.5])
+    def test_rank_two_and_its_perturbation(self, rho):
+        # rho23 = 1: the overall contrast coincides with one subgroup's
+        corr = np.array([[1.0, rho, rho], [rho, 1.0, 1.0], [rho, 1.0, 1.0]])
+        near = corr.copy()
+        near[1, 2] = near[2, 1] = 1.0 - 1e-12
+        xis = [inference._equicoordinate_scale_mvn(c, 0.05) for c in (corr, near)]
+        for xi in xis:
+            assert math.isfinite(xi)
+            assert self.UNIVARIATE - 1e-9 <= xi <= self.SIDAK + 1e-6
+        assert xis[0] == pytest.approx(xis[1], abs=1e-6)
+        # with Z3 = Z2 the box is the bivariate one
+        assert inference._trivariate_box_prob(2.2, corr) == pytest.approx(
+            bvn_rect_prob(2.2, rho), abs=1e-9)
+
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.3])
+    def test_near_combination_against_tensor_grid(self, eps):
+        corr = _near_combination(eps)
+        assert inference._trivariate_box_prob(2.3, corr) == pytest.approx(
+            _tensor_box_prob(2.3, corr), abs=1e-8)
+
+    def test_golden_trial_correlation(self, monkeypatch):
+        data = parse_dataset(Path(__file__).parent / "data" / "golden_trial.csv")
+        # the prevalence starts at 0.5, as in `mixcox fit`
+        diag = DiagnosticModel(0.9, 0.85, 0.5, prevalence_known=False)
+        res = fit(data, diag)
+        seen = []
+        scale = inference._equicoordinate_scale_mvn
+        monkeypatch.setattr(inference, "_equicoordinate_scale_mvn",
+                            lambda corr, alpha: seen.append(corr) or scale(corr, alpha))
+        rep = overall_concordance_report(data, diag, res)
+        (corr,) = seen
+        assert rep.xi_alpha == scale(corr, 0.05)
+        assert rep.xi_alpha == pytest.approx(self.SOBOL_GOLDEN, abs=1e-4)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(entries=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+           noise=st.floats(0.0, 1.0), xi=st.floats(0.5, 3.5))
+    def test_between_pairwise_bounds(self, entries, noise, xi):
+        # Z = A u with a rank-2 A plus noise of scale `noise`; the ridge
+        # keeps |rho| <= 1 - 1e-5, where bvn_rect_prob is still exact
+        a = np.array(entries).reshape(3, 3)
+        a[:, 2] *= noise
+        cov = a @ a.T + 1e-4 * np.eye(3)
+        sd = np.sqrt(np.diag(cov))
+        corr = cov / np.outer(sd, sd)
+        p = inference._trivariate_box_prob(xi, corr)
+        marginal = 2 * stats.norm.cdf(xi) - 1
+        pairs = [bvn_rect_prob(xi, float(np.clip(corr[i, j], -1, 1)))
+                 for i, j in ((0, 1), (0, 2), (1, 2))]
+        # no more than any pair; no less than a pair times the third
+        # marginal (the Gaussian correlation inequality)
+        assert p <= min(pairs) + 1e-9
+        assert p >= max(pairs) * marginal - 1e-9
+
+
 class TestSimultaneousCis:
     def test_symmetric_case(self):
         theta = EffectParams(-0.3, 0.2, 0.4)
