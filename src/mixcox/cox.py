@@ -28,8 +28,6 @@ __all__ = [
 ]
 
 GRAD_TOL = 1e-10
-LOGLIK_RTOL = 1e-12
-MAX_NEWTON_ITER = 50
 MAX_HALVINGS = 30
 SEPARATION_BOUND = 50.0
 # a monotone likelihood flattens out numerically well before the runaway
@@ -175,20 +173,38 @@ def weighted_partial_loglik(rd: RowData, beta):
 
 
 def fit_weighted_cox(rd: RowData, init_beta=None, free_mask=None) -> CoxFit:
-    """Maximize the weighted partial likelihood by Newton ascent.
+    """One safeguarded Newton ascent step on the weighted partial likelihood.
 
     ``free_mask`` selects which covariate columns are estimated; excluded
     columns contribute only through the row offsets (the caller folds any
-    fixed coefficient times its column into the offsets).  Steps are
-    halved until the loglik does not decrease (a trial point whose loglik
-    is NaN counts as a decrease), so the loglik at return is never below
-    its value at ``init_beta``.
+    fixed coefficient times its column into the offsets).  The Newton step
+    from ``init_beta`` (default zero) is halved until the loglik does not
+    decrease (a trial point whose loglik is NaN counts as a decrease), so
+    the loglik at return is never below its value at ``init_beta``.  Trial
+    points are evaluated value-only: a step that needs no halving costs
+    one derivative evaluation and one value evaluation.
+
+    This is the generalized M-step of the EM (:func:`em._m_step`); the
+    next E-step moves the weights at once, so solving to convergence buys
+    nothing there.  Repeating the step from its own output converges to
+    the maximizer of the partial likelihood.
+
+    Returns
+    -------
+    CoxFit
+        ``beta`` and ``loglik`` after the step; ``iterations`` 1 if a step
+        was taken, else 0; ``gradient_norm`` the gradient max-norm at
+        ``init_beta``.  ``converged`` is False only when the ascent failed:
+        the gradient was not below GRAD_TOL, yet no halved step kept the
+        loglik from falling (``beta`` is then ``init_beta``).
 
     Raises
     ------
     SeparationError
         If a coefficient runs away (|beta| > 50), which signals a monotone
-        likelihood / infinite MLE.
+        likelihood / infinite MLE.  One step cannot tell a coefficient that
+        has stabilized far out from one still moving; :func:`check_separation`
+        tests final coefficients (``em.fit`` calls it).
     DegenerateDataError
         If an event's risk set has zero total weight.
     """
@@ -203,48 +219,42 @@ def fit_weighted_cox(rd: RowData, init_beta=None, free_mask=None) -> CoxFit:
     ll, grad, hess = _loglik_parts(rd, beta, cols, order=2)
     if p == 0:
         return CoxFit(beta, ll, 0, True, 0.0)
-    converged = False
-    it = 0
-    for it in range(1, MAX_NEWTON_ITER + 1):
-        gnorm = float(np.max(np.abs(grad)))
-        if gnorm < GRAD_TOL:
-            converged = True
-            break
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            raise DegenerateDataError("singular Hessian in Cox fit") from None
-        new = beta + step
-        # a step far out along a separating direction can overflow
-        # exp(eta); its loglik is then -inf or NaN, a failed step to halve
-        with np.errstate(over="ignore", invalid="ignore"):
-            ll_new, g_new, h_new = _loglik_parts(rd, new, cols, order=2)
-            halvings = 0
-            while not ll_new >= ll and halvings < MAX_HALVINGS:
-                new = (beta + new) / 2.0
-                ll_new, g_new, h_new = _loglik_parts(rd, new, cols, order=2)
-                halvings += 1
-        if not ll_new >= ll:
-            break  # ascent impossible at numerical precision; keep old point
-        if np.max(np.abs(new)) > SEPARATION_BOUND:
-            raise SeparationError(
-                "coefficient exceeded 50 in absolute value; "
-                "the partial likelihood appears monotone (infinite MLE)"
-            )
-        stalled = abs(ll_new - ll) <= LOGLIK_RTOL * (1.0 + abs(ll))
-        beta, ll, grad, hess = new, ll_new, g_new, h_new
-        if stalled:
-            converged = True
-            break
     gnorm = float(np.max(np.abs(grad)))
     if gnorm < GRAD_TOL:
-        converged = True
-    if np.max(np.abs(beta)) > SEPARATION_FLAG:
+        return CoxFit(beta, ll, 0, True, gnorm)
+    try:
+        step = np.linalg.solve(hess, -grad)
+    except np.linalg.LinAlgError:
+        raise DegenerateDataError("singular Hessian in Cox fit") from None
+    new = beta + step
+    # a step far out along a separating direction can overflow
+    # exp(eta); its loglik is then -inf or NaN, a failed step to halve
+    with np.errstate(over="ignore", invalid="ignore"):
+        ll_new = _loglik_parts(rd, new, cols, order=0)[0]
+        halvings = 0
+        while not ll_new >= ll and halvings < MAX_HALVINGS:
+            new = (beta + new) / 2.0
+            ll_new = _loglik_parts(rd, new, cols, order=0)[0]
+            halvings += 1
+    if not ll_new >= ll:
+        # ascent impossible at numerical precision; keep the old point
+        return CoxFit(beta, ll, 0, False, gnorm)
+    if np.max(np.abs(new)) > SEPARATION_BOUND:
+        raise SeparationError(
+            "coefficient exceeded 50 in absolute value; "
+            "the partial likelihood appears monotone (infinite MLE)"
+        )
+    return CoxFit(new, ll_new, 1, True, gnorm)
+
+
+def check_separation(beta) -> None:
+    """Raise SeparationError if a final coefficient lies beyond
+    SEPARATION_FLAG in absolute value."""
+    if np.max(np.abs(beta), initial=0.0) > SEPARATION_FLAG:
         raise SeparationError(
             "a coefficient stabilized beyond 15 in absolute value; "
             "the partial likelihood appears monotone (infinite MLE)"
         )
-    return CoxFit(beta, ll, it, converged, gnorm)
 
 
 def breslow_baseline(rd: RowData, beta) -> BaselineHazard:

@@ -2,18 +2,32 @@
 
 True biomarker status is latent; the E-step computes each subject's
 posterior probability of being truly positive given the current parameter
-estimates and the observed data, and the M-step fits a weighted Cox model
-on the two-row-per-subject expansion followed by the weighted baseline
-update.  When the prevalence is unknown it is re-estimated each iteration
-as the mean posterior weight, and the predictive values are refreshed
-from it.
+estimates and the observed data, and the M-step takes a Newton step on
+the weighted Cox partial likelihood of the two-row-per-subject expansion
+followed by the weighted baseline update.  When the prevalence is unknown
+it is re-estimated each iteration as the mean posterior weight, and the
+predictive values are refreshed from it.
 
 Likelihood evaluations inside the estimator use the jump-form cumulative
 hazard (all of an interval's mass at its event time,
-:meth:`BaselineHazard.step_cumulative`).  Under that form the M-step is
-the exact joint maximizer of the expected complete-data log-likelihood,
-so the observed log-likelihood is nondecreasing across iterations, which
-is also the convergence monitor.
+:meth:`BaselineHazard.step_cumulative`).  Under that form the expected
+complete-data log-likelihood Q, profiled over the baseline, is the
+weighted Cox partial log-likelihood, and the Breslow estimator is the
+baseline that maximizes Q for fixed coefficients.  The M-step is
+generalized (an EM-gradient step, Lange 1995, JRSS-B 57:425): one
+safeguarded Newton step on the partial log-likelihood from the current
+coefficients, halved until it does not fall, then the Breslow update.
+Both parts raise Q or leave it unchanged, so, as for any generalized EM
+(Meng & Rubin 1993, Biometrika 80:267), the observed log-likelihood is
+nondecreasing across iterations; it is also the convergence monitor.
+The EM-gradient algorithm has the same local convergence rate as EM with
+the exact M-step, which would cost a Newton solve per iteration.
+
+A single step cannot tell a coefficient that has stabilized far out from
+one still moving, so the quasi-separation check
+(:func:`cox.check_separation`) is applied to the free coefficients at the
+end of :func:`fit`; a runaway (beyond ``cox.SEPARATION_BOUND``) is caught
+inside the step.
 """
 
 from __future__ import annotations
@@ -204,15 +218,20 @@ def _offsets_for(ws, fixed: dict[str, float]) -> np.ndarray:
     return off
 
 
-def _m_step(ws, w, offsets, mask, init_beta=None):
-    """M-step: weighted Cox fit, then the baseline at the new coefficients.
+def _m_step(ws, w, offsets, mask, init_beta):
+    """Generalized M-step: one Newton step on the weighted Cox partial
+    log-likelihood, then the baseline at the new coefficients.
 
     Expands each subject into its latent-positive row (posterior weight
-    ``w``) and latent-negative row (complement), fits the weighted Cox
-    model over the columns selected by ``mask``, and recomputes the
-    baseline hazard.  Returns the full coefficient vector with masked
-    components 0 (their contribution is in ``offsets``, one value per
-    expanded row, positive block first) and the baseline.
+    ``w``) and latent-negative row (complement) and takes one safeguarded
+    Newton step from ``init_beta`` over the columns selected by ``mask``
+    (:func:`cox.fit_weighted_cox`: the step is halved until the partial
+    log-likelihood does not fall).  The Breslow baseline then maximizes
+    the expected complete-data log-likelihood at the new coefficients, so
+    the pair never lowers it.  Repeating the step from its own output
+    converges to the exact M-step.  Returns the full coefficient vector
+    with masked components 0 (their contribution is in ``offsets``, one
+    value per expanded row, positive block first) and the baseline.
     """
     rd = ws.rows(w, offsets)
     cox_fit = cox.fit_weighted_cox(rd, init_beta=init_beta, free_mask=mask)
@@ -268,6 +287,13 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
     FitResult
         With ``converged`` False when the iteration cap was reached; the
         per-iteration observed log-likelihood is in ``loglik_trace``.
+
+    Raises
+    ------
+    SeparationError
+        If a free coefficient runs away during a step (|beta| > 50), or
+        ends the fit beyond 15 in absolute value: the likelihood appears
+        monotone (infinite MLE).
     """
     fixed = dict(fixed) if fixed else {}
     unknown = set(fixed) - set(PARAM_NAMES)
@@ -307,6 +333,7 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
             break
         ll_prev = ll
 
+    cox.check_separation(theta.as_array()[mask])
     return FitResult(
         theta_hat=theta,
         baseline=baseline,

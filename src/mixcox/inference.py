@@ -395,13 +395,29 @@ def bvn_rect_prob(xi: float, rho: float) -> float:
     exp(-u**2 / 2) / sqrt(2 pi) directly: the same arithmetic as
     ``scipy.stats.norm.cdf``/``pdf``, so results are bit-identical, without
     their per-call argument checking.
+
+    For 1 - |rho| < 1e-5 the integrand has boundary layers of width
+    s = sqrt(1 - rho**2) at u = +-xi, which adaptive quadrature over
+    [-xi, xi] steps over.  There the probability is computed as
+    P(|X1| <= xi) minus P(|X1| <= xi, |X2| > xi); by symmetry the latter
+    is twice one layer's integral, which vanishes below xi - 40 s.
     """
     if not xi > 0:
         raise ValueError("xi must be positive")
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must be in [-1, 1]")
-    if abs(rho) >= 1.0 - 1e-12:
+    r = abs(rho)
+    if r == 1.0:
         return 2.0 * ndtr(xi) - 1.0
+    if r > 1.0 - 1e-5:
+        s = math.sqrt((1.0 - r) * (1.0 + r))
+
+        def layer(u):
+            return np.exp(-u**2 / 2.0) / _SQRT_2PI * ndtr((r * u - xi) / s)
+
+        tail, _ = integrate.quad(layer, max(-xi, xi - 40.0 * s), xi,
+                                 epsabs=1e-13, epsrel=1e-12, limit=200)
+        return float(2.0 * ndtr(xi) - 1.0 - 2.0 * tail)
     s = math.sqrt(1.0 - rho * rho)
 
     def integrand(u):

@@ -214,9 +214,10 @@ class BaselineHazard:
         event time, i.e. the usual jump-form nonparametric estimate.
 
         This is the evaluation the EM estimator uses in its likelihoods:
-        the weighted partial-likelihood update and the baseline update are
-        the exact joint maximizers of the complete-data likelihood under
-        this form, which makes every EM iteration an exact ascent step.
+        under this form the expected complete-data likelihood, maximized
+        over the baseline, is the weighted partial likelihood, so a
+        partial-likelihood ascent step followed by the baseline update
+        makes every EM iteration an ascent step (a generalized EM).
         """
         t = np.asarray(t, dtype=float)
         nle = np.searchsorted(self.event_times, t, side="right")

@@ -11,11 +11,30 @@ from mixcox import (
     fit_weighted_cox,
     weighted_partial_loglik,
 )
+from mixcox.cox import GRAD_TOL, check_separation
 
 
 def one_covariate_rows(time, event, weight, cov):
     """A RowData with a single covariate column and no offsets."""
     return RowData(time, event, weight, np.asarray(cov, dtype=float)[:, None])
+
+
+def solve(rd, free_mask=None):
+    """Maximize by repeating the safeguarded Newton step from its own
+    output until the gradient max-norm is below GRAD_TOL, the loglik
+    changes by at most 1e-12 relative, or a step fails (at most 50
+    steps), then apply the separation check to the final coefficients,
+    as ``em.fit`` does."""
+    fit = fit_weighted_cox(rd, free_mask=free_mask)
+    for _ in range(49):
+        if fit.gradient_norm < GRAD_TOL or not fit.converged:
+            break
+        prev = fit.loglik
+        fit = fit_weighted_cox(rd, init_beta=fit.beta, free_mask=free_mask)
+        if abs(fit.loglik - prev) <= 1e-12 * (1.0 + abs(prev)):
+            break
+    check_separation(fit.beta)
+    return fit
 
 
 def expand_observed(data):
@@ -97,7 +116,7 @@ class TestFit:
     def test_degenerate_weights_match_plain_cox(self):
         data = sim_dataset(3, n_per_arm=80, sens=1.0, spec=1.0)
         rd = expand_observed(data)
-        fit = fit_weighted_cox(rd)
+        fit = solve(rd)
         assert fit.converged
         x = data.treatment.astype(float)
         v = data.test.astype(float)
@@ -116,7 +135,7 @@ class TestFit:
     def test_converged_gradient_small(self):
         rng = np.random.default_rng(12)
         rd = random_rows(rng, n=50)
-        fit = fit_weighted_cox(rd)
+        fit = solve(rd)
         assert fit.converged
         assert fit.gradient_norm < 1e-8
 
@@ -125,18 +144,18 @@ class TestFit:
         rows = one_covariate_rows(np.arange(1.0, 11.0), [1] * 5 + [0] * 5,
                                   np.ones(10), [0.0] * 5 + [1.0] * 5)
         with pytest.raises(SeparationError):
-            fit_weighted_cox(rows)
+            solve(rows)
 
     def test_profile_via_offset_matches_full_fit(self):
         data = sim_dataset(5, n_per_arm=60, sens=0.9, spec=0.9)
         rd = expand_observed(data)
-        full = fit_weighted_cox(rd)
+        full = solve(rd)
         gamma_hat = full.beta[2]
         offset_rd = RowData(
             rd.time, rd.event, rd.weight, rd.covariates,
             offset=gamma_hat * rd.covariates[:, 2],
         )
-        part = fit_weighted_cox(offset_rd, free_mask=[True, True, False])
+        part = solve(offset_rd, free_mask=[True, True, False])
         assert abs(part.loglik - full.loglik) < 1e-8
         assert np.allclose(part.beta, full.beta[:2], atol=1e-7)
 
@@ -178,7 +197,7 @@ class TestBreslow:
     def test_perfect_weights_match_oracle(self):
         data = sim_dataset(8, n_per_arm=70, sens=1.0, spec=1.0)
         rd = expand_observed(data)
-        fit = fit_weighted_cox(rd)
+        fit = solve(rd)
         beta_full = fit.beta
         bl = breslow_baseline(rd, beta_full)
         x = data.treatment.astype(float)

@@ -2,6 +2,7 @@ import gc
 import math
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from mixcox import (
     EffectParams,
     EmConfig,
     SeparationError,
+    cox,
     em,
     fit,
 )
+from mixcox.cli import parse_dataset
 
 
 def diag(sens=0.8, spec=0.8, pi=0.3, known=True):
@@ -31,9 +34,18 @@ def e_step(data, theta, baseline, d):
 
 
 def m_step(data, w, free_mask=(True, True, True)):
-    """One M-step from zero, no offsets; returns (theta, baseline)."""
+    """The exact M-step, no offsets: the generalized M-step iterated from
+    zero on fixed weights until its step is below 1e-12 (at most 50
+    steps); returns (theta, baseline)."""
     ws = em._Workspace(data)
-    beta, baseline = em._m_step(ws, w, np.zeros(2 * len(data)), np.array(free_mask))
+    mask = np.array(free_mask)
+    beta = np.zeros(3)
+    for _ in range(50):
+        new, baseline = em._m_step(ws, w, np.zeros(2 * len(data)), mask, beta[mask])
+        done = np.max(np.abs(new - beta)) < 1e-12
+        beta = new
+        if done:
+            break
     return EffectParams.from_array(beta), baseline
 
 
@@ -104,6 +116,44 @@ class TestMStep:
                                  data.treatment.astype(float))
         assert theta.beta1 == pytest.approx(beta_ref[0], abs=1e-7)
         assert theta.beta2 == 0.0 and theta.gamma == 0.0
+
+
+class TestGeneralizedMStep:
+    def test_kernel_calls_per_em_iteration(self, monkeypatch):
+        # one derivative evaluation and one value evaluation per M-step
+        # when the Newton step needs no halving; a Newton solve to
+        # convergence per M-step took ~4 per EM iteration here
+        calls = []
+        kernel = cox._loglik_parts
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(cox, "_loglik_parts", counted)
+        data = sim_dataset(111, n_per_arm=500, sens=0.8, spec=0.8)
+        res = fit(data, diag(known=False))
+        assert res.converged
+        assert len(calls) <= 2.2 * res.iterations
+
+    @pytest.mark.parametrize("known", [False, True])
+    def test_stops_near_tightly_converged_fit(self, monkeypatch, known):
+        # a slower EM would stop further from the optimum at the same
+        # loglik tolerance; the generalized M-step must not
+        golden = parse_dataset(Path(__file__).parent / "data" / "golden_trial.csv")
+        cases = [(golden, 0.9, 0.85)] + [
+            (sim_dataset(seed, n_per_arm=100, sens=0.85, spec=0.8), 0.85, 0.8)
+            for seed in (11, 12, 13, 14)
+        ]
+        for data, sens, spec in cases:
+            d = diag(sens, spec, known=known)
+            res = fit(data, d)
+            with monkeypatch.context() as m:
+                m.setattr(em, "TOL_LOGLIK", 1e-13)
+                tight = fit(data, d)
+            assert res.converged and tight.converged
+            assert np.max(np.abs(res.theta_hat.as_array()
+                                 - tight.theta_hat.as_array())) < 1e-4
 
 
 class TestPrevalenceUpdate:

@@ -346,12 +346,30 @@ def _reference_bvn_rect_prob(xi, rho):
     return float(val)
 
 
+def _trivariate_reference_bvn(xi, rho):
+    """bvn_rect_prob through the trivariate box with an independent first
+    coordinate, which resolves the |rho| -> 1 boundary layers."""
+    corr = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, rho], [0.0, rho, 1.0]])
+    return inference._trivariate_box_prob(xi, corr) / (2 * stats.norm.cdf(xi) - 1)
+
+
 class TestBvnRectReference:
     def test_bit_identical_on_grid(self):
         for xi in (0.01, 0.05, 0.7, 1.95996, 3.5):
-            for rho in (-1.0, -1 + 1e-7, -0.6, 0.0, 0.25, 0.95,
-                        1 - 1e-6, 1 - 1e-9, 1.0):
+            for rho in (-1.0, -0.6, 0.0, 0.25, 0.95, 1.0):
                 assert bvn_rect_prob(xi, rho) == _reference_bvn_rect_prob(xi, rho)
+            # below 1 - |rho| = 1e-5 the plain quadrature can miss the
+            # integrand's boundary layers (off by up to ~1e-4)
+            for rho in (-1 + 1e-7, 1 - 1e-6, 1 - 1e-9):
+                assert bvn_rect_prob(xi, rho) == pytest.approx(
+                    _trivariate_reference_bvn(xi, rho), abs=1e-9)
+
+    @pytest.mark.parametrize("gap", [5e-6, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11])
+    def test_near_unit_correlation(self, gap):
+        for xi in (0.05, 0.7, 1.0, 1.95996, 3.5):
+            for rho in (1 - gap, -1 + gap):
+                assert bvn_rect_prob(xi, rho) == pytest.approx(
+                    _trivariate_reference_bvn(xi, rho), abs=1e-9)
 
     def test_scale_bit_identical(self, monkeypatch):
         grid = np.linspace(-0.99, 0.99, 9)
