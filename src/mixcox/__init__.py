@@ -10,13 +10,6 @@ confidence intervals, summarizes overall efficacy as concordance odds,
 and regenerates the accompanying simulation study at desk scale.
 """
 
-from .cox import (
-    CoxFit,
-    RowData,
-    breslow_baseline,
-    fit_weighted_cox,
-    weighted_partial_loglik,
-)
 from .em import EmConfig, FitResult, fit
 from .errors import (
     ConditioningError,
@@ -64,16 +57,15 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineHazard", "ConditioningError", "CoxFit", "Dataset",
+    "BaselineHazard", "ConditioningError", "Dataset",
     "DatasetError", "DegenerateDataError", "DiagnosticModel", "EffectParams",
     "EmConfig", "FitResult", "InferenceConfig", "Interval", "MixcoxError",
-    "RenderedTable", "RngStream", "RowData", "ScenarioConfig",
+    "RenderedTable", "RngStream", "ScenarioConfig",
     "ScenarioSummary", "SeparationError", "SimultaneousReport",
-    "breslow_baseline", "bvn_rect_prob", "concordance_prob",
+    "bvn_rect_prob", "concordance_prob",
     "draw_survival_time", "emit_table",
-    "fd_profile_information", "fit", "fit_weighted_cox", "generate_trial",
+    "fd_profile_information", "fit", "generate_trial",
     "linear_predictor", "lr_test", "mixture_survival", "npv",
     "overall_concordance_report", "ppv", "profile_ci", "profile_loglik",
     "run_scenario", "simultaneous_cis", "simultaneous_scale", "subgroup_cov",
-    "weighted_partial_loglik",
 ]

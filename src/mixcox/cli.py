@@ -339,7 +339,7 @@ def _scenario_from_dict(entry: dict, reps_override, seed_override) -> simulate.S
             sens=float(entry["sens"]),
             spec=float(entry["spec"]),
             n_per_arm=int(entry["n_per_arm"]),
-            replications=int(reps_override if reps_override else entry["reps"]),
+            replications=int(reps_override if reps_override is not None else entry["reps"]),
             base_seed=int(seed_override if seed_override is not None else entry["seed"]),
             alpha=float(entry.get("alpha", 0.05)),
             prevalence_known=bool(entry.get("prevalence_known", False)),

@@ -86,26 +86,13 @@ class _Workspace:
     """Precomputed structures shared by every EM iteration of one fit."""
 
     def __init__(self, data: Dataset):
-        n = self.n = len(data)
         self.t = data.time
         self.d = data.event.astype(float)
         self.x = data.treatment.astype(float)
         self.v = data.test
-        # two-row-per-subject expansion: block 0 = latent positive (z=1),
-        # block 1 = latent negative (z=0)
-        cov = np.zeros((2 * n, 3))
-        cov[:n, 0] = self.x
-        cov[:n, 1] = 1.0
-        cov[:n, 2] = self.x
-        cov[n:, 0] = self.x
-        self.rowdata = cox.RowData(
-            np.concatenate([self.t, self.t]),
-            np.concatenate([data.event, data.event]),
-            np.full(2 * n, 0.5),
-            cov,
-        )
+        self.risk_sets = cox.RiskSets(self.t, data.event, self.x)
         # per-subject lookups into the distinct event times
-        ets = self.rowdata.ets
+        ets = self.risk_sets.ets
         self.m = ets.size
         self.ev_interval = np.searchsorted(ets, self.t, side="left")
         self.n_events_le = np.searchsorted(ets, self.t, side="right")
@@ -123,12 +110,6 @@ class _Workspace:
         eta1 = theta.beta1 * self.x + theta.beta2 + theta.gamma * self.x
         eta0 = theta.beta1 * self.x
         return eta1, eta0
-
-    def rows(self, w: np.ndarray, offsets: np.ndarray) -> cox.RowData:
-        """The expansion weighted by ``w`` (positive block) and ``1 - w``."""
-        rd = self.rowdata.with_weights(np.concatenate([w, 1.0 - w]))
-        rd.offset = offsets
-        return rd
 
 
 def _prior_logits(ws: _Workspace, diag: DiagnosticModel) -> np.ndarray:
@@ -210,37 +191,26 @@ def _update_prevalence(w: np.ndarray) -> float:
     return float(np.clip(np.mean(w), PREVALENCE_FLOOR, 1.0 - PREVALENCE_FLOOR))
 
 
-def _offsets_for(ws, fixed: dict[str, float]) -> np.ndarray:
-    off = np.zeros(2 * ws.n)
-    for k, name in enumerate(PARAM_NAMES):
-        if name in fixed:
-            off += fixed[name] * ws.rowdata.covariates[:, k]
-    return off
-
-
-def _m_step(ws, w, offsets, mask, init_beta):
+def _m_step(ws, w, theta, free):
     """Generalized M-step: one Newton step on the weighted Cox partial
     log-likelihood, then the baseline at the new coefficients.
 
-    Expands each subject into its latent-positive row (posterior weight
-    ``w``) and latent-negative row (complement) and takes one safeguarded
-    Newton step from ``init_beta`` over the columns selected by ``mask``
-    (:func:`cox.fit_weighted_cox`: the step is halved until the partial
-    log-likelihood does not fall).  The Breslow baseline then maximizes
+    Each subject enters as a latent-positive row (posterior weight ``w``)
+    and a latent-negative row (complement).  One safeguarded Newton step
+    from the full coefficient vector ``theta`` moves the components
+    selected by the boolean mask ``free`` (:func:`cox.fit_weighted_cox`:
+    the step is halved until the partial log-likelihood does not fall);
+    the others keep their values.  The Breslow baseline then maximizes
     the expected complete-data log-likelihood at the new coefficients, so
     the pair never lowers it.  Repeating the step from its own output
-    converges to the exact M-step.  Returns the full coefficient vector
-    with masked components 0 (their contribution is in ``offsets``, one
-    value per expanded row, positive block first) and the baseline.
+    converges to the exact M-step.  Returns the new coefficient vector and
+    the baseline.
     """
-    rd = ws.rows(w, offsets)
-    cox_fit = cox.fit_weighted_cox(rd, init_beta=init_beta, free_mask=mask)
-    beta_full = np.zeros(3)
-    beta_full[mask] = cox_fit.beta
-    return beta_full, cox.breslow_baseline(rd, beta_full)
+    beta = cox.fit_weighted_cox(ws.risk_sets, w, theta, free).beta
+    return beta, cox.breslow_baseline(ws.risk_sets, w, beta)
 
 
-def _initial_state(ws, diag, fixed, offsets):
+def _initial_state(ws, diag, fixed):
     se, sp = diag.sensitivity, diag.specificity
     if diag.prevalence_known:
         pi = diag.prevalence
@@ -252,12 +222,9 @@ def _initial_state(ws, diag, fixed, offsets):
                            PREVALENCE_FLOOR, 1.0 - PREVALENCE_FLOOR))
     d0 = diag.with_prevalence(pi)
     prior = expit(_prior_logits(ws, d0))
-    rd = ws.rows(prior, offsets)
-    theta0 = np.zeros(3)
-    for k, name in enumerate(PARAM_NAMES):
-        theta0[k] = fixed.get(name, 0.0)
-    # null baseline: theta at zero apart from the offset contribution
-    baseline = cox.breslow_baseline(rd, np.zeros(3))
+    # null start: free coefficients at zero, fixed ones at their values
+    theta0 = np.array([fixed.get(name, 0.0) for name in PARAM_NAMES], dtype=float)
+    baseline = cox.breslow_baseline(ws.risk_sets, prior, theta0)
     return EffectParams.from_array(theta0), baseline, pi
 
 
@@ -275,9 +242,10 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
         changes by less than TOL_LOGLIK.  An estimated prevalence is
         clipped to [PREVALENCE_FLOOR, 1 - PREVALENCE_FLOOR].
     fixed : mapping, optional
-        Coefficients to hold fixed by name ("beta1", "beta2", "gamma"),
-        each contributing through row offsets only; this is the profiling
-        hook used by the confidence-interval machinery.
+        Coefficients to hold fixed by name ("beta1", "beta2", "gamma"):
+        they keep the given values while the M-step moves the others.
+        This is the profiling hook used by the confidence-interval
+        machinery.
     warm : FitResult, optional
         Start from a previous fit's state instead of the default
         deterministic initialization (useful when profiling near the MLE).
@@ -300,8 +268,7 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
     if unknown:
         raise ValueError(f"unknown fixed parameter(s): {sorted(unknown)}")
     ws = _Workspace(data)
-    mask = np.array([name not in fixed for name in PARAM_NAMES])
-    off = _offsets_for(ws, fixed)
+    free = np.array([name not in fixed for name in PARAM_NAMES])
 
     if warm is not None:
         theta_arr = warm.theta_hat.as_array()
@@ -312,7 +279,7 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
         baseline = warm.baseline
         pi = warm.pi_hat if not diag.prevalence_known else diag.prevalence
     else:
-        theta, baseline, pi = _initial_state(ws, diag, fixed, off)
+        theta, baseline, pi = _initial_state(ws, diag, fixed)
 
     trace = []
     ll_prev = -np.inf
@@ -321,9 +288,8 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
     w = None
     for it in range(1, config.max_iter + 1):
         w = _posterior(ws, theta, baseline, diag.with_prevalence(pi))
-        beta_full, baseline = _m_step(ws, w, off, mask, theta.as_array()[mask])
-        beta_full[~mask] = [fixed[PARAM_NAMES[k]] for k in np.flatnonzero(~mask)]
-        theta = EffectParams.from_array(beta_full)
+        beta, baseline = _m_step(ws, w, theta.as_array(), free)
+        theta = EffectParams.from_array(beta)
         if not diag.prevalence_known:
             pi = _update_prevalence(w)
         ll = _obs_loglik(ws, theta, baseline, diag.with_prevalence(pi))
@@ -333,7 +299,7 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
             break
         ll_prev = ll
 
-    cox.check_separation(theta.as_array()[mask])
+    cox.check_separation(theta.as_array()[free])
     return FitResult(
         theta_hat=theta,
         baseline=baseline,

@@ -4,7 +4,7 @@ Confidence intervals invert the profile likelihood-ratio statistic against
 its chi-square(1) limit; the curvature of the profile log-likelihood is
 approximated with one-sided second differences of profiled evaluations,
 each obtained by rerunning the EM with the relevant coefficients held
-fixed through offsets.  Simultaneous (equicoordinate) intervals for the
+fixed.  Simultaneous (equicoordinate) intervals for the
 two subgroup effects scale the usual normal quantile up to the factor
 that gives joint bivariate-normal coverage; adding the overall effect --
 the log concordance odds, a smooth function of the coefficients and the
@@ -83,8 +83,8 @@ class InferenceConfig:
     def __post_init__(self):
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
-        if not self.fd_step > 0:
-            raise ValueError("fd_step must be positive")
+        if not 0 < self.fd_step < math.inf:
+            raise ValueError("fd_step must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def profile_loglik(
     ``fixed`` maps names among "beta1", "beta2", "gamma" (and "pi" when
     the prevalence is being estimated) to the values they are pinned at;
     everything else, including the baseline hazard, is profiled out by
-    rerunning the EM with the fixed coefficients as offsets.  Values are
+    rerunning the EM with the fixed coefficients held there.  Values are
     on the scale of the full marginal likelihood, so they are directly
     comparable with the unconstrained ``FitResult.obs_loglik``.
     """

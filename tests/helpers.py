@@ -1,9 +1,8 @@
-"""Shared test utilities: an independent plain-Cox oracle and dataset
-builders.
+"""Shared test utilities: independent Cox references and dataset builders.
 
-The oracle deliberately uses a different formulation from the package
-(dense O(n^2) risk-set matrices and a quasi-Newton optimizer) so that
-agreement is meaningful.
+The references deliberately use a different formulation from the package
+(dense O(n^2) risk-set matrices over explicit design matrices, and a
+quasi-Newton optimizer) so that agreement is meaningful.
 """
 
 import numpy as np
@@ -62,15 +61,45 @@ def sim_dataset(seed, n_per_arm=100, theta=(-0.5, 0.1, 0.3), pi=0.3,
     return generate_trial(cfg, RngStream(seed, 0))
 
 
-def random_rows(rng, n=20, n_cov=3):
-    """Random weighted rows with offsets for derivative checks."""
-    from mixcox import RowData
+def expanded_loglik(time, event, x, w, theta):
+    """Weighted Breslow partial loglik of the explicit 2n-row expansion,
+    with its gradient and Hessian.
 
+    Row i is subject i as latent positive (design (x, 1, x), weight w_i)
+    and row n + i the same subject as latent negative (design (x, 0, 0),
+    weight 1 - w_i); both carry the subject's time and event indicator.
+    """
+    time = np.asarray(time, dtype=float)
+    event = np.asarray(event, dtype=float)
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    n = time.size
+    X = np.zeros((2 * n, 3))
+    X[:, 0] = np.concatenate([x, x])
+    X[:n, 1] = 1.0
+    X[:n, 2] = x
+    t2 = np.concatenate([time, time])
+    dw = np.concatenate([event * w, event * (1.0 - w)])  # weighted events
+    eta = X @ np.asarray(theta, dtype=float)
+    r = np.concatenate([w, 1.0 - w]) * np.exp(eta)
+    at_risk = (t2[None, :] >= t2[:, None]).astype(float)  # row k: risk set at t_k
+    s0 = at_risk @ r
+    xbar = (at_risk @ (r[:, None] * X)) / s0[:, None]
+    s2 = np.einsum("kj,j,ja,jb->kab", at_risk, r, X, X) / s0[:, None, None]
+    value = float(np.sum(dw * (eta - np.log(s0))))
+    grad = (dw[:, None] * (X - xbar)).sum(axis=0)
+    hess = -(dw[:, None, None]
+             * (s2 - xbar[:, :, None] * xbar[:, None, :])).sum(axis=0)
+    return value, grad, hess
+
+
+def random_subjects(rng, n=20):
+    """Random (time, event, treatment, weight) columns for n subjects:
+    continuous times, about 60% events (at least one), 0/1 treatment and
+    weights uniform on [0, 1]."""
     time = rng.uniform(0.5, 20.0, n)
     event = (rng.random(n) < 0.6).astype(int)
     if not event.any():
         event[0] = 1
-    weight = rng.random(n)
-    cov = rng.normal(0.0, 1.0, (n, n_cov))
-    offset = rng.normal(0.0, 0.3, n)
-    return RowData(time, event, weight, cov, offset)
+    x = (rng.random(n) < 0.5).astype(float)
+    return time, event, x, rng.random(n)

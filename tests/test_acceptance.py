@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import oracle_cox, random_rows, sim_dataset
+from helpers import oracle_cox, random_subjects, sim_dataset
 from scipy import stats
 
 from mixcox import (
@@ -26,9 +26,9 @@ from mixcox import (
     profile_loglik,
     run_scenario,
     simultaneous_scale,
-    weighted_partial_loglik,
 )
 from mixcox.cli import main as cli_main
+from mixcox.cox import RiskSets, _loglik_parts
 
 DATA_DIR = Path(__file__).parent / "data"
 CHI2_95 = float(stats.chi2.ppf(0.95, 1))
@@ -92,16 +92,17 @@ def test_criterion_03_derivative_correctness():
     worst_g, worst_h = 0.0, 0.0
     for k in range(100):
         rng = np.random.default_rng([3000, k])
-        rd = random_rows(rng, n=int(rng.integers(15, 40)))
+        time, event, x, w = random_subjects(rng, n=int(rng.integers(15, 40)))
+        rs = RiskSets(time, event, x)
         beta = rng.normal(0.0, 0.4, 3)
-        value, grad, hess = weighted_partial_loglik(rd, beta)
+        value, grad, hess = _loglik_parts(rs, w, beta)
         h = 1e-6
         for j in range(3):
             up, dn = beta.copy(), beta.copy()
             up[j] += h
             dn[j] -= h
-            v_up = weighted_partial_loglik(rd, up)
-            v_dn = weighted_partial_loglik(rd, dn)
+            v_up = _loglik_parts(rs, w, up)
+            v_dn = _loglik_parts(rs, w, dn)
             fd_g = (v_up[0] - v_dn[0]) / (2 * h)
             rel = abs(grad[j] - fd_g) / max(abs(grad[j]), 1e-4)
             worst_g = max(worst_g, rel)

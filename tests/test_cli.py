@@ -262,6 +262,13 @@ class TestExitCodes:
         assert main(["fit", "/nonexistent/file.csv",
                      "--sens", "1", "--spec", "1"]) == 3
 
+    def test_simulate_zero_reps_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "scenarios.json"
+        cfg.write_text(json.dumps(TestSimulateCommand.CONFIG[:1]))
+        assert main(["simulate", "--config", str(cfg), "--out-dir",
+                     str(tmp_path / "o"), "--reps", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSimulateCommand:
     CONFIG = [

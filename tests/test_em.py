@@ -34,14 +34,14 @@ def e_step(data, theta, baseline, d):
 
 
 def m_step(data, w, free_mask=(True, True, True)):
-    """The exact M-step, no offsets: the generalized M-step iterated from
-    zero on fixed weights until its step is below 1e-12 (at most 50
-    steps); returns (theta, baseline)."""
+    """The exact M-step with fixed coefficients at 0: the generalized
+    M-step iterated from zero on fixed weights until its step is below
+    1e-12 (at most 50 steps); returns (theta, baseline)."""
     ws = em._Workspace(data)
-    mask = np.array(free_mask)
+    free = np.array(free_mask)
     beta = np.zeros(3)
     for _ in range(50):
-        new, baseline = em._m_step(ws, w, np.zeros(2 * len(data)), mask, beta[mask])
+        new, baseline = em._m_step(ws, w, beta, free)
         done = np.max(np.abs(new - beta)) < 1e-12
         beta = new
         if done:
@@ -321,7 +321,7 @@ accuracies = st.floats(0.7, 1.0)
 
 
 class TestProperties:
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(small_trials(), accuracies, accuracies, st.floats(0.1, 0.9), st.booleans())
     def test_posteriors_in_unit_interval_and_ascent(self, data, sens, spec, pi, known):
         try:
@@ -332,7 +332,7 @@ class TestProperties:
         assert np.all((w >= 0) & (w <= 1))
         assert np.diff(res.loglik_trace).min(initial=0.0) >= -1e-9
 
-    @settings(derandomize=True, deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(small_trials(missing_tests=False), st.floats(0.1, 0.9))
     def test_perfect_test_with_known_prevalence_is_plain_cox(self, data, pi):
         try:

@@ -212,7 +212,7 @@ class TestProfileCiSolve:
                 assert not is_open
                 assert abs(_lr_at(data, diag, res, name, value) - CHI2_95) <= 1e-3
 
-    @settings(derandomize=True, deadline=None, max_examples=8)
+    @settings(max_examples=8)
     @given(st.integers(0, 2**31 - 1), st.integers(20, 60),
            st.floats(0.8, 1.0), st.floats(0.8, 1.0))
     @example(0, 20, 1.0, 0.875)  # a profile that jumps across the quantile
@@ -263,6 +263,13 @@ class TestFdInformation:
         from mixcox import InferenceConfig
 
         assert InferenceConfig().fd_step == 0.01
+
+    @pytest.mark.parametrize("step", [0.0, -0.01, math.inf, math.nan])
+    def test_step_must_be_positive_and_finite(self, step):
+        from mixcox import InferenceConfig
+
+        with pytest.raises(ValueError, match="fd_step"):
+            InferenceConfig(fd_step=step)
 
     def test_profile_information_positive_definite(self, fitted):
         data, diag, res = fitted
@@ -319,7 +326,7 @@ class TestBvnRect:
         hi = 2 * stats.norm.cdf(1.95996) - 1
         assert lo < val < hi  # strictly between the rho=0 and |rho|=1 values
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(xi=st.floats(0.01, 6.0), dxi=st.floats(0.0, 3.0),
            rho=st.floats(-1.0, 1.0))
     def test_properties(self, xi, dxi, rho):
@@ -486,7 +493,7 @@ class TestTrivariateScale:
         assert rep.xi_alpha == scale(corr, 0.05)
         assert rep.xi_alpha == pytest.approx(self.SOBOL_GOLDEN, abs=1e-4)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(entries=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
            noise=st.floats(0.0, 1.0), xi=st.floats(0.5, 3.5))
     def test_between_pairwise_bounds(self, entries, noise, xi):
