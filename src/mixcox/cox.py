@@ -118,7 +118,6 @@ class CoxFit:
     loglik: float
     iterations: int
     converged: bool
-    gradient_norm: float
 
 
 def fit_weighted_cox(rs: RiskSets, w, theta, free) -> CoxFit:
@@ -142,11 +141,10 @@ def fit_weighted_cox(rs: RiskSets, w, theta, free) -> CoxFit:
     -------
     CoxFit
         ``beta`` (the full vector) and ``loglik`` after the step;
-        ``iterations`` 1 if a step was taken, else 0; ``gradient_norm`` the
-        max-norm of the free components of the gradient at ``theta``.
-        ``converged`` is False only when the ascent failed: the gradient
-        was not below GRAD_TOL, yet no halved step kept the loglik from
-        falling (``beta`` is then ``theta``).
+        ``iterations`` 1 if a step was taken, else 0.  ``converged`` is
+        False only when the ascent failed: the gradient was not below
+        GRAD_TOL, yet no halved step kept the loglik from falling (``beta``
+        is then ``theta``).
 
     Raises
     ------
@@ -163,9 +161,8 @@ def fit_weighted_cox(rs: RiskSets, w, theta, free) -> CoxFit:
     theta = np.array(theta, dtype=float)
     free = np.asarray(free, dtype=bool)
     ll, grad, hess = _loglik_parts(rs, w, theta, order=2)
-    gnorm = float(np.max(np.abs(grad[free]), initial=0.0))
-    if gnorm < GRAD_TOL:
-        return CoxFit(theta, ll, 0, True, gnorm)
+    if np.max(np.abs(grad[free]), initial=0.0) < GRAD_TOL:
+        return CoxFit(theta, ll, 0, True)
     try:
         step = np.linalg.solve(hess[np.ix_(free, free)], -grad[free])
     except np.linalg.LinAlgError:
@@ -183,13 +180,13 @@ def fit_weighted_cox(rs: RiskSets, w, theta, free) -> CoxFit:
             halvings += 1
     if not ll_new >= ll:
         # ascent impossible at numerical precision; keep the old point
-        return CoxFit(theta, ll, 0, False, gnorm)
+        return CoxFit(theta, ll, 0, False)
     if np.max(np.abs(new[free])) > SEPARATION_BOUND:
         raise SeparationError(
             "coefficient exceeded 50 in absolute value; "
             "the partial likelihood appears monotone (infinite MLE)"
         )
-    return CoxFit(new, ll_new, 1, True, gnorm)
+    return CoxFit(new, ll_new, 1, True)
 
 
 def check_separation(beta) -> None:

@@ -23,6 +23,18 @@ nondecreasing across iterations; it is also the convergence monitor.
 The EM-gradient algorithm has the same local convergence rate as EM with
 the exact M-step, which would cost a Newton solve per iteration.
 
+A warm-started fit (a refit from an earlier fit, as every profile
+refit is) is accelerated by SQUAREM (Varadhan & Roland 2008, Scand. J.
+Statist. 35:335) on the state vector (theta, log hazard increments,
+logit prevalence when it is estimated).  Each cycle takes two EM maps
+x0 -> x1 -> x2, jumps to the SqS3 extrapolation x' and takes one EM map
+from x'.  That map is kept only if its observed log-likelihood is finite
+and not below the one at x2; a jump whose map separates, degenerates or
+overflows is rejected too, and the next cycle starts from x2.  The
+accepted log-likelihoods are therefore nondecreasing, and a pinned
+coefficient never moves.  A warm start already sits in EM's linear-rate
+region, where the extrapolation is reliable; a cold fit runs plain EM.
+
 A single step cannot tell a coefficient that has stabilized far out from
 one still moving, so the quasi-separation check
 (:func:`cox.check_separation`) is applied to the free coefficients at the
@@ -38,6 +50,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from . import cox
+from .errors import DatasetError, DegenerateDataError, SeparationError
 from .model import (
     BaselineHazard,
     Dataset,
@@ -228,6 +241,52 @@ def _initial_state(ws, diag, fixed):
     return EffectParams.from_array(theta0), baseline, pi
 
 
+def _em_map(ws, diag, free, state):
+    """One EM iteration from ``state`` = (theta, baseline, pi): the
+    E-step, the generalized M-step and, when the prevalence is estimated,
+    its update.  Returns the new state, the posterior weights it was
+    computed from and the observed log-likelihood at the new state."""
+    theta, baseline, pi = state
+    w = _posterior(ws, theta, baseline, diag.with_prevalence(pi))
+    beta, baseline = _m_step(ws, w, theta.as_array(), free)
+    theta = EffectParams.from_array(beta)
+    if not diag.prevalence_known:
+        pi = _update_prevalence(w)
+    ll = _obs_loglik(ws, theta, baseline, diag.with_prevalence(pi))
+    return (theta, baseline, pi), w, ll
+
+
+def _pack(state, diag) -> np.ndarray:
+    """The EM state as one vector: theta, the log hazard increments and,
+    when the prevalence is estimated, its logit."""
+    theta, baseline, pi = state
+    parts = [theta.as_array(), np.log(baseline.increments)]
+    if not diag.prevalence_known:
+        parts.append([logit(pi)])
+    return np.concatenate(parts)
+
+
+def _unpack(x, ws, diag):
+    """Inverse of :func:`_pack`."""
+    baseline = BaselineHazard(ws.risk_sets.ets, np.exp(x[3:3 + ws.m]))
+    pi = diag.prevalence if diag.prevalence_known else float(expit(x[-1]))
+    return EffectParams.from_array(x[:3]), baseline, pi
+
+
+def _sqs3_point(x0, x1, x2):
+    """SQUAREM extrapolation (Varadhan & Roland 2008, Scand. J. Statist.
+    35:335) from two EM maps x0 -> x1 -> x2: x0 - 2 alpha r + alpha^2 v
+    with r = x1 - x0, v = x2 - 2 x1 + x0 and the SqS3 step length
+    alpha = -|r|/|v| clamped to at most -1 (alpha = -1 gives x2, and is
+    used when v = 0).  A component both maps left alone has r = v = 0 and
+    keeps its value exactly."""
+    r = x1 - x0
+    v = (x2 - x1) - r
+    norm_v = np.linalg.norm(v)
+    alpha = min(-np.linalg.norm(r) / norm_v, -1.0) if norm_v > 0 else -1.0
+    return x0 - 2.0 * alpha * r + alpha * alpha * v
+
+
 def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
         *, fixed: dict[str, float] | None = None,
         warm: FitResult | None = None) -> FitResult:
@@ -249,12 +308,21 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
     warm : FitResult, optional
         Start from a previous fit's state instead of the default
         deterministic initialization (useful when profiling near the MLE).
+        A warm fit runs SQUAREM cycles: two EM maps, a jump to the SqS3
+        extrapolation (step length -|r|/|v|, clamped to at most -1) and
+        one EM map from there.  That map is kept only if its observed
+        log-likelihood is finite and at least the one two maps before;
+        otherwise, or if it separates, degenerates or overflows, the loop
+        continues from the second map.
 
     Returns
     -------
     FitResult
-        With ``converged`` False when the iteration cap was reached; the
-        per-iteration observed log-likelihood is in ``loglik_trace``.
+        With ``converged`` False when the iteration cap was reached.
+        ``iterations`` counts every EM map, those from rejected jumps
+        included; ``loglik_trace`` holds the observed log-likelihood of
+        each accepted map, so it never decreases.  The loop stops when
+        two consecutive accepted values differ by less than TOL_LOGLIK.
 
     Raises
     ------
@@ -286,18 +354,34 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
     converged = False
     it = 0
     w = None
-    for it in range(1, config.max_iter + 1):
-        w = _posterior(ws, theta, baseline, diag.with_prevalence(pi))
-        beta, baseline = _m_step(ws, w, theta.as_array(), free)
-        theta = EffectParams.from_array(beta)
-        if not diag.prevalence_known:
-            pi = _update_prevalence(w)
-        ll = _obs_loglik(ws, theta, baseline, diag.with_prevalence(pi))
+    state = (theta, baseline, pi)
+    # warm fits only: the packed states of the current SQUAREM cycle
+    cycle = [_pack(state, diag)] if warm is not None else None
+    while it < config.max_iter and not converged:
+        it += 1
+        if cycle is None or len(cycle) < 3:
+            state, w, ll = _em_map(ws, diag, free, state)
+        else:
+            # the next cycle starts from x2 unless the jump is kept
+            x0, x1, x2 = cycle
+            cycle = [x2]
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    jump = _unpack(_sqs3_point(x0, x1, x2), ws, diag)
+                    jumped, w_jumped, ll = _em_map(ws, diag, free, jump)
+            except (SeparationError, DegenerateDataError, DatasetError,
+                    FloatingPointError):
+                # DatasetError: a hazard increment underflowed to zero
+                continue
+            if not (np.isfinite(ll) and ll >= ll_prev):
+                continue
+            state, w, cycle = jumped, w_jumped, []
         trace.append(ll)
-        if abs(ll - ll_prev) < TOL_LOGLIK:
-            converged = True
-            break
+        converged = abs(ll - ll_prev) < TOL_LOGLIK
         ll_prev = ll
+        if cycle is not None:
+            cycle.append(_pack(state, diag))
+    theta, baseline, pi = state
 
     cox.check_separation(theta.as_array()[free])
     return FitResult(

@@ -17,6 +17,7 @@ from mixcox import (
     DiagnosticModel,
     EffectParams,
     EmConfig,
+    InferenceConfig,
     SeparationError,
     cox,
     em,
@@ -154,6 +155,130 @@ class TestGeneralizedMStep:
             assert res.converged and tight.converged
             assert np.max(np.abs(res.theta_hat.as_array()
                                  - tight.theta_hat.as_array())) < 1e-4
+
+
+def plain_em(data, d, state, free):
+    """The unaccelerated loop: one EM map per iteration from ``state`` =
+    (theta, baseline, pi), to the same stop rule and iteration cap as
+    ``em.fit``; returns (theta, trace)."""
+    ws = em._Workspace(data)
+    theta, baseline, pi = state
+    trace = []
+    ll_prev = -np.inf
+    for _ in range(EmConfig().max_iter):
+        w = em._posterior(ws, theta, baseline, d.with_prevalence(pi))
+        beta, baseline = em._m_step(ws, w, theta.as_array(), free)
+        theta = EffectParams.from_array(beta)
+        if not d.prevalence_known:
+            pi = em._update_prevalence(w)
+        ll = em._obs_loglik(ws, theta, baseline, d.with_prevalence(pi))
+        trace.append(ll)
+        if abs(ll - ll_prev) < em.TOL_LOGLIK:
+            break
+        ll_prev = ll
+    return theta, np.array(trace)
+
+
+def refit_trials():
+    """(data, diag) for the golden trial and four simulated trials, with
+    the prevalence estimated and known."""
+    golden = parse_dataset(Path(__file__).parent / "data" / "golden_trial.csv")
+    trials = [(golden, 0.9, 0.85)] + [
+        (sim_dataset(seed, n_per_arm=100, sens=0.85, spec=0.8), 0.85, 0.8)
+        for seed in (11, 12, 13, 14)
+    ]
+    for known in (False, True):
+        for data, sens, spec in trials:
+            yield data, diag(sens, spec, known=known)
+
+
+def refit_cases():
+    """(data, diag, unconstrained fit, pins) for each trial: three
+    profile-information stencil points (every coefficient pinned) and the
+    gamma = 0 null."""
+    h = InferenceConfig().fd_step
+    stencil = [np.array(disp) for disp in ([h, 0, 0], [0, h, h], [0, 0, 2 * h])]
+    for data, d in refit_trials():
+        base = fit(data, d)
+        center = base.theta_hat.as_array()
+        pins = [dict(zip(em.PARAM_NAMES, center + disp)) for disp in stencil]
+        for fixed in pins + [{"gamma": 0.0}]:
+            yield data, d, base, fixed
+
+
+class TestAcceleratedRefit:
+    def test_ascent_accuracy_and_pins(self, monkeypatch):
+        for data, d, base, fixed in refit_cases():
+            res = fit(data, d, fixed=fixed, warm=base)
+            with monkeypatch.context() as m:
+                m.setattr(em, "TOL_LOGLIK", 1e-13)
+                tight = fit(data, d, fixed=fixed)
+            assert res.converged and tight.converged
+            # ascent up to rounding, as in criterion 2
+            assert np.diff(res.loglik_trace).min(initial=0.0) > -1e-9
+            assert abs(res.obs_loglik - tight.obs_loglik) < 1e-8
+            assert np.max(np.abs(res.theta_hat.as_array()
+                                 - tight.theta_hat.as_array())) < 1e-4
+            theta = res.theta_hat.as_array()
+            for name, value in fixed.items():
+                assert theta[em.PARAM_NAMES.index(name)] == value
+
+    @pytest.mark.parametrize("failure", ["separation", "lower_loglik"])
+    def test_failed_jumps_are_rejected(self, monkeypatch, failure):
+        # every map from an extrapolated point fails: the accepted
+        # sequence is then plain EM from the warm start, and each rejected
+        # jump still counts as an iteration
+        unpack, em_map = em._unpack, em._em_map
+        jumps, plain_lls = [], []
+
+        def marked_unpack(*args):
+            jumps.append(unpack(*args))
+            return jumps[-1]
+
+        def failing_map(ws, d, free, state):
+            if not any(state is jump for jump in jumps):
+                out = em_map(ws, d, free, state)
+                plain_lls.append(out[2])
+                return out
+            if failure == "separation":
+                raise SeparationError("forced")
+            out = em_map(ws, d, free, state)
+            return out[0], out[1], plain_lls[-1] - 1e-6
+
+        monkeypatch.setattr(em, "_unpack", marked_unpack)
+        monkeypatch.setattr(em, "_em_map", failing_map)
+        for data, d, base, fixed in refit_cases():
+            jumps.clear()
+            res = fit(data, d, fixed=fixed, warm=base)
+            free = np.array([name not in fixed for name in em.PARAM_NAMES])
+            start = base.theta_hat.as_array()
+            for name, value in fixed.items():
+                start[em.PARAM_NAMES.index(name)] = value
+            theta, trace = plain_em(
+                data, d, (EffectParams.from_array(start), base.baseline,
+                          d.prevalence if d.prevalence_known else base.pi_hat),
+                free)
+            assert res.converged
+            assert np.array_equal(res.loglik_trace, trace)
+            assert np.array_equal(res.theta_hat.as_array(), theta.as_array())
+            assert res.iterations == trace.size + len(jumps)
+            if trace.size > 2:
+                assert jumps
+
+    def test_cold_fit_is_plain_em(self, monkeypatch):
+        def no_jump(*args):
+            raise AssertionError("a cold fit extrapolated")
+
+        monkeypatch.setattr(em, "_sqs3_point", no_jump)
+        for data, d in refit_trials():
+            for fixed in ({}, {"gamma": 0.0}):
+                res = fit(data, d, fixed=fixed)
+                free = np.array([name not in fixed for name in em.PARAM_NAMES])
+                start = em._initial_state(em._Workspace(data), d, fixed)
+                theta, trace = plain_em(data, d, start, free)
+                assert res.iterations == trace.size
+                assert np.array_equal(res.loglik_trace, trace)
+                assert np.array_equal(res.theta_hat.as_array(), theta.as_array())
 
 
 class TestPrevalenceUpdate:
