@@ -23,6 +23,20 @@ nondecreasing across iterations; it is also the convergence monitor.
 The EM-gradient algorithm has the same local convergence rate as EM with
 the exact M-step, which would cost a Newton solve per iteration.
 
+One EM map touches the n subjects twice.  The M-step builds the per-arm
+risk-set sums of the posterior weights once (:class:`cox.RiskSums`); the
+Newton step, its trial points and the Breslow update all work on those
+sums over the distinct event times.  Then one pass over the subjects at
+the new state (:func:`_e_pass`) gives both the observed log-likelihood
+and the posterior weights of the next E-step.  Per-subject linear
+predictors, relative risks and prior log-weights are lookups into small
+tables by arm, test group and event indicator.  The loop carries the
+state as (theta, hazard increments, pi) arrays and builds the
+:class:`BaselineHazard` once, for the result.  The precomputed
+structures of a dataset (:class:`_Workspace`) travel with the
+:class:`FitResult`, and a warm refit on the same Dataset object reuses
+them.
+
 A warm-started fit (a refit from an earlier fit, as every profile
 refit is) is accelerated by SQUAREM (Varadhan & Roland 2008, Scand. J.
 Statist. 35:335) on the state vector (theta, log hazard increments,
@@ -57,8 +71,6 @@ from .model import (
     DiagnosticModel,
     EffectParams,
     TEST_MISSING,
-    npv,
-    ppv,
 )
 
 __all__ = ["EmConfig", "FitResult", "fit"]
@@ -68,6 +80,8 @@ PARAM_NAMES = ("beta1", "beta2", "gamma")
 PREVALENCE_FLOOR = 0.01
 # the loop stops once the observed log-likelihood changes by less than this
 TOL_LOGLIK = 1e-8
+# event indicator values, for the per-class tables of :func:`_e_pass`
+_EVENT = np.array([0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -93,115 +107,94 @@ class FitResult:
     iterations: int
     converged: bool
     loglik_trace: np.ndarray = field(default=None, repr=False)
+    # the fit's precomputed structures; a warm refit on the same Dataset
+    # object reuses them.  Not part of the result's value.
+    _workspace: "_Workspace | None" = field(default=None, repr=False,
+                                            compare=False)
 
 
 class _Workspace:
-    """Precomputed structures shared by every EM iteration of one fit."""
+    """Precomputed structures of one Dataset, shared by every EM map of a
+    fit and by the warm refits started from it on the same object."""
 
     def __init__(self, data: Dataset):
-        self.t = data.time
-        self.d = data.event.astype(float)
-        self.x = data.treatment.astype(float)
+        self.data = data
         self.v = data.test
-        self.risk_sets = cox.RiskSets(self.t, data.event, self.x)
-        # per-subject lookups into the distinct event times
-        ets = self.risk_sets.ets
-        self.m = ets.size
-        self.ev_interval = np.searchsorted(ets, self.t, side="left")
-        self.n_events_le = np.searchsorted(ets, self.t, side="right")
-
-    def step_cum(self, baseline: BaselineHazard) -> np.ndarray:
-        """Jump-form cumulative hazard at each subject's time."""
-        return baseline._cum_at_events[self.n_events_le]
-
-    def log_hazard_at_events(self, baseline: BaselineHazard) -> np.ndarray:
-        """log h0(t_i), valid where event == 1 (arbitrary elsewhere)."""
-        padded = np.concatenate((baseline.increments, [1.0]))
-        return np.log(padded[np.minimum(self.ev_interval, self.m)])
-
-    def etas(self, theta: EffectParams):
-        eta1 = theta.beta1 * self.x + theta.beta2 + theta.gamma * self.x
-        eta0 = theta.beta1 * self.x
-        return eta1, eta0
+        self.arm = data.treatment.astype(np.intp)
+        # test group per subject: 0 positive, 1 negative, 2 missing
+        self.group = np.where(self.v == 1, 0, np.where(self.v == 0, 1, 2))
+        # subject class for table lookups: (test group, arm, event)
+        self.cls = (self.group * 2 + self.arm) * 2 + data.event
+        self.risk_sets = cox.RiskSets(data.time, data.event, data.treatment)
+        self.m = self.risk_sets.ets.size
+        # number of distinct event times <= t, per subject
+        self.n_events_le = np.searchsorted(self.risk_sets.ets, data.time,
+                                           side="right")
 
 
-def _prior_logits(ws: _Workspace, diag: DiagnosticModel) -> np.ndarray:
-    """logit of the prior positive probability per observed test result."""
-    p_pos = ppv(diag)
-    p_neg = 1.0 - npv(diag)
-    with np.errstate(divide="ignore"):
-        return np.where(
-            ws.v == 1,
-            logit(p_pos),
-            np.where(ws.v == 0, logit(p_neg), logit(diag.prevalence)),
-        )
+def _log_priors(diag: DiagnosticModel, pi: float) -> np.ndarray:
+    """(2, 3) table of prior log-weights: rows truly positive and truly
+    negative, columns the test results positive, negative and missing.
 
-
-def _posterior(ws, theta, baseline, diag) -> np.ndarray:
-    """E-step: posterior probability of true positive status per subject.
-
-    The prior odds come from the predictive values (or the prevalence for
-    subjects without a test result); the likelihood ratio of the two
-    latent-status component likelihoods updates them.  Everything is
-    computed on the log-odds scale.
+    With unknown prevalence the entries are the joint probabilities
+    P(status, test result) (``pi * sensitivity`` etc.); with known
+    prevalence the test result is conditioned on, so the tested columns
+    are divided by P(test result), which gives the predictive values.  An
+    untested subject has the prevalence either way.  A perfect test gives
+    zeros, whose logs are -inf.
     """
-    h0 = ws.step_cum(baseline)
-    eta1, eta0 = ws.etas(theta)
-    # the h0(t)^delta factor cancels in the likelihood ratio and is omitted
-    llr = ws.d * (theta.beta2 + theta.gamma * ws.x) - h0 * (np.exp(eta1) - np.exp(eta0))
-    return expit(_prior_logits(ws, diag) + llr)
-
-
-def _component_logliks(ws, theta, baseline):
-    """(log L_pos, log L_neg) per subject, including the hazard factor."""
-    h0 = ws.step_cum(baseline)
-    logh = ws.log_hazard_at_events(baseline)
-    eta1, eta0 = ws.etas(theta)
-    la = ws.d * (logh + eta1) - h0 * np.exp(eta1)
-    lb = ws.d * (logh + eta0) - h0 * np.exp(eta0)
-    return la, lb
-
-
-def _obs_loglik(ws, theta, baseline, diag) -> float:
-    """Marginal log-likelihood of the observed data.
-
-    With known prevalence each subject contributes the log of the mixture
-    of component likelihoods weighted by the predictive values,
-    conditional on the test result.  With unknown prevalence the test
-    result's own probability enters, so the mixture weights become
-    ``pi * sensitivity`` etc.  Those without a test result contribute
-    the prevalence-weighted mixture either way.
-    """
-    la, lb = _component_logliks(ws, theta, baseline)
-    pi = diag.prevalence
     se, sp = diag.sensitivity, diag.specificity
+    probs = np.array([[pi * se, pi * (1 - se), pi],
+                      [(1 - pi) * (1 - sp), (1 - pi) * sp, 1 - pi]])
+    if diag.prevalence_known:
+        probs[:, :2] /= probs[0, :2] + probs[1, :2]
     with np.errstate(divide="ignore"):
-        if diag.prevalence_known:
-            p_pos = ppv(diag)
-            p_neg = npv(diag)
-            wa = np.where(
-                ws.v == 1, np.log(p_pos),
-                np.where(ws.v == 0, np.log1p(-p_neg), np.log(pi)),
-            )
-            wb = np.where(
-                ws.v == 1, np.log1p(-p_pos),
-                np.where(ws.v == 0, np.log(p_neg), np.log1p(-pi)),
-            )
-        else:
-            wa = np.where(
-                ws.v == 1, np.log(pi * se),
-                np.where(ws.v == 0, np.log(pi * (1 - se)), np.log(pi)),
-            )
-            wb = np.where(
-                ws.v == 1, np.log((1 - pi) * (1 - sp)),
-                np.where(ws.v == 0, np.log((1 - pi) * sp), np.log1p(-pi)),
-            )
-    return float(np.sum(np.logaddexp(wa + la, wb + lb)))
+        return np.log(probs)
+
+
+def _e_pass(ws, state, diag):
+    """Observed log-likelihood at ``state`` = (theta, hazard increments,
+    pi) and the posterior probability of true positive status per subject
+    there, which is the next E-step.
+
+    For each subject, A = log prior_pos + log L_pos and B the same for
+    negative status, where L is the component likelihood under the
+    jump-form cumulative hazard.  The log-likelihood is the sum of
+    logaddexp(A, B) and the posterior is expit(A - B).  Both statuses
+    share the event's log hazard, so it is summed once over the distinct
+    event times and left out of A and B.  A prior weight of 0 (a perfect
+    test) gives A or B = -inf, a posterior of exactly 0 or 1 and a finite
+    log-likelihood.
+
+    Raises DatasetError if a hazard increment is not positive.
+    """
+    theta, inc, pi = state
+    if not inc.min() > 0:
+        raise DatasetError("hazard increments must be positive")
+    rs = ws.risk_sets
+    h0 = np.concatenate(([0.0], np.cumsum(inc * rs.widths)))[ws.n_events_le]
+    b1, b2, g = theta
+    # linear predictors by latent status (positive, negative) and arm
+    eta = np.array([[b2, b1 + b2 + g], [0.0, b1]])
+    # log prior plus the linear predictor if the subject had an event, by
+    # latent status and subject class (test group, arm, event)
+    const = (_log_priors(diag, pi)[:, :, None, None]
+             + eta[:, None, :, None] * _EVENT).reshape(2, -1)
+    risk = np.exp(eta)
+    a = const[0][ws.cls] - h0 * risk[0][ws.arm]
+    b = const[1][ws.cls] - h0 * risk[1][ws.arm]
+    diff = a - b
+    # logaddexp(a, b) = max(a, b) + log1p(e) and expit(diff), with
+    # e = exp(-|diff|) in [0, 1]
+    e = np.exp(-np.abs(diff))
+    ll = (float(rs.event_counts @ np.log(inc)) + float(np.maximum(a, b).sum())
+          + float(np.log1p(e).sum()))
+    return ll, np.where(diff >= 0, 1.0, e) / (1.0 + e)
 
 
 def _update_prevalence(w: np.ndarray) -> float:
     """Mean posterior weight, clipped away from the boundary."""
-    return float(np.clip(np.mean(w), PREVALENCE_FLOOR, 1.0 - PREVALENCE_FLOOR))
+    return float(min(max(w.mean(), PREVALENCE_FLOOR), 1.0 - PREVALENCE_FLOOR))
 
 
 def _m_step(ws, w, theta, free):
@@ -209,7 +202,9 @@ def _m_step(ws, w, theta, free):
     log-likelihood, then the baseline at the new coefficients.
 
     Each subject enters as a latent-positive row (posterior weight ``w``)
-    and a latent-negative row (complement).  One safeguarded Newton step
+    and a latent-negative row (complement); both the step and the
+    baseline work on the per-arm risk-set sums of these weights
+    (:class:`cox.RiskSums`), built once here.  One safeguarded Newton step
     from the full coefficient vector ``theta`` moves the components
     selected by the boolean mask ``free`` (:func:`cox.fit_weighted_cox`:
     the step is halved until the partial log-likelihood does not fall);
@@ -217,10 +212,11 @@ def _m_step(ws, w, theta, free):
     the expected complete-data log-likelihood at the new coefficients, so
     the pair never lowers it.  Repeating the step from its own output
     converges to the exact M-step.  Returns the new coefficient vector and
-    the baseline.
+    the hazard increments.
     """
-    beta = cox.fit_weighted_cox(ws.risk_sets, w, theta, free).beta
-    return beta, cox.breslow_baseline(ws.risk_sets, w, beta)
+    sums = cox.RiskSums(ws.risk_sets, w)
+    beta = cox.fit_weighted_cox(sums, theta, free).beta
+    return beta, cox.breslow_baseline(sums, beta)
 
 
 def _initial_state(ws, diag, fixed):
@@ -233,34 +229,34 @@ def _initial_state(ws, diag, fixed):
         v_bar = float(np.mean(ws.v[observed] == 1)) if np.any(observed) else 0.5
         pi = float(np.clip((v_bar + sp - 1) / (se + sp - 1),
                            PREVALENCE_FLOOR, 1.0 - PREVALENCE_FLOOR))
-    d0 = diag.with_prevalence(pi)
-    prior = expit(_prior_logits(ws, d0))
+    log_prior = _log_priors(diag, pi)
+    prior = expit(log_prior[0] - log_prior[1])[ws.group]
     # null start: free coefficients at zero, fixed ones at their values
     theta0 = np.array([fixed.get(name, 0.0) for name in PARAM_NAMES], dtype=float)
-    baseline = cox.breslow_baseline(ws.risk_sets, prior, theta0)
-    return EffectParams.from_array(theta0), baseline, pi
+    inc = cox.breslow_baseline(cox.RiskSums(ws.risk_sets, prior), theta0)
+    return theta0, inc, pi
 
 
-def _em_map(ws, diag, free, state):
-    """One EM iteration from ``state`` = (theta, baseline, pi): the
-    E-step, the generalized M-step and, when the prevalence is estimated,
-    its update.  Returns the new state, the posterior weights it was
-    computed from and the observed log-likelihood at the new state."""
-    theta, baseline, pi = state
-    w = _posterior(ws, theta, baseline, diag.with_prevalence(pi))
-    beta, baseline = _m_step(ws, w, theta.as_array(), free)
-    theta = EffectParams.from_array(beta)
+def _em_map(ws, diag, free, state, w):
+    """One EM iteration from ``state`` = (theta, hazard increments, pi)
+    whose posterior weights are ``w``: the generalized M-step and, when
+    the prevalence is estimated, its update.  Returns the new state, its
+    posterior weights (the next map's E-step) and its observed
+    log-likelihood, both from one :func:`_e_pass`."""
+    theta, _, pi = state
+    beta, inc = _m_step(ws, w, theta, free)
     if not diag.prevalence_known:
         pi = _update_prevalence(w)
-    ll = _obs_loglik(ws, theta, baseline, diag.with_prevalence(pi))
-    return (theta, baseline, pi), w, ll
+    new = (beta, inc, pi)
+    ll, w_new = _e_pass(ws, new, diag)
+    return new, w_new, ll
 
 
 def _pack(state, diag) -> np.ndarray:
     """The EM state as one vector: theta, the log hazard increments and,
     when the prevalence is estimated, its logit."""
-    theta, baseline, pi = state
-    parts = [theta.as_array(), np.log(baseline.increments)]
+    theta, inc, pi = state
+    parts = [theta, np.log(inc)]
     if not diag.prevalence_known:
         parts.append([logit(pi)])
     return np.concatenate(parts)
@@ -268,9 +264,8 @@ def _pack(state, diag) -> np.ndarray:
 
 def _unpack(x, ws, diag):
     """Inverse of :func:`_pack`."""
-    baseline = BaselineHazard(ws.risk_sets.ets, np.exp(x[3:3 + ws.m]))
     pi = diag.prevalence if diag.prevalence_known else float(expit(x[-1]))
-    return EffectParams.from_array(x[:3]), baseline, pi
+    return x[:3], np.exp(x[3:3 + ws.m]), pi
 
 
 def _sqs3_point(x0, x1, x2):
@@ -308,6 +303,8 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
     warm : FitResult, optional
         Start from a previous fit's state instead of the default
         deterministic initialization (useful when profiling near the MLE).
+        When ``data`` is the very Dataset object ``warm`` was fitted to,
+        the refit reuses that fit's precomputed structures.
         A warm fit runs SQUAREM cycles: two EM maps, a jump to the SqS3
         extrapolation (step length -|r|/|v|, clamped to at most -1) and
         one EM map from there.  That map is kept only if its observed
@@ -335,32 +332,34 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
     unknown = set(fixed) - set(PARAM_NAMES)
     if unknown:
         raise ValueError(f"unknown fixed parameter(s): {sorted(unknown)}")
-    ws = _Workspace(data)
+    ws = getattr(warm, "_workspace", None)
+    if ws is None or ws.data is not data:
+        ws = _Workspace(data)
     free = np.array([name not in fixed for name in PARAM_NAMES])
 
     if warm is not None:
-        theta_arr = warm.theta_hat.as_array()
+        theta = warm.theta_hat.as_array()
         for k, name in enumerate(PARAM_NAMES):
             if name in fixed:
-                theta_arr[k] = fixed[name]
-        theta = EffectParams.from_array(theta_arr)
-        baseline = warm.baseline
+                theta[k] = fixed[name]
         pi = warm.pi_hat if not diag.prevalence_known else diag.prevalence
+        state = (theta, warm.baseline.increments, pi)
     else:
-        theta, baseline, pi = _initial_state(ws, diag, fixed)
+        state = _initial_state(ws, diag, fixed)
 
     trace = []
     ll_prev = -np.inf
     converged = False
     it = 0
     w = None
-    state = (theta, baseline, pi)
+    w_next = _e_pass(ws, state, diag)[1]
     # warm fits only: the packed states of the current SQUAREM cycle
     cycle = [_pack(state, diag)] if warm is not None else None
     while it < config.max_iter and not converged:
         it += 1
         if cycle is None or len(cycle) < 3:
-            state, w, ll = _em_map(ws, diag, free, state)
+            w = w_next
+            state, w_next, ll = _em_map(ws, diag, free, state, w)
         else:
             # the next cycle starts from x2 unless the jump is kept
             x0, x1, x2 = cycle
@@ -368,29 +367,31 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
                     jump = _unpack(_sqs3_point(x0, x1, x2), ws, diag)
-                    jumped, w_jumped, ll = _em_map(ws, diag, free, jump)
+                    w_jump = _e_pass(ws, jump, diag)[1]
+                    jumped, w_jumped, ll = _em_map(ws, diag, free, jump, w_jump)
             except (SeparationError, DegenerateDataError, DatasetError,
                     FloatingPointError):
                 # DatasetError: a hazard increment underflowed to zero
                 continue
             if not (np.isfinite(ll) and ll >= ll_prev):
                 continue
-            state, w, cycle = jumped, w_jumped, []
+            state, w, w_next, cycle = jumped, w_jump, w_jumped, []
         trace.append(ll)
         converged = abs(ll - ll_prev) < TOL_LOGLIK
         ll_prev = ll
         if cycle is not None:
             cycle.append(_pack(state, diag))
-    theta, baseline, pi = state
+    theta, inc, pi = state
 
-    cox.check_separation(theta.as_array()[free])
+    cox.check_separation(theta[free])
     return FitResult(
-        theta_hat=theta,
-        baseline=baseline,
+        theta_hat=EffectParams.from_array(theta),
+        baseline=BaselineHazard(ws.risk_sets.ets, inc),
         pi_hat=pi,
         weights=w,
         obs_loglik=trace[-1],
         iterations=it,
         converged=converged,
         loglik_trace=np.array(trace),
+        _workspace=ws,
     )

@@ -28,7 +28,7 @@ from mixcox import (
     simultaneous_scale,
 )
 from mixcox.cli import main as cli_main
-from mixcox.cox import RiskSets, _loglik_parts
+from mixcox.cox import RiskSets, RiskSums, _loglik_parts
 
 DATA_DIR = Path(__file__).parent / "data"
 CHI2_95 = float(stats.chi2.ppf(0.95, 1))
@@ -93,16 +93,16 @@ def test_criterion_03_derivative_correctness():
     for k in range(100):
         rng = np.random.default_rng([3000, k])
         time, event, x, w = random_subjects(rng, n=int(rng.integers(15, 40)))
-        rs = RiskSets(time, event, x)
+        sums = RiskSums(RiskSets(time, event, x), w)
         beta = rng.normal(0.0, 0.4, 3)
-        value, grad, hess = _loglik_parts(rs, w, beta)
+        value, grad, hess = _loglik_parts(sums, beta)
         h = 1e-6
         for j in range(3):
             up, dn = beta.copy(), beta.copy()
             up[j] += h
             dn[j] -= h
-            v_up = _loglik_parts(rs, w, up)
-            v_dn = _loglik_parts(rs, w, dn)
+            v_up = _loglik_parts(sums, up)
+            v_dn = _loglik_parts(sums, dn)
             fd_g = (v_up[0] - v_dn[0]) / (2 * h)
             rel = abs(grad[j] - fd_g) / max(abs(grad[j]), 1e-4)
             worst_g = max(worst_g, rel)

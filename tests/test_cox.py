@@ -12,10 +12,12 @@ from helpers import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mixcox import SeparationError
+from mixcox import BaselineHazard, SeparationError, cox
 from mixcox.cox import (
     GRAD_TOL,
+    LOGLIK_RTOL,
     RiskSets,
+    RiskSums,
     _loglik_parts,
     breslow_baseline,
     check_separation,
@@ -27,8 +29,17 @@ ALL_FREE = np.ones(3, dtype=bool)
 
 def loglik(rs, w, theta):
     """(value, gradient, Hessian) of the kernel."""
-    return _loglik_parts(rs, np.asarray(w, dtype=float),
-                         np.asarray(theta, dtype=float))
+    return _loglik_parts(RiskSums(rs, w), np.asarray(theta, dtype=float))
+
+
+def step(rs, w, theta, free):
+    """One safeguarded Newton step on weights ``w``."""
+    return fit_weighted_cox(RiskSums(rs, w), theta, free)
+
+
+def baseline(rs, w, theta):
+    """The Breslow baseline hazard on weights ``w``."""
+    return BaselineHazard(rs.ets, breslow_baseline(RiskSums(rs, w), theta))
 
 
 def random_case(rng, n):
@@ -45,13 +56,13 @@ def solve(rs, w, theta=(0.0, 0.0, 0.0), free=ALL_FREE):
     the separation check to the final free coefficients, as ``em.fit``
     does."""
     free = np.asarray(free, dtype=bool)
-    fit = fit_weighted_cox(rs, w, theta, free)
+    fit = step(rs, w, theta, free)
     for _ in range(49):
         grad = loglik(rs, w, fit.beta)[1]
         if np.max(np.abs(grad[free]), initial=0.0) < GRAD_TOL or not fit.converged:
             break
         prev = fit.loglik
-        fit = fit_weighted_cox(rs, w, fit.beta, free)
+        fit = step(rs, w, fit.beta, free)
         if abs(fit.loglik - prev) <= 1e-12 * (1.0 + abs(prev)):
             break
     check_separation(fit.beta[free])
@@ -90,6 +101,26 @@ def weighted_trials(draw):
     return time, event, x, w, theta
 
 
+@st.composite
+def extreme_trials(draw):
+    """Up to 25 subjects on three tied times with at least one event;
+    weights exactly 0, exactly 1, 1 - 1e-12 or anywhere in between;
+    coefficients in [-20, 20]."""
+    n = draw(st.integers(1, 25))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    time = column(st.integers(1, 3))
+    event = column(st.integers(0, 1))
+    event[0] = 1
+    x = column(st.integers(0, 1))
+    w = column(st.one_of(st.sampled_from((0.0, 1.0, 1.0 - 1e-12)),
+                         st.floats(0.0, 1.0)))
+    theta = draw(st.lists(st.floats(-20.0, 20.0), min_size=3, max_size=3))
+    return time, event, x, w, theta
+
+
 class TestPartialLoglik:
     def test_single_event_row_is_zero(self):
         value, _, _ = loglik(RiskSets([1.0], [1], [0]), [1.0], np.zeros(3))
@@ -118,6 +149,27 @@ class TestPartialLoglik:
     @example(([1, 2, 3, 4], [1, 1, 0, 1], [0, 1, 0, 1],
               [0.6, 0.2, 0.9, 0.3], [0.2, 0.5, -1.2]))
     def test_matches_expanded_reference(self, case):
+        time, event, x, w, theta = case
+        got = loglik(RiskSets(time, event, x), w, theta)
+        ref = expanded_loglik(time, event, x, w, theta)
+        for g, r in zip(got, ref):
+            scale = max(1.0, float(np.max(np.abs(r))))
+            assert np.max(np.abs(np.asarray(g) - r)) <= 1e-10 * scale
+
+    @settings(max_examples=300)
+    @given(extreme_trials())
+    # weights just below 1 where the latent-negative rows carry the risk
+    # sets: a count minus a weight sum would cancel there
+    @example(([1, 1, 2, 2, 3], [1, 0, 1, 1, 0], [0, 1, 1, 0, 1],
+              [1.0 - 1e-12] * 5, [0.0, -20.0, 0.0]))
+    @example(([2] * 8, [1, 1, 0, 1, 0, 1, 1, 0], [0, 1, 1, 0, 1, 0, 1, 1],
+              [1.0 - 1e-12, 0.0, 1.0, 1.0 - 1e-12, 1.0, 0.0, 0.5, 1.0],
+              [20.0, -20.0, 20.0]))
+    @example(([1, 2, 3, 3], [1, 1, 1, 0], [1, 1, 0, 0],
+              [0.0, 0.0, 1.0, 1.0], [-20.0, 20.0, -20.0]))
+    def test_per_arm_sums_match_expanded_reference(self, case):
+        # the per-arm kernel against the explicit 2n-row expansion at
+        # extreme weights and coefficients, heavy ties included
         time, event, x, w, theta = case
         got = loglik(RiskSets(time, event, x), w, theta)
         ref = expanded_loglik(time, event, x, w, theta)
@@ -174,8 +226,38 @@ class TestFit:
         rs, w = random_case(rng, n=60)
         bad_init = np.array([2.0, -2.0, 1.5])
         init_value, _, _ = loglik(rs, w, bad_init)
-        fit = fit_weighted_cox(rs, w, bad_init, ALL_FREE)
+        fit = step(rs, w, bad_init, ALL_FREE)
         assert fit.loglik >= init_value
+
+    @pytest.mark.parametrize("drop,accepted", [(0.5, True), (4.0, False)])
+    def test_rounding_level_drop_is_not_halved(self, monkeypatch, drop, accepted):
+        # every trial point reads lower than the start by ``drop`` times
+        # the rounding tolerance: within it the first trial is taken as
+        # the full Newton step, beyond it every halving fails too
+        rng = np.random.default_rng(14)
+        rs, w = random_case(rng, n=40)
+        theta = solve(rs, w).beta + 1e-3
+        ll, grad, hess = loglik(rs, w, theta)
+        kernel = cox._loglik_parts
+        orders = []
+
+        def lowered(sums, beta, order=2):
+            orders.append(order)
+            out = kernel(sums, beta, order)
+            if order:
+                return out
+            return ll - drop * LOGLIK_RTOL * (1.0 + abs(ll)), None, None
+
+        monkeypatch.setattr(cox, "_loglik_parts", lowered)
+        fit = step(rs, w, theta, ALL_FREE)
+        if accepted:
+            assert orders == [2, 0]
+            assert fit.converged and fit.iterations == 1
+            assert np.array_equal(fit.beta, theta + np.linalg.solve(hess, -grad))
+        else:
+            assert orders == [2] + [0] * (1 + cox.MAX_HALVINGS)
+            assert not fit.converged and fit.iterations == 0
+            assert np.array_equal(fit.beta, theta)
 
     def test_converged_gradient_small(self):
         rng = np.random.default_rng(12)
@@ -205,7 +287,7 @@ class TestFit:
         rng = np.random.default_rng(13)
         rs, w = random_case(rng, n=30)
         theta = np.array([0.3, -0.2, 0.1])
-        fit = fit_weighted_cox(rs, w, theta, [False, False, False])
+        fit = step(rs, w, theta, [False, False, False])
         ref, _, _ = loglik(rs, w, theta)
         assert fit.converged
         assert fit.iterations == 0
@@ -218,8 +300,8 @@ class TestBreslow:
         # an event subject at t=2 (w=0.7) and one censored at t=3 (w=0.6):
         # each subject's two rows sum to weight one, so the event count is
         # 1 and the risk sum 2
-        bl = breslow_baseline(RiskSets([2.0, 3.0], [1, 0], [0, 0]),
-                              np.array([0.7, 0.6]), np.zeros(3))
+        bl = baseline(RiskSets([2.0, 3.0], [1, 0], [0, 0]),
+                      np.array([0.7, 0.6]), np.zeros(3))
         assert bl.increments[0] == pytest.approx(1.0 / (2.0 * 2.0), abs=1e-12)
         assert bl.cumulative(2.0) == pytest.approx(0.5, abs=1e-12)
 
@@ -227,7 +309,7 @@ class TestBreslow:
         data = sim_dataset(8, n_per_arm=70, sens=1.0, spec=1.0)
         rs, w = observed(data)
         fit = solve(rs, w)
-        bl = breslow_baseline(rs, w, fit.beta)
+        bl = baseline(rs, w, fit.beta)
         ref = oracle_breslow_cumhaz(data.time, data.event, plain_design(data),
                                     fit.beta)
         for tj, h_ref in ref.items():
@@ -236,8 +318,8 @@ class TestBreslow:
 
 class TestCumulativeHazard:
     def test_examples(self):
-        bl = breslow_baseline(RiskSets([2.0, 2.0], [1, 0], [0, 0]),
-                              np.ones(2), np.zeros(3))
+        bl = baseline(RiskSets([2.0, 2.0], [1, 0], [0, 0]),
+                      np.ones(2), np.zeros(3))
         assert bl.increments[0] == pytest.approx(0.25)
         assert bl.cumulative(0.0) == 0.0
         assert bl.cumulative(1.0) == pytest.approx(0.25)  # interpolated

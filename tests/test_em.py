@@ -30,8 +30,14 @@ def diag(sens=0.8, spec=0.8, pi=0.3, known=True):
     return DiagnosticModel(sens, spec, pi, prevalence_known=known)
 
 
+def state_of(theta, baseline, pi):
+    """The EM state (theta, hazard increments, pi) as arrays."""
+    return theta.as_array(), baseline.increments, pi
+
+
 def e_step(data, theta, baseline, d):
-    return em._posterior(em._Workspace(data), theta, baseline, d)
+    return em._e_pass(em._Workspace(data), state_of(theta, baseline, d.prevalence),
+                      d)[1]
 
 
 def m_step(data, w, free_mask=(True, True, True)):
@@ -42,16 +48,18 @@ def m_step(data, w, free_mask=(True, True, True)):
     free = np.array(free_mask)
     beta = np.zeros(3)
     for _ in range(50):
-        new, baseline = em._m_step(ws, w, beta, free)
+        new, inc = em._m_step(ws, w, beta, free)
         done = np.max(np.abs(new - beta)) < 1e-12
         beta = new
         if done:
             break
-    return EffectParams.from_array(beta), baseline
+    return (EffectParams.from_array(beta),
+            BaselineHazard(ws.risk_sets.ets, inc))
 
 
 def observed_log_likelihood(data, theta, baseline, d):
-    return em._obs_loglik(em._Workspace(data), theta, baseline, d)
+    return em._e_pass(em._Workspace(data),
+                      state_of(theta, baseline, d.prevalence), d)[0]
 
 
 class TestEStep:
@@ -83,6 +91,21 @@ class TestEStep:
         den = num + (1 - ppv) * math.exp(-1.0)
         assert w[1] == pytest.approx(num / den, rel=1e-12)
         assert w[1] == pytest.approx(0.6068, abs=1e-4)
+
+    @pytest.mark.parametrize("known", [True, False])
+    def test_perfect_test_fused_pass(self, known):
+        # a prior weight of 0 makes A or B -inf for every subject; the
+        # loglik stays finite and the posteriors are exactly 0 and 1
+        data = sim_dataset(23, n_per_arm=50, sens=1.0, spec=1.0)
+        d = diag(1.0, 1.0, known=known)
+        res = fit(data, d)
+        observed = (data.test == 1).astype(float)
+        ll, w = em._e_pass(res._workspace,
+                           state_of(res.theta_hat, res.baseline, res.pi_hat), d)
+        assert np.isfinite(ll) and np.isfinite(res.loglik_trace).all()
+        assert ll == res.obs_loglik
+        assert np.array_equal(w, observed)
+        assert np.array_equal(res.weights, observed)
 
     def test_weights_in_unit_interval(self):
         data = sim_dataset(2, n_per_arm=60, sens=0.85, spec=0.75)
@@ -159,24 +182,23 @@ class TestGeneralizedMStep:
 
 def plain_em(data, d, state, free):
     """The unaccelerated loop: one EM map per iteration from ``state`` =
-    (theta, baseline, pi), to the same stop rule and iteration cap as
-    ``em.fit``; returns (theta, trace)."""
+    (theta, hazard increments, pi), to the same stop rule and iteration
+    cap as ``em.fit``; returns (theta, trace)."""
     ws = em._Workspace(data)
-    theta, baseline, pi = state
+    theta, inc, pi = state
+    _, w = em._e_pass(ws, state, d)
     trace = []
     ll_prev = -np.inf
     for _ in range(EmConfig().max_iter):
-        w = em._posterior(ws, theta, baseline, d.with_prevalence(pi))
-        beta, baseline = em._m_step(ws, w, theta.as_array(), free)
-        theta = EffectParams.from_array(beta)
+        theta, inc = em._m_step(ws, w, theta, free)
         if not d.prevalence_known:
             pi = em._update_prevalence(w)
-        ll = em._obs_loglik(ws, theta, baseline, d.with_prevalence(pi))
+        ll, w = em._e_pass(ws, (theta, inc, pi), d)
         trace.append(ll)
         if abs(ll - ll_prev) < em.TOL_LOGLIK:
             break
         ll_prev = ll
-    return theta, np.array(trace)
+    return EffectParams.from_array(theta), np.array(trace)
 
 
 def refit_trials():
@@ -223,30 +245,41 @@ class TestAcceleratedRefit:
             for name, value in fixed.items():
                 assert theta[em.PARAM_NAMES.index(name)] == value
 
-    @pytest.mark.parametrize("failure", ["separation", "lower_loglik"])
+    @pytest.mark.parametrize("failure",
+                             ["separation", "lower_loglik", "hazard_underflow"])
     def test_failed_jumps_are_rejected(self, monkeypatch, failure):
         # every map from an extrapolated point fails: the accepted
         # sequence is then plain EM from the warm start, and each rejected
         # jump still counts as an iteration
-        unpack, em_map = em._unpack, em._em_map
+        unpack, em_map, sqs3_point = em._unpack, em._em_map, em._sqs3_point
         jumps, plain_lls = [], []
+
+        def underflowing_point(*args):
+            # the first log hazard increment so low that exp gives 0.0
+            point = sqs3_point(*args)
+            point[3] = -1e4
+            return point
 
         def marked_unpack(*args):
             jumps.append(unpack(*args))
             return jumps[-1]
 
-        def failing_map(ws, d, free, state):
+        def failing_map(ws, d, free, state, w):
             if not any(state is jump for jump in jumps):
-                out = em_map(ws, d, free, state)
+                out = em_map(ws, d, free, state, w)
                 plain_lls.append(out[2])
                 return out
+            if failure == "hazard_underflow":
+                raise AssertionError("a map ran from a zero hazard increment")
             if failure == "separation":
                 raise SeparationError("forced")
-            out = em_map(ws, d, free, state)
+            out = em_map(ws, d, free, state, w)
             return out[0], out[1], plain_lls[-1] - 1e-6
 
         monkeypatch.setattr(em, "_unpack", marked_unpack)
         monkeypatch.setattr(em, "_em_map", failing_map)
+        if failure == "hazard_underflow":
+            monkeypatch.setattr(em, "_sqs3_point", underflowing_point)
         for data, d, base, fixed in refit_cases():
             jumps.clear()
             res = fit(data, d, fixed=fixed, warm=base)
@@ -255,7 +288,7 @@ class TestAcceleratedRefit:
             for name, value in fixed.items():
                 start[em.PARAM_NAMES.index(name)] = value
             theta, trace = plain_em(
-                data, d, (EffectParams.from_array(start), base.baseline,
+                data, d, (start, base.baseline.increments,
                           d.prevalence if d.prevalence_known else base.pi_hat),
                 free)
             assert res.converged
@@ -423,6 +456,42 @@ class TestWorkspaceCache:
         del data
         gc.collect()
         assert ref() is None
+
+    def test_warm_refit_reuses_workspace_of_same_dataset_only(self):
+        data = sim_dataset(21, n_per_arm=60, sens=0.85, spec=0.8)
+        twin = Dataset(data.time, data.event, data.treatment, data.test)
+        d = diag(0.85, 0.8, known=False)
+        base = fit(data, d)
+        fixed = {"gamma": 0.0}
+        reused = fit(data, d, fixed=fixed, warm=base)
+        assert reused._workspace is base._workspace
+        # an equal but distinct Dataset object gets its own workspace
+        own = fit(twin, d, fixed=fixed, warm=base)
+        assert own._workspace is not base._workspace
+        assert own._workspace.data is twin
+        fresh = fit(data, d, fixed=fixed, warm=replace(base, _workspace=None))
+        assert fresh._workspace is not base._workspace
+        for res in (own, fresh):
+            assert res.iterations == reused.iterations
+            assert res.pi_hat == reused.pi_hat
+            for got, want in (
+                (res.theta_hat.as_array(), reused.theta_hat.as_array()),
+                (res.baseline.increments, reused.baseline.increments),
+                (res.weights, reused.weights),
+                (res.loglik_trace, reused.loglik_trace),
+            ):
+                assert np.array_equal(got, want)
+
+    def test_workspace_is_not_part_of_the_result(self):
+        data = sim_dataset(22, n_per_arm=30, sens=0.9, spec=0.9)
+        res = fit(data, diag(0.9, 0.9))
+        assert res._workspace is not None
+        assert "_workspace" not in repr(res)
+        assert "Workspace" not in repr(res)
+        other = fit(Dataset(data.time, data.event, data.treatment, data.test),
+                    diag(0.9, 0.9))
+        assert replace(res, _workspace=other._workspace) == res
+        assert replace(res, _workspace=None) == res
 
 
 @st.composite
