@@ -59,7 +59,6 @@ class AnalysisRequest:
     specificity: float
     prevalence: float | None = None  # None: estimate from the data
     alpha: float = 0.05
-    fd_step: float = 0.01
     output_format: str = "text"
     em_max_iter: int = 2000
 
@@ -72,8 +71,6 @@ class AnalysisRequest:
             raise DatasetError("prevalence must be in (0, 1)")
         if not 0 < self.alpha < 1:
             raise DatasetError("alpha must be in (0, 1)")
-        if not 0 < self.fd_step < math.inf:
-            raise DatasetError("fd-step must be positive and finite")
         if self.em_max_iter < 1:
             raise DatasetError("max-em-iter must be at least 1")
         if self.output_format not in ("text", "structured"):
@@ -286,7 +283,7 @@ def run_fit(request: AnalysisRequest) -> AnalysisReport:
         prevalence_known=not estimated,
     )
     em_cfg = em.EmConfig(max_iter=request.em_max_iter)
-    icfg = inference.InferenceConfig(alpha=request.alpha, fd_step=request.fd_step)
+    icfg = inference.InferenceConfig(alpha=request.alpha)
     res = em.fit(data, diag, em_cfg)
     if not res.converged:
         raise _ConvergenceFailure(
@@ -294,7 +291,7 @@ def run_fit(request: AnalysisRequest) -> AnalysisReport:
             f"(last log-likelihood {res.obs_loglik:.6f})"
         )
     info = inference.fd_profile_information(
-        data, diag, ("beta1", "beta2", "gamma"), icfg, fit_result=res, em_config=em_cfg,
+        data, diag, ("beta1", "beta2", "gamma"), fit_result=res,
     )
     ses = np.sqrt(np.diag(np.linalg.inv(info)))
     labels = {
@@ -316,7 +313,7 @@ def run_fit(request: AnalysisRequest) -> AnalysisReport:
         )
         rows.append(ParamRow("pi", "prevalence (pi)", res.pi_hat, ci_pi, None))
     subgroups = inference.overall_concordance_report(
-        data, diag, res, icfg, em_config=em_cfg, information=info
+        data, diag, res, icfg, information=info
     )
     return AnalysisReport(
         parameters=rows,
@@ -406,7 +403,6 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--prev", type=float, default=None,
                        help="known prevalence (omit to estimate)")
     p_fit.add_argument("--alpha", type=float, default=0.05)
-    p_fit.add_argument("--fd-step", type=float, default=0.01)
     p_fit.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_fit.add_argument("--format", choices=("text", "structured"), default="text")
     p_fit.add_argument("--max-em-iter", type=int, default=2000)
@@ -430,7 +426,6 @@ def main(argv=None) -> int:
                 specificity=args.spec,
                 prevalence=args.prev,
                 alpha=args.alpha,
-                fd_step=args.fd_step,
                 output_format=args.format,
                 em_max_iter=args.max_em_iter,
             )

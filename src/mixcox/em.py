@@ -9,8 +9,10 @@ it is re-estimated each iteration as the mean posterior weight, and the
 predictive values are refreshed from it.
 
 Likelihood evaluations inside the estimator use the jump-form cumulative
-hazard (all of an interval's mass at its event time,
-:meth:`BaselineHazard.step_cumulative`).  Under that form the expected
+hazard: all of an interval's mass sits at its event time, so a subject's
+cumulative hazard is the sum of the hazard jumps (increment times
+interval width) at the distinct event times up to its own time, which
+:func:`_e_pass` forms from the increments.  Under that form the expected
 complete-data log-likelihood Q, profiled over the baseline, is the
 weighted Cox partial log-likelihood, and the Breslow estimator is the
 baseline that maximizes Q for fixed coefficients.  The M-step is
@@ -34,8 +36,9 @@ tables by arm, test group and event indicator.  The loop carries the
 state as (theta, hazard increments, pi) arrays and builds the
 :class:`BaselineHazard` once, for the result.  The precomputed
 structures of a dataset (:class:`_Workspace`) travel with the
-:class:`FitResult`, and a warm refit on the same Dataset object reuses
-them.
+:class:`FitResult`, and a warm refit or the profile information
+(:func:`inference.fd_profile_information`) on the same Dataset object
+reuses them.
 
 A warm-started fit (a refit from an earlier fit, as every profile
 refit is) is accelerated by SQUAREM (Varadhan & Roland 2008, Scand. J.
@@ -130,6 +133,13 @@ class _Workspace:
         # number of distinct event times <= t, per subject
         self.n_events_le = np.searchsorted(self.risk_sets.ets, data.time,
                                            side="right")
+
+
+def _workspace(data: Dataset, res: "FitResult | None") -> _Workspace:
+    """The workspace of fit ``res`` when ``data`` is the Dataset object it
+    was fitted to, else a new one."""
+    ws = getattr(res, "_workspace", None)
+    return ws if ws is not None and ws.data is data else _Workspace(data)
 
 
 def _log_priors(diag: DiagnosticModel, pi: float) -> np.ndarray:
@@ -332,9 +342,7 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
     unknown = set(fixed) - set(PARAM_NAMES)
     if unknown:
         raise ValueError(f"unknown fixed parameter(s): {sorted(unknown)}")
-    ws = getattr(warm, "_workspace", None)
-    if ws is None or ws.data is not data:
-        ws = _Workspace(data)
+    ws = _workspace(data, warm)
     free = np.array([name not in fixed for name in PARAM_NAMES])
 
     if warm is not None:

@@ -14,7 +14,7 @@ class SeparationError(MixcoxError):
 
 
 class ConditioningError(MixcoxError):
-    """A finite-difference information matrix is not positive definite."""
+    """A profile information matrix is not positive definite."""
 
 
 class IntervalError(MixcoxError):

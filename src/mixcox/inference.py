@@ -1,10 +1,13 @@
 """Profile-likelihood inference and simultaneous confidence intervals.
 
 Confidence intervals invert the profile likelihood-ratio statistic against
-its chi-square(1) limit; the curvature of the profile log-likelihood is
-approximated with one-sided second differences of profiled evaluations,
-each obtained by rerunning the EM with the relevant coefficients held
-fixed.  Simultaneous (equicoordinate) intervals for the
+its chi-square(1) limit, each endpoint found by rerunning the EM with the
+parameter held fixed.  Standard errors come from the profile information
+of the coefficients, computed exactly at the EM fixed point as the Schur
+complement of the observed-likelihood Hessian over the nuisance
+parameters (the baseline hazard jumps and, when it is estimated, the
+prevalence); its structure reduces the elimination of the baseline to one
+tridiagonal solve.  Simultaneous (equicoordinate) intervals for the
 two subgroup effects scale the usual normal quantile up to the factor
 that gives joint bivariate-normal coverage; adding the overall effect --
 the log concordance odds, a smooth function of the coefficients and the
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, linalg, stats
 from scipy.special import expit, logit, ndtr
 
 from . import em
@@ -71,20 +74,13 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 @dataclass(frozen=True)
 class InferenceConfig:
-    """Knobs for interval construction.
-
-    ``alpha`` is the nominal level; ``fd_step`` is the perturbation used
-    in the second-difference approximation of the profile information.
-    """
+    """Knob for interval construction: the nominal level ``alpha``."""
 
     alpha: float = 0.05
-    fd_step: float = 0.01
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
-        if not 0 < self.fd_step < math.inf:
-            raise ValueError("fd_step must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -225,8 +221,7 @@ def profile_ci(
             se = math.sqrt(max(mle * (1 - mle), 1e-4) / len(data))
         else:
             info = fd_profile_information(
-                data, diag, ("beta1", "beta2", "gamma"), config,
-                fit_result=fit_result, em_config=em_config,
+                data, diag, ("beta1", "beta2", "gamma"), fit_result=fit_result,
             )
             se = math.sqrt(np.linalg.inv(info)[_PARAM_INDEX[param],
                                                _PARAM_INDEX[param]])
@@ -294,87 +289,141 @@ def _secant_step(x0: float, g0: float, x1: float, g1: float) -> float:
     return x1 - g1 * (x1 - x0) / (g1 - g0)
 
 
-def _fd_information(fun, k: int, h: float) -> np.ndarray:
-    """One-sided second-difference curvature matrix of ``-fun``.
-
-    ``fun`` maps a length-``k`` displacement vector (from the expansion
-    point) to a scalar; exact for quadratics at any step size.
-    """
-    cache: dict[tuple, float] = {}
-
-    def ev(*disp):
-        key = tuple(disp)
-        if key not in cache:
-            vec = np.zeros(k)
-            for idx, d in enumerate(disp):
-                vec[idx] = d
-            cache[key] = fun(vec)
-        return cache[key]
-
-    info = np.zeros((k, k))
-    f0 = ev(*([0.0] * k))
-    hh = h * h
-    for a in range(k):
-        d1 = [0.0] * k
-        d1[a] = h
-        d2 = [0.0] * k
-        d2[a] = 2 * h
-        info[a, a] = -(ev(*d2) - 2 * ev(*d1) + f0) / hh
-        for b in range(a + 1, k):
-            dab = [0.0] * k
-            dab[a] = h
-            dab[b] = h
-            db = [0.0] * k
-            db[b] = h
-            info[a, b] = info[b, a] = -(ev(*dab) - ev(*db) - ev(*d1) + f0) / hh
-    return 0.5 * (info + info.T)
-
-
 def fd_profile_information(
     data: Dataset,
     diag: DiagnosticModel,
     params: Sequence[str],
-    config: InferenceConfig = InferenceConfig(),
     *,
     fit_result: em.FitResult,
-    em_config: em.EmConfig = em.EmConfig(),
 ) -> np.ndarray:
-    """Profile information matrix over ``params`` by finite differences.
+    """Profile information matrix over ``params``, exact at the fit.
 
-    Evaluates the profile log-likelihood on one-sided stencils around the
-    maximum ``fit_result`` (step ``fd_step``), profiling out all remaining
-    parameters and the baseline through the EM, and symmetrizes the result.
+    The nuisance parameters -- the baseline hazard jumps and, when it is
+    estimated and not clipped at ``em.PREVALENCE_FLOOR``, the prevalence --
+    are profiled out of the observed log-likelihood, with the remaining
+    coefficients too when ``params`` is a subset of ("beta1", "beta2",
+    "gamma").  At the EM fixed point ``fit_result`` the observed
+    log-likelihood is stationary in the nuisance, so the profile
+    information is the Schur complement of its Hessian over the nuisance
+    (Murphy & van der Vaart 2000, JASA 95:449): the limit of second
+    differences of the profile log-likelihood as the step goes to zero.
+    :func:`_coefficient_information` builds it in O(n + m) with no refit;
+    for a subset the 3x3 matrix is inverted, restricted to ``params`` and
+    inverted again.
 
     Raises
     ------
     ConditioningError
-        If the assembled matrix is not positive definite; try a different
-        ``fd_step``.
+        If the complement is not positive definite: the fit is not a
+        strict local maximum of the likelihood.
     """
-    params = tuple(params)
+    idx = []
     for p in params:
         if p not in _PARAM_INDEX:
             raise ValueError(f"unknown parameter: {p}")
-    center = fit_result.theta_hat.as_array()
+        idx.append(_PARAM_INDEX[p])
+    info = _coefficient_information(data, diag, fit_result)
+    if idx == [0, 1, 2]:
+        return info
+    sub = np.linalg.inv(np.linalg.inv(info)[np.ix_(idx, idx)])
+    return 0.5 * (sub + sub.T)
 
-    def lp(disp: np.ndarray) -> float:
-        if not np.any(disp):
-            return fit_result.obs_loglik
-        fixed = {
-            p: center[_PARAM_INDEX[p]] + disp[i] for i, p in enumerate(params)
-        }
-        return profile_loglik(data, diag, fixed, em_config=em_config, warm=fit_result)
 
-    info = _fd_information(lp, len(params), config.fd_step)
+def _coefficient_information(data: Dataset, diag: DiagnosticModel,
+                             res: em.FitResult) -> np.ndarray:
+    """Profile information of (beta1, beta2, gamma) at the state of
+    ``res``, with the hazard jumps and a free prevalence eliminated.
+
+    Subject i contributes logaddexp(A_i, B_i) to the observed
+    log-likelihood (:func:`em._e_pass`), with A_i = log prior_pos -
+    H_i r_pos + event_i log r_pos and B_i the same for negative status.
+    H_i is the sum of the hazard jumps lambda_j up to its K_i-th distinct
+    event time, and r_pos, r_neg are its relative risks under either
+    status.  With p_i = expit(A_i - B_i) the Hessian of logaddexp is
+    p A'' + (1 - p) B'' + p (1 - p) (A' - B')(A' - B')^T.  A and B are
+    linear in lambda and in the log prior, which is log pi or log(1 - pi)
+    plus a constant when the prevalence is estimated; so, in the
+    parameters psi = (beta1, beta2, gamma[, pi]) and lambda,
+
+    - H_psipsi is a sum over subjects;
+    - H_psilambda = U V, where U is the m x m upper-triangular matrix of
+      ones and row k of V sums a per-subject vector over the subjects with
+      K_i = k;
+    - H_lambdalambda = U diag(C) U^T - D, with C_k the sum of
+      p (1 - p) (r_pos - r_neg)^2 over the same subjects and D =
+      diag(d_j / lambda_j^2) from the events' sum of d_j log lambda_j.
+
+    Hence H_psilambda H_lambdalambda^-1 H_lambdapsi = V^T (C - T)^-1 V
+    with the tridiagonal T = U^-1 D U^-T, one banded solve.  The
+    prevalence is then eliminated from the 4x4 complement.
+    """
+    ws = em._workspace(data, res)
+    rs = ws.risk_sets
+    theta = res.theta_hat.as_array()
+    inc, pi = res.baseline.increments, res.pi_hat
+    free_pi = (not diag.prevalence_known
+               and em.PREVALENCE_FLOOR < pi < 1.0 - em.PREVALENCE_FLOOR)
+    p = em._e_pass(ws, (theta, inc, pi), diag)[1]
+    q = p * (1.0 - p)
+    jumps = inc * rs.widths
+    k = ws.n_events_le
+    cum = np.concatenate(([0.0], np.cumsum(jumps)))[k]
+    b1, b2, g = theta
+    risk = np.exp(np.array([[b2, b1 + b2 + g], [0.0, b1]]))
+    r_pos, r_neg = risk[0][ws.arm], risk[1][ws.arm]
+    event = data.event
+    e_pos = event - cum * r_pos
+    e_neg = event - cum * r_neg
+    x = ws.arm.astype(float)
+    # design rows of psi under either status (the pi slot holds no
+    # coefficient) and A' - B' in psi
+    n_psi = 4 if free_pi else 3
+    z_pos = np.zeros((x.size, n_psi))
+    z_pos[:, 0] = z_pos[:, 2] = x
+    z_pos[:, 1] = 1.0
+    z_neg = np.zeros((x.size, n_psi))
+    z_neg[:, 0] = x
+    diff = z_pos * e_pos[:, None] - z_neg * e_neg[:, None]
+    if free_pi:
+        diff[:, 3] = 1.0 / (pi * (1.0 - pi))
+    hess = ((diff.T * q) @ diff - (z_pos.T * (p * cum * r_pos)) @ z_pos
+            - (z_neg.T * ((1.0 - p) * cum * r_neg)) @ z_neg)
+    if free_pi:
+        hess[3, 3] -= np.sum(p) / pi**2 + np.sum(1.0 - p) / (1.0 - pi)**2
+    # per subject: the derivative of the psi score by each jump it has
+    # seen (lambda_j, j <= K_i) and its term of C, summed by K_i; a subject
+    # with K_i = 0 has seen none
+    dr = r_pos - r_neg
+    per_subject = np.empty((x.size, n_psi + 1))
+    per_subject[:, :n_psi] = (-(p * r_pos)[:, None] * z_pos
+                              - ((1.0 - p) * r_neg)[:, None] * z_neg
+                              - (q * dr)[:, None] * diff)
+    per_subject[:, n_psi] = q * dr * dr
+    grouped = np.stack([np.bincount(k, weights=col, minlength=ws.m + 1)[1:]
+                        for col in per_subject.T], axis=1)
+    v, c = grouped[:, :n_psi], grouped[:, n_psi]
+    d = rs.event_counts / jumps**2
+    d_next = np.append(d[1:], 0.0)
+    bands = np.array([np.append(0.0, d[1:]), c - d - d_next, d_next])
+    try:
+        solved = linalg.solve_banded((1, 1), bands, v)
+    except linalg.LinAlgError:
+        raise ConditioningError(
+            "the observed information of the baseline hazard is singular"
+        ) from None
+    info = v.T @ solved - hess
+    info = 0.5 * (info + info.T)
     _require_positive_definite(info)
+    if free_pi:
+        info = info[:3, :3] - np.outer(info[:3, 3], info[3, :3]) / info[3, 3]
     return info
 
 
 def _require_positive_definite(info: np.ndarray) -> None:
     if np.any(np.linalg.eigvalsh(info) <= 0):
         raise ConditioningError(
-            "finite-difference profile information is not positive definite; "
-            "try a different fd_step"
+            "profile information is not positive definite; the fit is not "
+            "a strict local maximum of the likelihood"
         )
 
 
@@ -482,22 +531,40 @@ def simultaneous_cis(
     )
 
 
+# the four latent-status pairings (positive-positive, negative-negative
+# and the two mixed ones) of concordance_prob: each pairing's expit
+# argument as a row of coefficients on (beta1, beta2, gamma)
+_CONCORDANCE_ARGS = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+                              [1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+
+
+def _concordance_terms(theta_arr: np.ndarray, pi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The prevalence weights of the four pairings and their expit terms."""
+    mix = np.array([pi * pi, (1 - pi) * (1 - pi), pi * (1 - pi), pi * (1 - pi)])
+    return mix, expit(_CONCORDANCE_ARGS @ theta_arr)
+
+
 def concordance_prob(theta: EffectParams, pi: float) -> float:
     """Probability that a random control subject outlives a random treated
-    subject, mixing the four latent-status pairings by prevalence."""
+    subject, mixing the four latent-status pairings by prevalence:
+    pi^2 expit(beta1 + gamma) + (1 - pi)^2 expit(beta1)
+    + pi (1 - pi) [expit(beta1 + beta2 + gamma) + expit(beta1 - beta2)]."""
     if not 0 < pi < 1:
         raise ValueError("pi must be in (0, 1)")
-    b1, b2, g = theta.beta1, theta.beta2, theta.gamma
-    return float(
-        pi * pi * expit(b1 + g)
-        + (1 - pi) * (1 - pi) * expit(b1)
-        + pi * (1 - pi) * expit(b1 + b2 + g)
-        + pi * (1 - pi) * expit(b1 - b2)
-    )
+    mix, s = _concordance_terms(theta.as_array(), pi)
+    return float(sum(mix * s))
 
 
 def _log_concordance_odds(theta_arr: np.ndarray, pi: float) -> float:
     return float(logit(concordance_prob(EffectParams.from_array(theta_arr), pi)))
+
+
+def _log_concordance_odds_grad(theta_arr: np.ndarray, pi: float) -> np.ndarray:
+    """Gradient of logit P in (beta1, beta2, gamma), P = concordance_prob:
+    P' / (P (1 - P)), where each expit term s has derivative s (1 - s)."""
+    mix, s = _concordance_terms(theta_arr, pi)
+    prob = mix @ s
+    return (mix * s * (1.0 - s)) @ _CONCORDANCE_ARGS / (prob * (1.0 - prob))
 
 
 def _trivariate_factor(corr: np.ndarray) -> tuple[float, ...]:
@@ -620,41 +687,32 @@ def overall_concordance_report(
     fit_result: em.FitResult,
     config: InferenceConfig = InferenceConfig(),
     *,
-    em_config: em.EmConfig = em.EmConfig(),
     information: np.ndarray | None = None,
 ) -> SimultaneousReport:
     """Three-way simultaneous intervals: both subgroup effects plus the
     overall log concordance odds.
 
-    The covariance of (beta1 + gamma, beta1, overall) comes from the
-    3x3 profile information over the coefficients and the delta method,
-    with the overall effect's derivatives taken by central differences
-    (step ``fd_step``).  The prevalence is held at its estimate, so its
-    sampling uncertainty is not propagated into the overall effect.  The
-    common scale ``xi_alpha`` is the equicoordinate quantile of the
-    trivariate normal with that covariance's correlation, computed by
-    deterministic quadrature and bisection to 1e-9 (see
-    ``_equicoordinate_scale_mvn``).  ``information`` short-circuits the
-    profile information when the caller already computed it.
+    The covariance of (beta1 + gamma, beta1, overall) comes from the 3x3
+    profile information over the coefficients (:func:`fd_profile_information`)
+    and the delta method, with the overall effect's gradient in closed
+    form.  The prevalence is held at its estimate, so its sampling
+    uncertainty is not propagated into the overall effect.  The common
+    scale ``xi_alpha`` is the equicoordinate quantile of the trivariate
+    normal with that covariance's correlation, computed by deterministic
+    quadrature and bisection to 1e-9 (see ``_equicoordinate_scale_mvn``).
+    ``information`` short-circuits the profile information when the caller
+    already computed it.
     """
     info = information
     if info is None:
         info = fd_profile_information(
-            data, diag, ("beta1", "beta2", "gamma"), config,
-            fit_result=fit_result, em_config=em_config,
+            data, diag, ("beta1", "beta2", "gamma"), fit_result=fit_result,
         )
     cov_theta = np.linalg.inv(info)
     center = fit_result.theta_hat.as_array()
     pi = fit_result.pi_hat
-    h = config.fd_step
-    grad = np.zeros(3)
-    for k in range(3):
-        up = center.copy()
-        dn = center.copy()
-        up[k] += h
-        dn[k] -= h
-        grad[k] = (_log_concordance_odds(up, pi) - _log_concordance_odds(dn, pi)) / (2 * h)
-    b = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 0.0], grad])
+    b = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+                  _log_concordance_odds_grad(center, pi)])
     sigma3 = b @ cov_theta @ b.T
     sigma3 = 0.5 * (sigma3 + sigma3.T)
     sds = np.sqrt(np.diag(sigma3))

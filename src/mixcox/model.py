@@ -120,9 +120,6 @@ class DiagnosticModel:
         if not 0 < self.prevalence < 1:
             raise DatasetError("prevalence must be in (0, 1)")
 
-    def with_prevalence(self, pi: float) -> "DiagnosticModel":
-        return DiagnosticModel(self.sensitivity, self.specificity, pi, self.prevalence_known)
-
 
 @dataclass(frozen=True)
 class EffectParams:

@@ -144,14 +144,13 @@ def _replicate(config: ScenarioConfig, rep: int):
         config.sens, config.spec, config.pi_true,
         prevalence_known=config.prevalence_known,
     )
-    icfg = inference.InferenceConfig(alpha=config.alpha)
     try:
         data = generate_trial(config, RngStream(config.base_seed, rep))
         res = em.fit(data, diag)
         if not res.converged:
             return np.full(3, np.nan), False, False, False
         info = inference.fd_profile_information(
-            data, diag, ("beta1", "gamma"), icfg, fit_result=res
+            data, diag, ("beta1", "gamma"), fit_result=res
         )
         report = inference.simultaneous_cis(
             res.theta_hat, inference.subgroup_cov(info), config.alpha

@@ -1,14 +1,16 @@
-"""Shared test utilities: independent Cox references and dataset builders.
+"""Shared test utilities: independent references and dataset builders.
 
 The references deliberately use a different formulation from the package
-(dense O(n^2) risk-set matrices over explicit design matrices, and a
-quasi-Newton optimizer) so that agreement is meaningful.
+(dense O(n^2) risk-set matrices over explicit design matrices, a
+quasi-Newton optimizer, and a dense numeric Hessian of the observed
+log-likelihood) so that agreement is meaningful.
 """
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import expit, logit
 
-from mixcox import Dataset, EffectParams, ScenarioConfig
+from mixcox import Dataset, EffectParams, ScenarioConfig, em
 from mixcox.simulate import RngStream, generate_trial
 
 
@@ -103,3 +105,44 @@ def random_subjects(rng, n=20):
         event[0] = 1
     x = (rng.random(n) < 0.5).astype(float)
     return time, event, x, rng.random(n)
+
+
+def dense_profile_information(data, diag, res, free_pi, keep=(0, 1, 2), h=1e-3):
+    """Profile information of the coefficients ``keep`` (indices into
+    (beta1, beta2, gamma)) at the fit ``res``: the Schur complement, over
+    everything else, of a dense central-difference Hessian of the observed
+    log-likelihood.
+
+    The log-likelihood is ``em._e_pass``'s value, as a function of theta,
+    the log hazard increments and, when ``free_pi``, the logit of the
+    prevalence (otherwise held at ``res.pi_hat``).  Each Hessian entry is
+    a four-point central difference with step ``h``; the complement is
+    -(H_kk - H_kr H_rr^-1 H_rk) by a dense solve, r the other indices.
+    At a stationary point of the other parameters the complement does not
+    depend on how they are parametrized, so ``res`` should be converged
+    tightly.
+    """
+    ws = em._Workspace(data)
+    m = ws.m
+    x0 = np.concatenate([res.theta_hat.as_array(), np.log(res.baseline.increments),
+                         [logit(res.pi_hat)] if free_pi else []])
+
+    def loglik(x):
+        pi = float(expit(x[-1])) if free_pi else res.pi_hat
+        return em._e_pass(ws, (x[:3], np.exp(x[3:3 + m]), pi), diag)[0]
+
+    k = x0.size
+    steps = h * np.eye(k)
+    hess = np.empty((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            hess[i, j] = hess[j, i] = (
+                loglik(x0 + steps[i] + steps[j]) - loglik(x0 + steps[i] - steps[j])
+                - loglik(x0 - steps[i] + steps[j]) + loglik(x0 - steps[i] - steps[j])
+            ) / (4.0 * h * h)
+    keep = list(keep)
+    rest = [i for i in range(k) if i not in keep]
+    a = hess[np.ix_(keep, keep)]
+    b = hess[np.ix_(keep, rest)]
+    c = hess[np.ix_(rest, rest)]
+    return -(a - b @ np.linalg.solve(c, b.T))

@@ -194,9 +194,9 @@ class TestExitCodes:
         assert main(["fit", str(p), "--sens", "1.5", "--spec", "1"]) == 1
         assert main(["fit", str(p), "--sens", "0.4", "--spec", "0.4"]) == 1
         capsys.readouterr()
-        for flags in (["--max-em-iter", "0"], ["--fd-step", "0"], ["--fd-step", "-0.01"]):
-            assert main(["fit", str(p), "--sens", "1", "--spec", "1", *flags]) == 1
-            assert capsys.readouterr().err.startswith("error: ")
+        assert main(["fit", str(p), "--sens", "1", "--spec", "1",
+                     "--max-em-iter", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_convergence_failure(self, tmp_path, capsys):
         data = sim_dataset(36, n_per_arm=60, sens=0.8, spec=0.8)

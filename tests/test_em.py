@@ -17,7 +17,6 @@ from mixcox import (
     DiagnosticModel,
     EffectParams,
     EmConfig,
-    InferenceConfig,
     SeparationError,
     cox,
     em,
@@ -215,10 +214,10 @@ def refit_trials():
 
 
 def refit_cases():
-    """(data, diag, unconstrained fit, pins) for each trial: three
-    profile-information stencil points (every coefficient pinned) and the
-    gamma = 0 null."""
-    h = InferenceConfig().fd_step
+    """(data, diag, unconstrained fit, pins) for each trial: three points
+    0.01 and 0.02 from the fit (every coefficient pinned), like a
+    finite-difference stencil's, and the gamma = 0 null."""
+    h = 0.01
     stencil = [np.array(disp) for disp in ([h, 0, 0], [0, h, h], [0, 0, 2 * h])]
     for data, d in refit_trials():
         base = fit(data, d)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import sim_dataset
+from helpers import dense_profile_information, sim_dataset
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
@@ -11,6 +11,7 @@ from scipy.special import expit, logit
 
 from mixcox import (
     ConditioningError,
+    Dataset,
     DegenerateDataError,
     DiagnosticModel,
     EffectParams,
@@ -30,7 +31,6 @@ from mixcox import (
     subgroup_cov,
 )
 from mixcox.cli import parse_dataset
-from mixcox.inference import _fd_information
 
 
 @pytest.fixture(scope="module")
@@ -244,32 +244,54 @@ class TestProfileCiSolve:
                 assert lam(param, value - out * 1e-4) < CHI2_95 <= lam(param, value + out * 1e-4)
 
 
+def _information_case(name):
+    """(data, diag, prevalence free) for one exact-information case."""
+    if name == "golden":
+        data = parse_dataset(Path(__file__).parent / "data" / "golden_trial.csv")
+        return data, DiagnosticModel(0.9, 0.85, 0.5, prevalence_known=False), True
+    if name == "pi_clipped":
+        # nearly everyone truly positive: the estimate sits at 1 - floor
+        data = sim_dataset(4, n_per_arm=100, pi=0.999, sens=0.99, spec=0.99)
+        return data, DiagnosticModel(0.99, 0.99, 0.3, prevalence_known=False), False
+    sens = 1.0 if name == "perfect_test" else 0.85
+    data = sim_dataset(11, n_per_arm=100, sens=sens, spec=0.8)
+    if name == "ties":
+        data = Dataset(np.ceil(data.time), data.event, data.treatment, data.test)
+    known = name == "pi_known"
+    return data, DiagnosticModel(sens, 0.8, 0.3, prevalence_known=known), not known
+
+
 class TestFdInformation:
-    def test_exact_on_quadratic(self):
-        def quad(disp):
-            a, b = disp
-            return -(a * a + a * b + b * b)
+    @pytest.mark.parametrize("case", ["golden", "sim", "pi_known", "ties",
+                                      "perfect_test", "pi_clipped"])
+    def test_matches_dense_numeric_schur_complement(self, case, monkeypatch):
+        data, diag, free_pi = _information_case(case)
+        # a tight fit, so that the nuisance score is zero and the
+        # complement does not depend on the nuisance parametrization
+        monkeypatch.setattr(em, "TOL_LOGLIK", 1e-13)
+        res = fit(data, diag)
+        assert res.converged
+        if case == "pi_clipped":
+            assert res.pi_hat == 1.0 - em.PREVALENCE_FLOOR
+        if case == "perfect_test":
+            assert np.any(res.weights == 0.0)
+        info = fd_profile_information(data, diag, ("beta1", "beta2", "gamma"),
+                                      fit_result=res)
+        ref = dense_profile_information(data, diag, res, free_pi)
+        assert np.abs(info - ref).max() <= 1e-5 * np.abs(ref).max()
 
-        for h in (0.01, 0.1, 0.5):
-            info = _fd_information(quad, 2, h)
-            assert np.allclose(info, [[2.0, 1.0], [1.0, 2.0]], atol=1e-9)
-
-    def test_separable_function_zero_cross_term(self):
-        info = _fd_information(lambda d: -d[0] ** 2 / 2.0, 2, 0.01)
-        assert info[0, 1] == pytest.approx(0.0, abs=1e-9)
-        assert info[0, 0] == pytest.approx(1.0, abs=1e-9)
-
-    def test_default_step(self):
-        from mixcox import InferenceConfig
-
-        assert InferenceConfig().fd_step == 0.01
-
-    @pytest.mark.parametrize("step", [0.0, -0.01, math.inf, math.nan])
-    def test_step_must_be_positive_and_finite(self, step):
-        from mixcox import InferenceConfig
-
-        with pytest.raises(ValueError, match="fd_step"):
-            InferenceConfig(fd_step=step)
+    def test_subset_inverts_the_sub_block(self, monkeypatch):
+        data, diag, free_pi = _information_case("golden")
+        monkeypatch.setattr(em, "TOL_LOGLIK", 1e-13)
+        res = fit(data, diag)
+        full = fd_profile_information(data, diag, ("beta1", "beta2", "gamma"),
+                                      fit_result=res)
+        sub = fd_profile_information(data, diag, ("beta1", "gamma"), fit_result=res)
+        want = np.linalg.inv(np.linalg.inv(full)[np.ix_([0, 2], [0, 2])])
+        assert np.allclose(sub, want, rtol=1e-12, atol=0.0)
+        # the same complement, with beta2 profiled out as well
+        ref = dense_profile_information(data, diag, res, free_pi, keep=(0, 2))
+        assert np.abs(sub - ref).max() <= 1e-5 * np.abs(ref).max()
 
     def test_profile_information_positive_definite(self, fitted):
         data, diag, res = fitted
@@ -282,10 +304,10 @@ class TestFdInformation:
     def test_nonconcave_surface_rejected(self):
         from mixcox.inference import _require_positive_definite
 
-        # curvature of +x^2 yields negative-definite information
-        info = _fd_information(lambda d: d[0] ** 2, 1, 0.01)
-        with pytest.raises(ConditioningError):
+        info = np.array([[2.0, 0.0], [0.0, -1.0]])  # indefinite
+        with pytest.raises(ConditioningError, match="not positive definite") as err:
             _require_positive_definite(info)
+        assert "fd_step" not in str(err.value)
 
 
 class TestSubgroupCov:
@@ -585,6 +607,22 @@ class TestOverallReport:
         assert grad[0] == pytest.approx(1.0, abs=1e-4)
         assert grad[1] == pytest.approx(0.0, abs=1e-4)
         assert grad[2] == pytest.approx(pi * pi + pi * (1 - pi), abs=1e-4)
+
+    def test_closed_form_gradient(self):
+        rng = np.random.default_rng(12)
+        h = 1e-6
+        for _ in range(20):
+            theta = rng.normal(0.0, 1.0, 3)
+            pi = rng.uniform(0.02, 0.98)
+            numeric = np.zeros(3)
+            for k in range(3):
+                step = np.zeros(3)
+                step[k] = h
+                up = logit(concordance_prob(EffectParams(*(theta + step)), pi))
+                dn = logit(concordance_prob(EffectParams(*(theta - step)), pi))
+                numeric[k] = (up - dn) / (2 * h)
+            got = inference._log_concordance_odds_grad(theta, pi)
+            assert np.allclose(got, numeric, rtol=1e-7, atol=1e-8)
 
     def test_three_way_report(self, fitted):
         data, diag, res = fitted
