@@ -105,7 +105,9 @@ class FitResult:
     theta_hat: EffectParams
     baseline: BaselineHazard
     pi_hat: float
-    weights: np.ndarray  # posterior P(true positive) per subject
+    # posterior P(true positive) per subject from the last E-step: the
+    # weights whose M-step gave theta_hat and the baseline
+    weights: np.ndarray
     obs_loglik: float
     iterations: int
     converged: bool

@@ -432,6 +432,46 @@ class TestSimultaneousScale:
             simultaneous_scale(1.0, 0.05), abs=0.005
         )
 
+    # 0 is the Sidak end of the bracket, +-1 the univariate end, and
+    # 1 - |rho| = 1e-7 is on bvn_rect_prob's boundary-layer branch
+    RHO_GRID = sorted({0.0, 1.0, -1.0, 1 - 1e-7, -1 + 1e-7, 1 - 1e-5, -1 + 1e-5,
+                       *np.round(np.linspace(-0.99, 0.99, 23), 6)})
+
+    def test_rectangle_probabilities_per_solve(self, monkeypatch):
+        calls = []
+        rect = inference.bvn_rect_prob
+        monkeypatch.setattr(inference, "bvn_rect_prob",
+                            lambda xi, rho: calls.append(xi) or rect(xi, rho))
+        for rho in self.RHO_GRID:
+            calls.clear()
+            simultaneous_scale(float(rho), 0.05)
+            assert len(calls) <= 8, rho
+
+    def test_coverage_error(self):
+        for rho in self.RHO_GRID:
+            xi = simultaneous_scale(float(rho), 0.05)
+            assert abs(bvn_rect_prob(xi, float(rho)) - 0.95) <= 1e-8, rho
+
+    @pytest.mark.parametrize("solver", ["bivariate", "trivariate"])
+    def test_last_bit_jitter_stays_in_the_bracket(self, monkeypatch, solver):
+        # quadrature noise can break monotonicity in the last bits; the
+        # bracketed solve must still end between the two quantiles
+        rng = np.random.default_rng(7)
+        name = "bvn_rect_prob" if solver == "bivariate" else "_trivariate_box_prob"
+        exact = getattr(inference, name)
+        monkeypatch.setattr(inference, name, lambda xi, arg: exact(xi, arg) * (
+            1.0 + 4e-16 * rng.integers(-4, 5)))
+        z = stats.norm.ppf(0.975)
+        dim = 2 if solver == "bivariate" else 3
+        sidak = stats.norm.ppf(0.5 * (1 + 0.95 ** (1 / dim)))
+        for rho in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            if solver == "bivariate":
+                xi = simultaneous_scale(rho, 0.05)
+            else:  # equicorrelated at |rho|
+                corr = np.full((3, 3), abs(rho)) + (1.0 - abs(rho)) * np.eye(3)
+                xi = inference._equicoordinate_scale_mvn(corr, 0.05)
+            assert z - 1e-9 <= xi <= sidak + 1e-6
+
 
 def _near_combination(eps):
     """Correlation of (Z1, Z2, Z3) with Z3 a combination of Z1 and Z2 plus
@@ -512,8 +552,19 @@ class TestTrivariateScale:
                             lambda corr, alpha: seen.append(corr) or scale(corr, alpha))
         rep = overall_concordance_report(data, diag, res)
         (corr,) = seen
-        assert rep.xi_alpha == scale(corr, 0.05)
         assert rep.xi_alpha == pytest.approx(self.SOBOL_GOLDEN, abs=1e-4)
+        box = inference._trivariate_box_prob
+        calls = []
+        monkeypatch.setattr(inference, "_trivariate_box_prob",
+                            lambda xi, c: calls.append(xi) or box(xi, c))
+        assert rep.xi_alpha == scale(corr, 0.05)
+        assert len(calls) <= 10
+        # reference: bisection of the same box probability to 1e-13
+        lo, hi = self.UNIVARIATE, self.SIDAK
+        while hi - lo > 1e-13:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if box(mid, corr) < 0.95 else (lo, mid)
+        assert rep.xi_alpha == pytest.approx(0.5 * (lo + hi), abs=1e-9)
 
     @settings(max_examples=40)
     @given(entries=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
