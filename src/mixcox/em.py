@@ -40,17 +40,18 @@ structures of a dataset (:class:`_Workspace`) travel with the
 (:func:`inference.fd_profile_information`) on the same Dataset object
 reuses them.
 
-A warm-started fit (a refit from an earlier fit, as every profile
-refit is) is accelerated by SQUAREM (Varadhan & Roland 2008, Scand. J.
-Statist. 35:335) on the state vector (theta, log hazard increments,
-logit prevalence when it is estimated).  Each cycle takes two EM maps
-x0 -> x1 -> x2, jumps to the SqS3 extrapolation x' and takes one EM map
-from x'.  That map is kept only if its observed log-likelihood is finite
-and not below the one at x2; a jump whose map separates, degenerates or
-overflows is rejected too, and the next cycle starts from x2.  The
-accepted log-likelihoods are therefore nondecreasing, and a pinned
-coefficient never moves.  A warm start already sits in EM's linear-rate
-region, where the extrapolation is reliable; a cold fit runs plain EM.
+Every fit, cold or warm-started, is accelerated by SQUAREM (Varadhan &
+Roland 2008, Scand. J. Statist. 35:335) on the state vector (theta, log
+hazard increments, logit prevalence when it is estimated).  Each cycle
+takes two EM maps x0 -> x1 -> x2, jumps to the SqS3 extrapolation x' and
+takes one EM map from x'.  That map is kept only if its observed
+log-likelihood is finite and not below the one at x2; a jump whose map
+separates, degenerates, overflows or underflows a hazard increment is
+rejected too, and the next cycle starts from x2.  The accepted
+log-likelihoods are therefore nondecreasing, and a pinned coefficient
+never moves.  From the null start of a cold fit, too, it reached the
+optima plain EM reaches on every trial measured, in well under half the
+maps (see the README's numerical notes).
 
 A single step cannot tell a coefficient that has stabilized far out from
 one still moving, so the quasi-separation check
@@ -316,13 +317,13 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
         Start from a previous fit's state instead of the default
         deterministic initialization (useful when profiling near the MLE).
         When ``data`` is the very Dataset object ``warm`` was fitted to,
-        the refit reuses that fit's precomputed structures.
-        A warm fit runs SQUAREM cycles: two EM maps, a jump to the SqS3
-        extrapolation (step length -|r|/|v|, clamped to at most -1) and
-        one EM map from there.  That map is kept only if its observed
-        log-likelihood is finite and at least the one two maps before;
-        otherwise, or if it separates, degenerates or overflows, the loop
-        continues from the second map.
+        the refit reuses that fit's precomputed structures.  It chooses
+        only the start: from either start the loop runs SQUAREM cycles of
+        two EM maps, a jump to the SqS3 extrapolation (step length
+        -|r|/|v|, clamped to at most -1) and one EM map from there.  That
+        map is kept only if its observed log-likelihood is finite and at
+        least the one two maps before; otherwise, or if it separates,
+        degenerates or overflows, the loop continues from the second map.
 
     Returns
     -------
@@ -363,11 +364,11 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
     it = 0
     w = None
     w_next = _e_pass(ws, state, diag)[1]
-    # warm fits only: the packed states of the current SQUAREM cycle
-    cycle = [_pack(state, diag)] if warm is not None else None
+    # the packed states of the current SQUAREM cycle
+    cycle = [_pack(state, diag)]
     while it < config.max_iter and not converged:
         it += 1
-        if cycle is None or len(cycle) < 3:
+        if len(cycle) < 3:
             w = w_next
             state, w_next, ll = _em_map(ws, diag, free, state, w)
         else:
@@ -389,8 +390,7 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
         trace.append(ll)
         converged = abs(ll - ll_prev) < TOL_LOGLIK
         ll_prev = ll
-        if cycle is not None:
-            cycle.append(_pack(state, diag))
+        cycle.append(_pack(state, diag))
     theta, inc, pi = state
 
     cox.check_separation(theta[free])

@@ -227,9 +227,32 @@ def refit_cases():
             yield data, d, base, fixed
 
 
+def fit_cases():
+    """(data, diag, warm start or None, pins): each trial's cold fits,
+    free and at the gamma = 0 null, then its refits."""
+    for data, d in refit_trials():
+        for fixed in ({}, {"gamma": 0.0}):
+            yield data, d, None, fixed
+    yield from refit_cases()
+
+
+def start_state(data, d, warm, fixed):
+    """The state ``em.fit`` starts from: the null start of a cold fit, or
+    the warm fit's state with the pins applied."""
+    if warm is None:
+        return em._initial_state(em._Workspace(data), d, fixed)
+    theta = warm.theta_hat.as_array()
+    for name, value in fixed.items():
+        theta[em.PARAM_NAMES.index(name)] = value
+    pi = d.prevalence if d.prevalence_known else warm.pi_hat
+    return theta, warm.baseline.increments, pi
+
+
 class TestAcceleratedRefit:
+    """SQUAREM in every fit, cold (null start) and warm (refit)."""
+
     def test_ascent_accuracy_and_pins(self, monkeypatch):
-        for data, d, base, fixed in refit_cases():
+        for data, d, base, fixed in fit_cases():
             res = fit(data, d, fixed=fixed, warm=base)
             with monkeypatch.context() as m:
                 m.setattr(em, "TOL_LOGLIK", 1e-13)
@@ -248,8 +271,8 @@ class TestAcceleratedRefit:
                              ["separation", "lower_loglik", "hazard_underflow"])
     def test_failed_jumps_are_rejected(self, monkeypatch, failure):
         # every map from an extrapolated point fails: the accepted
-        # sequence is then plain EM from the warm start, and each rejected
-        # jump still counts as an iteration
+        # sequence is then plain EM from the start, cold or warm, and each
+        # rejected jump still counts as an iteration
         unpack, em_map, sqs3_point = em._unpack, em._em_map, em._sqs3_point
         jumps, plain_lls = [], []
 
@@ -279,38 +302,18 @@ class TestAcceleratedRefit:
         monkeypatch.setattr(em, "_em_map", failing_map)
         if failure == "hazard_underflow":
             monkeypatch.setattr(em, "_sqs3_point", underflowing_point)
-        for data, d, base, fixed in refit_cases():
+        for data, d, base, fixed in fit_cases():
             jumps.clear()
             res = fit(data, d, fixed=fixed, warm=base)
             free = np.array([name not in fixed for name in em.PARAM_NAMES])
-            start = base.theta_hat.as_array()
-            for name, value in fixed.items():
-                start[em.PARAM_NAMES.index(name)] = value
-            theta, trace = plain_em(
-                data, d, (start, base.baseline.increments,
-                          d.prevalence if d.prevalence_known else base.pi_hat),
-                free)
+            theta, trace = plain_em(data, d, start_state(data, d, base, fixed),
+                                    free)
             assert res.converged
             assert np.array_equal(res.loglik_trace, trace)
             assert np.array_equal(res.theta_hat.as_array(), theta.as_array())
             assert res.iterations == trace.size + len(jumps)
             if trace.size > 2:
                 assert jumps
-
-    def test_cold_fit_is_plain_em(self, monkeypatch):
-        def no_jump(*args):
-            raise AssertionError("a cold fit extrapolated")
-
-        monkeypatch.setattr(em, "_sqs3_point", no_jump)
-        for data, d in refit_trials():
-            for fixed in ({}, {"gamma": 0.0}):
-                res = fit(data, d, fixed=fixed)
-                free = np.array([name not in fixed for name in em.PARAM_NAMES])
-                start = em._initial_state(em._Workspace(data), d, fixed)
-                theta, trace = plain_em(data, d, start, free)
-                assert res.iterations == trace.size
-                assert np.array_equal(res.loglik_trace, trace)
-                assert np.array_equal(res.theta_hat.as_array(), theta.as_array())
 
 
 class TestPrevalenceUpdate:
@@ -536,3 +539,18 @@ class TestProperties:
         v = data.test.astype(float)
         beta_ref, _ = oracle_cox(data.time, data.event, np.column_stack([x, v, x * v]))
         assert np.max(np.abs(res.theta_hat.as_array() - beta_ref)) < 1e-6
+
+    @settings(max_examples=60)
+    @given(small_trials(), accuracies, accuracies, st.floats(0.1, 0.9), st.booleans())
+    def test_accelerated_cold_fit_not_below_plain_em(self, data, sens, spec, pi,
+                                                     known):
+        # the extrapolation must not carry a cold fit to a lower branch
+        # than the one plain EM climbs from the same start
+        d = diag(sens, spec, pi, known)
+        try:
+            res = fit(data, d)
+            _, trace = plain_em(data, d, start_state(data, d, None, {}),
+                                np.ones(3, dtype=bool))
+        except (SeparationError, DegenerateDataError):
+            return
+        assert res.obs_loglik >= trace[-1] - 1e-8
