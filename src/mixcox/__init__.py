@@ -38,17 +38,13 @@ from .model import (
     Dataset,
     DiagnosticModel,
     EffectParams,
-    linear_predictor,
     mixture_survival,
-    npv,
-    ppv,
 )
 from .simulate import (
     RenderedTable,
     RngStream,
     ScenarioConfig,
     ScenarioSummary,
-    draw_survival_time,
     emit_table,
     generate_trial,
     run_scenario,
@@ -63,9 +59,9 @@ __all__ = [
     "RenderedTable", "RngStream", "ScenarioConfig",
     "ScenarioSummary", "SeparationError", "SimultaneousReport",
     "bvn_rect_prob", "concordance_prob",
-    "draw_survival_time", "emit_table",
+    "emit_table",
     "fd_profile_information", "fit", "generate_trial",
-    "linear_predictor", "lr_test", "mixture_survival", "npv",
-    "overall_concordance_report", "ppv", "profile_ci", "profile_loglik",
+    "lr_test", "mixture_survival",
+    "overall_concordance_report", "profile_ci", "profile_loglik",
     "run_scenario", "simultaneous_cis", "simultaneous_scale", "subgroup_cov",
 ]

@@ -299,19 +299,21 @@ def run_fit(request: AnalysisRequest) -> AnalysisReport:
         "beta2": "biomarker positive (beta2)",
         "gamma": "interaction (gamma)",
     }
-    rows = []
-    theta = res.theta_hat.as_array()
-    for i, name in enumerate(("beta1", "beta2", "gamma")):
-        ci = inference.profile_ci(
-            data, diag, name, icfg, fit_result=res, em_config=em_cfg, se=float(ses[i])
-        )
-        _, p = inference.lr_test(data, diag, name, 0.0, fit_result=res, em_config=em_cfg)
-        rows.append(ParamRow(name, labels[name], float(theta[i]), ci, p))
+    # every interval and likelihood-ratio test of the report in one
+    # lockstep run of their profile searches
+    names = ("beta1", "beta2", "gamma")
+    profile_ses = dict(zip(names, map(float, ses)))
     if estimated:
-        ci_pi = inference.profile_ci(
-            data, diag, "pi", icfg, fit_result=res, em_config=em_cfg
-        )
-        rows.append(ParamRow("pi", "prevalence (pi)", res.pi_hat, ci_pi, None))
+        profile_ses["pi"] = None
+    intervals, tests = inference._profile(
+        data, diag, profile_ses, icfg, fit_result=res, em_config=em_cfg,
+        tests=dict.fromkeys(names, 0.0),
+    )
+    theta = res.theta_hat.as_array()
+    rows = [ParamRow(name, labels[name], float(theta[i]), intervals[name], tests[name][1])
+            for i, name in enumerate(names)]
+    if estimated:
+        rows.append(ParamRow("pi", "prevalence (pi)", res.pi_hat, intervals["pi"], None))
     subgroups = inference.overall_concordance_report(
         data, diag, res, icfg, information=info
     )

@@ -40,18 +40,37 @@ structures of a dataset (:class:`_Workspace`) travel with the
 (:func:`inference.fd_profile_information`) on the same Dataset object
 reuses them.
 
+The loop runs a stack of independent fits in lockstep (:func:`_fit_lanes`):
+K *lanes* on the same subjects, each with its own pinned coefficients
+and its own prevalence, known or estimated.  Every array of the state
+carries a leading lane axis, and each EM map is one call of each kernel
+for the whole stack; :func:`fit` is the stack of one lane.  The profile
+refits of an analysis (:mod:`inference`) share one stack, so their maps
+cost about as many numpy calls as one refit's.  Everything that decides
+a lane's path is per lane: the Newton step's halving, the SQUAREM jump's
+acceptance, convergence and failure.  A lane leaves the stack as soon as
+it converges, reaches the iteration cap or fails; a failed lane takes
+its exception with it and does not disturb the others.  Each kernel
+reduces only along a lane's own axis (a pairwise sum along the last
+axis, ``np.vecdot`` or a matrix product per lane), so a lane's result is
+the same, bit for bit, in any stack, and the stack of one lane repeats
+the arithmetic of the unstacked kernels.
+
 Every fit, cold or warm-started, is accelerated by SQUAREM (Varadhan &
 Roland 2008, Scand. J. Statist. 35:335) on the state vector (theta, log
-hazard increments, logit prevalence when it is estimated).  Each cycle
-takes two EM maps x0 -> x1 -> x2, jumps to the SqS3 extrapolation x' and
-takes one EM map from x'.  That map is kept only if its observed
+hazard increments, logit prevalence when it is estimated; a known
+prevalence is held in its lane and never passes through a logit).  Each
+cycle takes two EM maps x0 -> x1 -> x2, jumps to the SqS3 extrapolation
+x' and takes one EM map from x'.  That map is kept only if its observed
 log-likelihood is finite and not below the one at x2; a jump whose map
 separates, degenerates, overflows or underflows a hazard increment is
-rejected too, and the next cycle starts from x2.  The accepted
-log-likelihoods are therefore nondecreasing, and a pinned coefficient
-never moves.  From the null start of a cold fit, too, it reached the
-optima plain EM reaches on every trial measured, in well under half the
-maps (see the README's numerical notes).
+rejected too, and the next cycle starts from x2.  The step length
+-|r|/|v| and the acceptance are per lane, and all lanes of a stack run
+their cycles in phase, since a rejected jump also starts a new cycle.
+The accepted log-likelihoods are therefore nondecreasing, and a pinned
+coefficient never moves.  From the null start of a cold fit, too, it
+reached the optima plain EM reaches on every trial measured, in well
+under half the maps (see the README's numerical notes).
 
 A single step cannot tell a coefficient that has stabilized far out from
 one still moving, so the quasi-separation check
@@ -62,13 +81,14 @@ inside the step.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit, logit
 
 from . import cox
-from .errors import DatasetError, DegenerateDataError, SeparationError
+from .errors import DatasetError, SeparationError
 from .model import (
     BaselineHazard,
     Dataset,
@@ -86,6 +106,9 @@ PREVALENCE_FLOOR = 0.01
 TOL_LOGLIK = 1e-8
 # event indicator values, for the per-class tables of :func:`_e_pass`
 _EVENT = np.array([0.0, 1.0])
+# the linear predictors by latent status (positive, negative) and arm, as
+# indices into ``cox._linear``'s (b1, b2, b1 + b2 + g, 0)
+_ETA = np.array([[1, 2], [3, 0]])
 
 
 @dataclass(frozen=True)
@@ -145,9 +168,53 @@ def _workspace(data: Dataset, res: "FitResult | None") -> _Workspace:
     return ws if ws is not None and ws.data is data else _Workspace(data)
 
 
-def _log_priors(diag: DiagnosticModel, pi: float) -> np.ndarray:
-    """(2, 3) table of prior log-weights: rows truly positive and truly
-    negative, columns the test results positive, negative and missing.
+class _Lanes:
+    """The diagnostic models of a stack of lanes: the shared sensitivity
+    and specificity, and per lane whether the prevalence is known and its
+    known value (unused where it is estimated).  It has the attributes of
+    a :class:`DiagnosticModel` that :func:`_e_pass` reads, with the
+    per-lane ones as arrays, and ``any_known``: whether any lane's
+    prevalence is known."""
+
+    __slots__ = ("sensitivity", "specificity", "prevalence_known", "prevalence",
+                 "any_known")
+
+    def __init__(self, sensitivity, specificity, prevalence_known, prevalence):
+        self.sensitivity = sensitivity
+        self.specificity = specificity
+        self.prevalence_known = prevalence_known
+        self.prevalence = prevalence
+        self.any_known = bool(prevalence_known.any())
+
+    @classmethod
+    def of(cls, diags) -> "_Lanes":
+        se, sp = diags[0].sensitivity, diags[0].specificity
+        if any((d.sensitivity, d.specificity) != (se, sp) for d in diags):
+            raise ValueError("the lanes of a stack share sensitivity and specificity")
+        return cls(se, sp, np.array([d.prevalence_known for d in diags]),
+                   np.array([d.prevalence for d in diags], dtype=float))
+
+    def take(self, keep) -> "_Lanes":
+        return _Lanes(self.sensitivity, self.specificity,
+                      self.prevalence_known[keep], self.prevalence[keep])
+
+
+@functools.lru_cache(maxsize=16)
+def _test_probs(sensitivity: float, specificity: float):
+    """(2, 3) table of P(test result | status): rows truly positive and
+    truly negative, columns positive, negative and missing; and whether
+    it holds a zero (a perfect test)."""
+    table = np.array([[sensitivity, 1 - sensitivity, 1.0],
+                      [1 - specificity, specificity, 1.0]])
+    table.flags.writeable = False
+    return table, not table.min() > 0
+
+
+def _log_priors(diag, pi) -> np.ndarray:
+    """(..., 2, 3) table of prior log-weights per lane: rows truly positive
+    and truly negative, columns the test results positive, negative and
+    missing.  ``diag`` is a DiagnosticModel or the :class:`_Lanes` of a
+    stack, ``pi`` the prevalence of each lane.
 
     With unknown prevalence the entries are the joint probabilities
     P(status, test result) (``pi * sensitivity`` etc.); with known
@@ -156,11 +223,18 @@ def _log_priors(diag: DiagnosticModel, pi: float) -> np.ndarray:
     untested subject has the prevalence either way.  A perfect test gives
     zeros, whose logs are -inf.
     """
-    se, sp = diag.sensitivity, diag.specificity
-    probs = np.array([[pi * se, pi * (1 - se), pi],
-                      [(1 - pi) * (1 - sp), (1 - pi) * sp, 1 - pi]])
-    if diag.prevalence_known:
-        probs[:, :2] /= probs[0, :2] + probs[1, :2]
+    table, perfect = _test_probs(diag.sensitivity, diag.specificity)
+    pi = np.asarray(pi, dtype=float)[..., None, None]
+    probs = np.concatenate((pi, 1 - pi), axis=-2) * table
+    known = diag.prevalence_known
+    # a DiagnosticModel has one bool, the lanes of a stack say whether any
+    # of theirs is set
+    if getattr(diag, "any_known", known):
+        tested = probs[..., :2] / (probs[..., :1, :2] + probs[..., 1:, :2])
+        probs[..., :2] = np.where(np.asarray(known)[..., None, None], tested,
+                                  probs[..., :2])
+    if not perfect:
+        return np.log(probs)
     with np.errstate(divide="ignore"):
         return np.log(probs)
 
@@ -168,7 +242,8 @@ def _log_priors(diag: DiagnosticModel, pi: float) -> np.ndarray:
 def _e_pass(ws, state, diag):
     """Observed log-likelihood at ``state`` = (theta, hazard increments,
     pi) and the posterior probability of true positive status per subject
-    there, which is the next E-step.
+    there, which is the next E-step; per lane, with the state's arrays
+    stacked along leading lane axes.
 
     For each subject, A = log prior_pos + log L_pos and B the same for
     negative status, where L is the component likelihood under the
@@ -177,37 +252,37 @@ def _e_pass(ws, state, diag):
     share the event's log hazard, so it is summed once over the distinct
     event times and left out of A and B.  A prior weight of 0 (a perfect
     test) gives A or B = -inf, a posterior of exactly 0 or 1 and a finite
-    log-likelihood.
-
-    Raises DatasetError if a hazard increment is not positive.
+    log-likelihood.  The hazard increments must be positive; the loop
+    (:func:`_fit_lanes`) checks them.
     """
     theta, inc, pi = state
-    if not inc.min() > 0:
-        raise DatasetError("hazard increments must be positive")
     rs = ws.risk_sets
-    h0 = np.concatenate(([0.0], np.cumsum(inc * rs.widths)))[ws.n_events_le]
-    b1, b2, g = theta
+    lanes = inc.shape[:-1]
+    cum = np.zeros(lanes + (ws.m + 1,))
+    (inc * rs.widths).cumsum(axis=-1, out=cum[..., 1:])
+    h0 = cum.take(ws.n_events_le, axis=-1)[..., None, :]
     # linear predictors by latent status (positive, negative) and arm
-    eta = np.array([[b2, b1 + b2 + g], [0.0, b1]])
+    eta = cox._linear(theta).take(_ETA, axis=-1)
     # log prior plus the linear predictor if the subject had an event, by
     # latent status and subject class (test group, arm, event)
-    const = (_log_priors(diag, pi)[:, :, None, None]
-             + eta[:, None, :, None] * _EVENT).reshape(2, -1)
-    risk = np.exp(eta)
-    a = const[0][ws.cls] - h0 * risk[0][ws.arm]
-    b = const[1][ws.cls] - h0 * risk[1][ws.arm]
+    const = (_log_priors(diag, pi)[..., :, :, None, None]
+             + eta[..., :, None, :, None] * _EVENT).reshape(lanes + (2, 12))
+    ab = const.take(ws.cls, axis=-1) - h0 * np.exp(eta).take(ws.arm, axis=-1)
+    a, b = ab[..., 0, :], ab[..., 1, :]
     diff = a - b
     # logaddexp(a, b) = max(a, b) + log1p(e) and expit(diff), with
     # e = exp(-|diff|) in [0, 1]
     e = np.exp(-np.abs(diff))
-    ll = (float(rs.event_counts @ np.log(inc)) + float(np.maximum(a, b).sum())
-          + float(np.log1p(e).sum()))
+    ll = (np.vecdot(np.log(inc), rs.event_counts)
+          + np.add.reduce(np.maximum(a, b), axis=-1)
+          + np.add.reduce(np.log1p(e), axis=-1))
     return ll, np.where(diff >= 0, 1.0, e) / (1.0 + e)
 
 
-def _update_prevalence(w: np.ndarray) -> float:
-    """Mean posterior weight, clipped away from the boundary."""
-    return float(min(max(w.mean(), PREVALENCE_FLOOR), 1.0 - PREVALENCE_FLOOR))
+def _update_prevalence(w: np.ndarray):
+    """Mean posterior weight of each lane, clipped away from the boundary."""
+    mean = np.add.reduce(w, axis=-1) / w.shape[-1]
+    return np.minimum(np.maximum(mean, PREVALENCE_FLOOR), 1.0 - PREVALENCE_FLOOR)
 
 
 def _m_step(ws, w, theta, free):
@@ -224,12 +299,13 @@ def _m_step(ws, w, theta, free):
     the others keep their values.  The Breslow baseline then maximizes
     the expected complete-data log-likelihood at the new coefficients, so
     the pair never lowers it.  Repeating the step from its own output
-    converges to the exact M-step.  Returns the new coefficient vector and
-    the hazard increments.
+    converges to the exact M-step.  Returns the new coefficient vectors,
+    the hazard increments and the failed lanes' exceptions (see
+    ``cox.CoxFit.errors``).
     """
     sums = cox.RiskSums(ws.risk_sets, w)
-    beta = cox.fit_weighted_cox(sums, theta, free).beta
-    return beta, cox.breslow_baseline(sums, beta)
+    step = cox.fit_weighted_cox(sums, theta, free)
+    return step.beta, cox.breslow_baseline(sums, step.beta), step.errors
 
 
 def _initial_state(ws, diag, fixed):
@@ -250,55 +326,219 @@ def _initial_state(ws, diag, fixed):
     return theta0, inc, pi
 
 
+def _lane_mask(errors: dict, size: int) -> np.ndarray:
+    mask = np.zeros(size, dtype=bool)
+    mask[list(errors)] = True
+    return mask
+
+
 def _em_map(ws, diag, free, state, w):
-    """One EM iteration from ``state`` = (theta, hazard increments, pi)
-    whose posterior weights are ``w``: the generalized M-step and, when
-    the prevalence is estimated, its update.  Returns the new state, its
-    posterior weights (the next map's E-step) and its observed
-    log-likelihood, both from one :func:`_e_pass`."""
-    theta, _, pi = state
-    beta, inc = _m_step(ws, w, theta, free)
-    if not diag.prevalence_known:
+    """One EM iteration of every lane from ``state`` = (theta, hazard
+    increments, pi) whose posterior weights are ``w``: the generalized
+    M-step and, where the prevalence is estimated, its update.  Returns
+    the new state, its posterior weights (the next map's E-step), its
+    observed log-likelihood, both from one :func:`_e_pass`, and the failed
+    lanes' exceptions by lane index; a failed lane keeps its old state."""
+    theta, inc, pi = state
+    beta, inc_new, errors = _m_step(ws, w, theta, free)
+    if not inc_new.min() > 0:
+        cox._record(errors, ~(inc_new.min(axis=-1) > 0),
+                    DatasetError("hazard increments must be positive"))
+    if errors:
+        failed = _lane_mask(errors, theta.shape[0])[:, None]
+        beta = np.where(failed, theta, beta)
+        inc_new = np.where(failed, inc, inc_new)
+    if not diag.any_known:
         pi = _update_prevalence(w)
-    new = (beta, inc, pi)
+    elif not diag.prevalence_known.all():
+        pi = np.where(diag.prevalence_known, pi, _update_prevalence(w))
+    new = (beta, inc_new, pi)
     ll, w_new = _e_pass(ws, new, diag)
-    return new, w_new, ll
+    return new, w_new, ll, errors
 
 
 def _pack(state, diag) -> np.ndarray:
-    """The EM state as one vector: theta, the log hazard increments and,
-    when the prevalence is estimated, its logit."""
+    """The EM state of each lane as one vector: theta, the log hazard
+    increments and the logit prevalence where it is estimated (0.0 where
+    it is known, so the extrapolation leaves it alone)."""
     theta, inc, pi = state
-    parts = [theta, np.log(inc)]
-    if not diag.prevalence_known:
-        parts.append([logit(pi)])
-    return np.concatenate(parts)
+    x = np.empty(inc.shape[:-1] + (inc.shape[-1] + 4,))
+    x[..., :3] = theta
+    np.log(inc, out=x[..., 3:-1])
+    logit_pi = logit(pi)
+    x[..., -1] = np.where(diag.prevalence_known, 0.0, logit_pi) if diag.any_known \
+        else logit_pi
+    return x
 
 
-def _unpack(x, ws, diag):
-    """Inverse of :func:`_pack`."""
-    pi = diag.prevalence if diag.prevalence_known else float(expit(x[-1]))
-    return x[:3], np.exp(x[3:3 + ws.m]), pi
+def _unpack(x, diag):
+    """Inverse of :func:`_pack`; a known prevalence is taken from ``diag``."""
+    pi = expit(x[..., -1])
+    if diag.any_known:
+        pi = np.where(diag.prevalence_known, diag.prevalence, pi)
+    return x[..., :3], np.exp(x[..., 3:-1]), pi
 
 
 def _sqs3_point(x0, x1, x2):
     """SQUAREM extrapolation (Varadhan & Roland 2008, Scand. J. Statist.
-    35:335) from two EM maps x0 -> x1 -> x2: x0 - 2 alpha r + alpha^2 v
-    with r = x1 - x0, v = x2 - 2 x1 + x0 and the SqS3 step length
-    alpha = -|r|/|v| clamped to at most -1 (alpha = -1 gives x2, and is
-    used when v = 0).  A component both maps left alone has r = v = 0 and
-    keeps its value exactly."""
+    35:335) of each lane from two EM maps x0 -> x1 -> x2: x0 - 2 alpha r +
+    alpha^2 v with r = x1 - x0, v = x2 - 2 x1 + x0 and the SqS3 step
+    length alpha = -|r|/|v| of the lane, clamped to at most -1 (alpha = -1
+    gives x2, and is used when v = 0).  A component both maps left alone
+    has r = v = 0 and keeps its value exactly."""
     r = x1 - x0
     v = (x2 - x1) - r
-    norm_v = np.linalg.norm(v)
-    alpha = min(-np.linalg.norm(r) / norm_v, -1.0) if norm_v > 0 else -1.0
-    return x0 - 2.0 * alpha * r + alpha * alpha * v
+    norm_v = np.sqrt(np.vecdot(v, v))
+    ratio = np.divide(np.sqrt(np.vecdot(r, r)), norm_v, out=np.zeros_like(norm_v),
+                      where=norm_v > 0)
+    alpha = -np.maximum(ratio, 1.0)[..., None]
+    return x0 - (2.0 * alpha) * r + (alpha * alpha) * v
+
+
+def _select(kept, new, old):
+    """``new`` in the kept lanes and ``old`` elsewhere (arrays or states)."""
+    if kept.all():
+        return new
+    if isinstance(new, tuple):
+        return tuple(_select(kept, a, b) for a, b in zip(new, old))
+    return np.where(kept.reshape(kept.shape + (1,) * (new.ndim - 1)), new, old)
+
+
+def _jump(ws, diag, free, state, w, w_next, cycle, ll_prev):
+    """The SQUAREM step of every lane from its cycle x0 -> x1 -> x2: the
+    jump and one EM map from it, kept in the lanes where it is finite, no
+    kernel failed and its log-likelihood is not below ``ll_prev``.
+    Returns the kept mask, the lanes' states and E-steps and the maps'
+    log-likelihoods."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = _sqs3_point(*cycle)
+        jump = _unpack(x, diag)
+        inc = jump[1]
+        # an overflowed jump, or a hazard increment that under- or
+        # overflowed, is rejected without a map
+        sane = np.isfinite(x).all(axis=-1)
+        if not (sane.all() and inc.min() > 0 and inc.max() < np.inf):
+            sane &= (inc.min(axis=-1) > 0) & (inc.max(axis=-1) < np.inf)
+            if not sane.any():
+                return sane, state, w, w_next, ll_prev
+            jump = _select(sane, jump, state)
+        w_jump = _e_pass(ws, jump, diag)[1]
+        jumped, w_jumped, ll, errors = _em_map(ws, diag, free, jump, w_jump)
+        kept = sane & np.isfinite(ll) & (ll >= ll_prev)
+    if errors:
+        kept &= ~_lane_mask(errors, kept.size)
+    if kept.all():
+        return kept, jumped, w_jump, w_jumped, ll
+    if not kept.any():
+        return kept, state, w, w_next, ll
+    return (kept, _select(kept, jumped, state), _select(kept, w_jump, w),
+            _select(kept, w_jumped, w_next), ll)
+
+
+def _fit_lanes(data: Dataset, lanes, config: EmConfig = EmConfig(),
+               warm: FitResult | None = None) -> list:
+    """Fit every lane of ``lanes``, a sequence of (diag, fixed) pairs that
+    share the sensitivity and specificity, in lockstep on ``data``.
+
+    Each lane is the fit ``fit(data, diag, config, fixed=fixed,
+    warm=warm)`` would return, and runs the same maps: SQUAREM cycles of
+    two EM maps, a jump and one map from it (see :func:`fit`).  Returns,
+    per lane, its FitResult or the exception that ended it.
+    """
+    fixed = [dict(f) for _, f in lanes]
+    unknown = set().union(*fixed) - set(PARAM_NAMES)
+    if unknown:
+        raise ValueError(f"unknown fixed parameter(s): {sorted(unknown)}")
+    ws = _workspace(data, warm)
+    diag = _Lanes.of([d for d, _ in lanes])
+    free = np.array([[name not in f for name in PARAM_NAMES] for f in fixed])
+    if warm is not None:
+        start = warm.theta_hat.as_array()
+        theta = np.array([[f.get(name, start[i]) for i, name in enumerate(PARAM_NAMES)]
+                          for f in fixed], dtype=float)
+        inc = np.repeat(warm.baseline.increments[None], len(lanes), axis=0)
+        pi = np.array([d.prevalence if d.prevalence_known else warm.pi_hat
+                       for d, _ in lanes])
+    else:
+        starts = [_initial_state(ws, d, f) for (d, _), f in zip(lanes, fixed)]
+        theta, inc, pi = (np.array(part) for part in zip(*starts))
+    state = (theta, inc, pi)
+
+    results: list = [None] * len(lanes)
+    traces: list[list[float]] = [[] for _ in lanes]
+    ids = list(range(len(lanes)))  # the lane of each row of the stack
+    ll_prev = [-np.inf] * len(lanes)
+    it = 0
+    w = None
+    w_next = _e_pass(ws, state, diag)[1]
+    # the packed states of the current SQUAREM cycle
+    cycle = [_pack(state, diag)]
+    while ids:
+        it += 1
+        if len(cycle) < 3:
+            w = w_next
+            state, w_next, ll, errors = _em_map(ws, diag, free, state, w)
+            kept = [k not in errors for k in range(len(ids))]
+        else:
+            # the next cycle starts from x2 in the lanes whose jump fails;
+            # a failed jump ends no lane
+            kept, state, w, w_next, ll = _jump(ws, diag, free, state, w, w_next,
+                                               cycle, np.array(ll_prev))
+            kept = kept.tolist()
+            cycle, errors = [], {}
+        cycle.append(_pack(state, diag))
+        done = []
+        for k, value in enumerate(ll.tolist()):
+            converged = False
+            if kept[k]:
+                traces[ids[k]].append(value)
+                converged = abs(value - ll_prev[k]) < TOL_LOGLIK
+                ll_prev[k] = value
+            if converged or it >= config.max_iter or k in errors:
+                done.append(k)
+                results[ids[k]] = errors.get(k) or _lane_result(
+                    ws, state, w, k, free[k], traces[ids[k]], it, converged)
+        if len(done) == len(ids):
+            break
+        if done:
+            keep = np.ones(len(ids), dtype=bool)
+            keep[done] = False
+            ids = [lane for k, lane in enumerate(ids) if keep[k]]
+            ll_prev = [value for k, value in enumerate(ll_prev) if keep[k]]
+            free, diag = free[keep], diag.take(keep)
+            state = tuple(part[keep] for part in state)
+            w, w_next = w[keep], w_next[keep]
+            cycle = [x[keep] for x in cycle]
+    return results
+
+
+def _lane_result(ws, state, w, k, free, trace, iterations, converged):
+    """The FitResult of row ``k`` of the stack, or the SeparationError of
+    a free coefficient that ended beyond ``cox.SEPARATION_FLAG``."""
+    theta, inc, pi = state
+    try:
+        cox.check_separation(theta[k][free])
+    except SeparationError as exc:
+        return exc
+    return FitResult(
+        theta_hat=EffectParams.from_array(theta[k]),
+        baseline=BaselineHazard(ws.risk_sets.ets, inc[k]),
+        pi_hat=float(pi[k]),
+        weights=w[k],
+        obs_loglik=trace[-1],
+        iterations=iterations,
+        converged=converged,
+        loglik_trace=np.array(trace),
+        _workspace=ws,
+    )
 
 
 def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
         *, fixed: dict[str, float] | None = None,
         warm: FitResult | None = None) -> FitResult:
     """Run the EM loop to convergence of the observed log-likelihood.
+
+    This is the stack of one lane (:func:`_fit_lanes`).
 
     Parameters
     ----------
@@ -341,67 +581,7 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
         ends the fit beyond 15 in absolute value: the likelihood appears
         monotone (infinite MLE).
     """
-    fixed = dict(fixed) if fixed else {}
-    unknown = set(fixed) - set(PARAM_NAMES)
-    if unknown:
-        raise ValueError(f"unknown fixed parameter(s): {sorted(unknown)}")
-    ws = _workspace(data, warm)
-    free = np.array([name not in fixed for name in PARAM_NAMES])
-
-    if warm is not None:
-        theta = warm.theta_hat.as_array()
-        for k, name in enumerate(PARAM_NAMES):
-            if name in fixed:
-                theta[k] = fixed[name]
-        pi = warm.pi_hat if not diag.prevalence_known else diag.prevalence
-        state = (theta, warm.baseline.increments, pi)
-    else:
-        state = _initial_state(ws, diag, fixed)
-
-    trace = []
-    ll_prev = -np.inf
-    converged = False
-    it = 0
-    w = None
-    w_next = _e_pass(ws, state, diag)[1]
-    # the packed states of the current SQUAREM cycle
-    cycle = [_pack(state, diag)]
-    while it < config.max_iter and not converged:
-        it += 1
-        if len(cycle) < 3:
-            w = w_next
-            state, w_next, ll = _em_map(ws, diag, free, state, w)
-        else:
-            # the next cycle starts from x2 unless the jump is kept
-            x0, x1, x2 = cycle
-            cycle = [x2]
-            try:
-                with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    jump = _unpack(_sqs3_point(x0, x1, x2), ws, diag)
-                    w_jump = _e_pass(ws, jump, diag)[1]
-                    jumped, w_jumped, ll = _em_map(ws, diag, free, jump, w_jump)
-            except (SeparationError, DegenerateDataError, DatasetError,
-                    FloatingPointError):
-                # DatasetError: a hazard increment underflowed to zero
-                continue
-            if not (np.isfinite(ll) and ll >= ll_prev):
-                continue
-            state, w, w_next, cycle = jumped, w_jump, w_jumped, []
-        trace.append(ll)
-        converged = abs(ll - ll_prev) < TOL_LOGLIK
-        ll_prev = ll
-        cycle.append(_pack(state, diag))
-    theta, inc, pi = state
-
-    cox.check_separation(theta[free])
-    return FitResult(
-        theta_hat=EffectParams.from_array(theta),
-        baseline=BaselineHazard(ws.risk_sets.ets, inc),
-        pi_hat=pi,
-        weights=w,
-        obs_loglik=trace[-1],
-        iterations=it,
-        converged=converged,
-        loglik_trace=np.array(trace),
-        _workspace=ws,
-    )
+    (res,) = _fit_lanes(data, [(diag, fixed or {})], config, warm)
+    if isinstance(res, Exception):
+        raise res
+    return res

@@ -2,7 +2,14 @@
 
 Confidence intervals invert the profile likelihood-ratio statistic against
 its chi-square(1) limit, each endpoint found by rerunning the EM with the
-parameter held fixed.  Standard errors come from the profile information
+parameter held fixed.  The endpoint searches and likelihood-ratio tests
+of an analysis are independent refits warm-started from the same fit, so
+they run in lockstep (:func:`_run_searches`): each search is a generator
+that yields its next point and is sent the profile log-likelihood there,
+and each round refits every active search's point as one lane of a
+single stacked EM (``em._fit_lanes``).  A search follows the same points
+as it would alone; only the number of stacked refits falls, to the
+longest search's count of points.  Standard errors come from the profile information
 of the coefficients, computed exactly at the EM fixed point as the Schur
 complement of the observed-likelihood Hessian over the nuisance
 parameters (the baseline hazard jumps and, when it is estimated, the
@@ -21,8 +28,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import integrate, linalg, optimize, stats
-from scipy.special import expit, logit, ndtr
+from scipy import integrate, linalg, optimize
+from scipy.special import chdtrc, expit, gammaincinv, logit, ndtr, ndtri
 
 from . import em
 from .errors import ConditioningError, DegenerateDataError, SeparationError
@@ -121,6 +128,20 @@ class SimultaneousReport:
     interval_overall: Interval | None = None
 
 
+def _chi2_sf(x: float) -> float:
+    """Chi-square(1) upper tail probability: the arithmetic of
+    ``scipy.stats.chi2.sf(x, 1)`` (``scipy.special.chdtrc``) without its
+    per-call argument handling, which costs ~0.1 ms."""
+    return float(chdtrc(1, x))
+
+
+def _chi2_quantile(p: float) -> float:
+    """Chi-square(1) quantile: the arithmetic of ``scipy.stats.chi2.ppf(p,
+    1)`` (twice the inverse regularized lower incomplete gamma function at
+    1/2), without its per-call argument handling."""
+    return float(2.0 * gammaincinv(0.5, p))
+
+
 def _v_marginal_loglik(data: Dataset, diag: DiagnosticModel, pi: float) -> float:
     """Log-probability of the observed test results under prevalence pi."""
     se, sp = diag.sensitivity, diag.specificity
@@ -129,6 +150,45 @@ def _v_marginal_loglik(data: Dataset, diag: DiagnosticModel, pi: float) -> float
     return n_pos * math.log(pi * se + (1 - pi) * (1 - sp)) + n_neg * math.log(
         pi * (1 - se) + (1 - pi) * sp
     )
+
+
+def _profile_logliks(
+    data: Dataset,
+    diag: DiagnosticModel,
+    pins: Sequence[Mapping[str, float]],
+    *,
+    em_config: em.EmConfig,
+    warm: em.FitResult | None,
+) -> list:
+    """The profile log-likelihood at each of ``pins`` (each a ``fixed`` of
+    :func:`profile_loglik`), from one stacked refit of all of them
+    (``em._fit_lanes``): a lane per pin, with its own pinned coefficients
+    and, for a pinned prevalence, the prevalence known at that value.
+    Each entry is the value, or the exception that ended its lane.
+
+    This is the one place the profile searches evaluate the likelihood.
+    """
+    lanes = []
+    for fixed in pins:
+        fixed = dict(fixed)
+        pi0 = fixed.pop("pi", None)
+        if pi0 is None:
+            lanes.append((diag, fixed))
+            continue
+        if diag.prevalence_known:
+            raise ValueError("cannot profile over pi: the prevalence is already fixed")
+        lanes.append((DiagnosticModel(diag.sensitivity, diag.specificity, pi0,
+                                      prevalence_known=True), fixed))
+    values = []
+    for fixed, res in zip(pins, em._fit_lanes(data, lanes, em_config, warm)):
+        if isinstance(res, Exception):
+            values.append(res)
+        elif "pi" in fixed:
+            # put the conditional-likelihood value back on the marginal scale
+            values.append(res.obs_loglik + _v_marginal_loglik(data, diag, fixed["pi"]))
+        else:
+            values.append(res.obs_loglik)
+    return values
 
 
 def profile_loglik(
@@ -148,19 +208,49 @@ def profile_loglik(
     on the scale of the full marginal likelihood, so they are directly
     comparable with the unconstrained ``FitResult.obs_loglik``.
     """
-    fixed = dict(fixed)
-    pi0 = fixed.pop("pi", None)
-    if pi0 is None:
-        res = em.fit(data, diag, em_config, fixed=fixed, warm=warm)
-        return res.obs_loglik
-    if diag.prevalence_known:
-        raise ValueError("cannot profile over pi: the prevalence is already fixed")
-    d_fixed = DiagnosticModel(
-        diag.sensitivity, diag.specificity, pi0, prevalence_known=True
-    )
-    res = em.fit(data, d_fixed, em_config, fixed=fixed, warm=warm)
-    # put the conditional-likelihood value back on the marginal scale
-    return res.obs_loglik + _v_marginal_loglik(data, diag, pi0)
+    (value,) = _profile_logliks(data, diag, [fixed], em_config=em_config, warm=warm)
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _run_searches(data: Dataset, diag: DiagnosticModel, searches, *,
+                  fit_result: em.FitResult, em_config: em.EmConfig) -> list:
+    """Run the profile searches ``searches`` in lockstep; returns each
+    one's result, in order.
+
+    A search is a generator that yields the parameter values to pin (a
+    ``fixed`` of :func:`profile_loglik`), is sent the profile
+    log-likelihood there (or the exception its refit ended with) and
+    returns its result.  Each round sends every active search the value
+    at the point it yielded, all of them from one stacked refit warm-started
+    at ``fit_result`` (:func:`_profile_logliks`).  A search's sequence of
+    points depends only on its own values, so it is the one it would
+    follow alone.
+    """
+    results = [None] * len(searches)
+    pending = {k: next(search) for k, search in enumerate(searches)}
+    while pending:
+        keys = list(pending)
+        values = _profile_logliks(data, diag, [pending[k] for k in keys],
+                                  em_config=em_config, warm=fit_result)
+        for k, value in zip(keys, values):
+            try:
+                pending[k] = searches[k].send(value)
+            except StopIteration as stop:
+                results[k] = stop.value
+                del pending[k]
+    return results
+
+
+def _lr_null(fit_result: em.FitResult, param: str, null_value: float):
+    """Search of one point: the likelihood-ratio test of ``param ==
+    null_value`` (see :func:`lr_test`)."""
+    ll0 = yield {param: null_value}
+    if isinstance(ll0, Exception):
+        raise ll0
+    lam = max(2.0 * (fit_result.obs_loglik - ll0), 0.0)
+    return lam, _chi2_sf(lam)
 
 
 def lr_test(
@@ -178,16 +268,96 @@ def lr_test(
     unconstrained ``fit_result``, clipped at zero) and its chi-square(1)
     p-value.
     """
-    ll0 = profile_loglik(data, diag, {param: null_value}, em_config=em_config,
-                         warm=fit_result)
-    lam = max(2.0 * (fit_result.obs_loglik - ll0), 0.0)
-    return lam, float(stats.chi2.sf(lam, 1))
+    _, tests = _profile(data, diag, {}, fit_result=fit_result, em_config=em_config,
+                        tests={param: null_value})
+    return tests[param]
 
 
 def _param_estimate(res: em.FitResult, param: str) -> float:
     if param == "pi":
         return res.pi_hat
     return float(res.theta_hat.as_array()[_PARAM_INDEX[param]])
+
+
+def _endpoint_search(param: str, direction: int, mle: float, se: float,
+                     target: float, fit_loglik: float):
+    """Search for the endpoint of ``param``'s profile interval on the side
+    ``direction`` (+1 or -1) of its estimate ``mle``: a generator (see
+    :func:`_run_searches`) that yields the next point, is sent the profile
+    log-likelihood there and returns (endpoint, open flag).
+
+    It solves g(x) = sqrt(lambda(mle + direction * x)) - sqrt(target) = 0
+    in the distance x by the safeguarded secant iteration that
+    :func:`profile_ci` describes.
+    """
+    root_target = math.sqrt(target)
+    if param == "pi":
+        bound = 1.0 - em.PREVALENCE_FLOOR if direction > 0 else em.PREVALENCE_FLOOR
+    else:
+        bound = mle + direction * _MAX_REACH_SE * se
+    reach = abs(bound - mle)
+
+    def at(x: float) -> float:
+        return bound if x >= reach else mle + direction * x
+
+    x_in, x_out = 0.0, math.inf  # g(x_in) < 0 <= g(x_out)
+    x_prev, g_prev = 0.0, -root_target
+    step_last = step_before = math.inf
+    x = min(root_target * se, reach)
+    while True:
+        ll = yield {param: at(x)}
+        if isinstance(ll, (SeparationError, DegenerateDataError)):
+            # the constrained fit degenerates this far out; certainly
+            # outside the confidence region
+            lam = math.inf
+        elif isinstance(ll, Exception):
+            raise ll
+        else:
+            lam = 2.0 * (fit_loglik - ll)
+        if abs(lam - target) < _LR_TOL:
+            return at(x), False
+        g = math.sqrt(max(lam, 0.0)) - root_target
+        if g < 0:
+            x_in = x
+        else:
+            x_out = x  # also an infinite or undefined statistic
+        if x_out - x_in < _CI_TOL:
+            return at(0.5 * (x_in + x_out)), False
+        cand = _secant_step(x_prev, g_prev, x, g)
+        x_prev, g_prev = x, g
+        if math.isinf(x_out):
+            if x >= reach:
+                return bound, True
+            x_new = min(cand if cand > x else 2.0 * x, 2.0 * x, reach)
+        elif x_in < cand < x_out and abs(cand - x) < 0.5 * step_before:
+            x_new = cand
+        else:
+            x_new = 0.5 * (x_in + x_out)
+        step_before, step_last = step_last, abs(x_new - x)
+        x = x_new
+
+
+def _interval_searches(data: Dataset, diag: DiagnosticModel, param: str,
+                       config: InferenceConfig, fit_result: em.FitResult,
+                       se: float | None) -> list:
+    """The upper and lower endpoint searches of :func:`profile_ci`."""
+    if param not in ("beta1", "beta2", "gamma", "pi"):
+        raise ValueError(f"unknown parameter: {param}")
+    mle = _param_estimate(fit_result, param)
+    target = _chi2_quantile(1.0 - config.alpha)
+    if se is None:
+        if param == "pi":
+            se = math.sqrt(max(mle * (1 - mle), 1e-4) / len(data))
+        else:
+            info = fd_profile_information(
+                data, diag, ("beta1", "beta2", "gamma"), fit_result=fit_result,
+            )
+            se = math.sqrt(np.linalg.inv(info)[_PARAM_INDEX[param],
+                                               _PARAM_INDEX[param]])
+    elif not 0 < se < math.inf:
+        raise ValueError("se must be positive and finite")
+    return [_endpoint_search(param, direction, mle, se, target, fit_result.obs_loglik)
+            for direction in (+1, -1)]
 
 
 def profile_ci(
@@ -216,75 +386,45 @@ def profile_ci(
     infinity.  An endpoint not bracketed within 2048 profile standard
     errors -- or, for the prevalence, within the admissible range -- is
     returned at that limit with its open flag set.
+
+    The two endpoint searches run in lockstep (:func:`_run_searches`): each
+    round refits both of their next points as two lanes of one stacked EM.
     """
-    if param not in ("beta1", "beta2", "gamma", "pi"):
-        raise ValueError(f"unknown parameter: {param}")
-    mle = _param_estimate(fit_result, param)
-    target = float(stats.chi2.ppf(1.0 - config.alpha, 1))
-    root_target = math.sqrt(target)
-    if se is None:
-        if param == "pi":
-            se = math.sqrt(max(mle * (1 - mle), 1e-4) / len(data))
-        else:
-            info = fd_profile_information(
-                data, diag, ("beta1", "beta2", "gamma"), fit_result=fit_result,
-            )
-            se = math.sqrt(np.linalg.inv(info)[_PARAM_INDEX[param],
-                                               _PARAM_INDEX[param]])
-    elif not 0 < se < math.inf:
-        raise ValueError("se must be positive and finite")
+    intervals, _ = _profile(data, diag, {param: se}, config, fit_result=fit_result,
+                            em_config=em_config)
+    return intervals[param]
 
-    def lam_at(value: float) -> float:
-        try:
-            ll = profile_loglik(data, diag, {param: value}, em_config=em_config,
-                                warm=fit_result)
-        except (SeparationError, DegenerateDataError):
-            # the constrained fit degenerates this far out; certainly
-            # outside the confidence region
-            return math.inf
-        return 2.0 * (fit_result.obs_loglik - ll)
 
-    def solve(direction: int) -> tuple[float, bool]:
-        if param == "pi":
-            bound = 1.0 - em.PREVALENCE_FLOOR if direction > 0 else em.PREVALENCE_FLOOR
-        else:
-            bound = mle + direction * _MAX_REACH_SE * se
-        reach = abs(bound - mle)
+def _profile(
+    data: Dataset,
+    diag: DiagnosticModel,
+    ses: Mapping[str, float | None],
+    config: InferenceConfig = InferenceConfig(),
+    *,
+    fit_result: em.FitResult,
+    em_config: em.EmConfig,
+    tests: Mapping[str, float] | None = None,
+) -> tuple[dict[str, Interval], dict[str, tuple[float, float]]]:
+    """The profile interval of each parameter of ``ses`` (:func:`profile_ci`
+    with that standard error) and the likelihood-ratio test of each
+    ``param == null_value`` of ``tests`` (:func:`lr_test`).
 
-        def at(x: float) -> float:
-            return bound if x >= reach else mle + direction * x
-
-        x_in, x_out = 0.0, math.inf  # g(x_in) < 0 <= g(x_out)
-        x_prev, g_prev = 0.0, -root_target
-        step_last = step_before = math.inf
-        x = min(root_target * se, reach)
-        while True:
-            lam = lam_at(at(x))
-            if abs(lam - target) < _LR_TOL:
-                return at(x), False
-            g = math.sqrt(max(lam, 0.0)) - root_target
-            if g < 0:
-                x_in = x
-            else:
-                x_out = x  # also an infinite or undefined statistic
-            if x_out - x_in < _CI_TOL:
-                return at(0.5 * (x_in + x_out)), False
-            cand = _secant_step(x_prev, g_prev, x, g)
-            x_prev, g_prev = x, g
-            if math.isinf(x_out):
-                if x >= reach:
-                    return bound, True
-                x_new = min(cand if cand > x else 2.0 * x, 2.0 * x, reach)
-            elif x_in < cand < x_out and abs(cand - x) < 0.5 * step_before:
-                x_new = cand
-            else:
-                x_new = 0.5 * (x_in + x_out)
-            step_before, step_last = step_last, abs(x_new - x)
-            x = x_new
-
-    high, open_high = solve(+1)
-    low, open_low = solve(-1)
-    return Interval(low, high, open_low=open_low, open_high=open_high)
+    All of their searches run in lockstep (:func:`_run_searches`).  For the
+    report of ``mixcox fit`` -- eight endpoint searches and three tests --
+    that is four stacked refits instead of thirty refits one after another.
+    """
+    tests = tests or {}
+    searches = []
+    for param, se in ses.items():
+        searches += _interval_searches(data, diag, param, config, fit_result, se)
+    searches += [_lr_null(fit_result, param, value) for param, value in tests.items()]
+    results = _run_searches(data, diag, searches, fit_result=fit_result,
+                            em_config=em_config)
+    intervals = {}
+    for k, param in enumerate(ses):
+        (high, open_high), (low, open_low) = results[2 * k:2 * k + 2]
+        intervals[param] = Interval(low, high, open_low=open_low, open_high=open_high)
+    return intervals, dict(zip(tests, results[2 * len(ses):]))
 
 
 def _secant_step(x0: float, g0: float, x1: float, g1: float) -> float:
@@ -499,8 +639,8 @@ def simultaneous_scale(rho: float, alpha: float) -> float:
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     target = 1.0 - alpha
-    lo = float(stats.norm.ppf(1.0 - alpha / 2)) - 1e-9
-    hi = float(stats.norm.ppf(0.5 * (1.0 + math.sqrt(target)))) + 1e-6
+    lo = float(ndtri(1.0 - alpha / 2)) - 1e-9
+    hi = float(ndtri(0.5 * (1.0 + math.sqrt(target)))) + 1e-6
     return optimize.brentq(lambda xi: bvn_rect_prob(xi, rho) - target, lo, hi,
                            xtol=_BVN_XTOL)
 
@@ -673,8 +813,8 @@ def _equicoordinate_scale_mvn(corr: np.ndarray, alpha: float) -> float:
     and with a 1024 x 1024 tensor grid to 3e-15 on the golden trial's.
     """
     target = 1.0 - alpha
-    lo = float(stats.norm.ppf(1.0 - alpha / 2)) - 1e-9
-    hi = float(stats.norm.ppf(0.5 * (1.0 + target ** (1.0 / 3.0)))) + 1e-6
+    lo = float(ndtri(1.0 - alpha / 2)) - 1e-9
+    hi = float(ndtri(0.5 * (1.0 + target ** (1.0 / 3.0)))) + 1e-6
     return optimize.brentq(lambda xi: _trivariate_box_prob(xi, corr) - target, lo, hi,
                            xtol=_TVN_XTOL)
 

@@ -27,9 +27,6 @@ __all__ = [
     "DiagnosticModel",
     "EffectParams",
     "BaselineHazard",
-    "ppv",
-    "npv",
-    "linear_predictor",
     "mixture_survival",
 ]
 
@@ -222,19 +219,19 @@ class BaselineHazard:
         return out if out.ndim else float(out)
 
 
-def ppv(diag: DiagnosticModel) -> float:
+def _ppv(diag: DiagnosticModel) -> float:
     """Positive predictive value: P(true positive | test positive)."""
     pi, se, sp = diag.prevalence, diag.sensitivity, diag.specificity
     return pi * se / (pi * se + (1 - pi) * (1 - sp))
 
 
-def npv(diag: DiagnosticModel) -> float:
+def _npv(diag: DiagnosticModel) -> float:
     """Negative predictive value: P(true negative | test negative)."""
     pi, se, sp = diag.prevalence, diag.sensitivity, diag.specificity
     return (1 - pi) * sp / (pi * (1 - se) + (1 - pi) * sp)
 
 
-def linear_predictor(theta: EffectParams, x, z):
+def _linear_predictor(theta: EffectParams, x, z):
     """Log relative hazard ``beta1*x + beta2*z + gamma*x*z``."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -258,16 +255,16 @@ def mixture_survival(
     1 - NPV or the prevalence, respectively.  Computed on the log scale.
     """
     if group == 1:
-        w = ppv(diag)
+        w = _ppv(diag)
     elif group == 0:
-        w = 1.0 - npv(diag)
+        w = 1.0 - _npv(diag)
     elif group is None:
         w = diag.prevalence
     else:
         raise DatasetError(f"group must be 0, 1 or None, got {group}")
     h0t = baseline.cumulative(t)
-    log_s1 = -h0t * np.exp(linear_predictor(theta, x, 1))
-    log_s0 = -h0t * np.exp(linear_predictor(theta, x, 0))
+    log_s1 = -h0t * np.exp(_linear_predictor(theta, x, 1))
+    log_s0 = -h0t * np.exp(_linear_predictor(theta, x, 0))
     if w == 1.0:
         return float(np.exp(log_s1))
     if w == 0.0:

@@ -15,7 +15,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import em, inference
 from .errors import DatasetError, MixcoxError
@@ -25,7 +24,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioSummary",
     "RngStream",
-    "draw_survival_time",
     "generate_trial",
     "run_scenario",
     "emit_table",
@@ -94,7 +92,7 @@ class RngStream:
         return np.random.default_rng(np.random.SeedSequence((self.seed, self.counter)))
 
 
-def draw_survival_time(u, eta):
+def _draw_survival_time(u, eta):
     """Invert the Weibull survivor function: the time with survival
     probability ``u`` given log relative hazard ``eta``."""
     u = np.asarray(u, dtype=float)
@@ -125,7 +123,7 @@ def _draw_trial(config: ScenarioConfig, rng: np.random.Generator):
             start = 1 - start
     theta = config.theta_true
     eta = theta.beta1 * x + theta.beta2 * z + theta.gamma * x * z
-    t_latent = draw_survival_time(rng.random(n), eta)
+    t_latent = _draw_survival_time(rng.random(n), eta)
     censor = rng.uniform(config.censor_low, config.censor_high, n)
     time = np.minimum(t_latent, censor)
     event = (t_latent <= censor).astype(np.int8)
@@ -159,7 +157,7 @@ def _replicate(config: ScenarioConfig, rep: int):
         covered = report.interval_pos.contains(truth.beta1 + truth.gamma) \
             and report.interval_neg.contains(truth.beta1)
         lam, _ = inference.lr_test(data, diag, "gamma", 0.0, fit_result=res)
-        reject = lam > stats.chi2.ppf(1.0 - config.alpha, 1)
+        reject = lam > inference._chi2_quantile(1.0 - config.alpha)
         return res.theta_hat.as_array(), covered, reject, True
     except (MixcoxError, DatasetError):
         return np.full(3, np.nan), False, False, False

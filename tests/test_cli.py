@@ -24,6 +24,18 @@ def write(tmp_path, text, name="data.csv"):
     return p
 
 
+def replace_intervals(monkeypatch, interval_of):
+    """Make ``mixcox fit`` report ``interval_of(param)`` as each profile
+    interval; the likelihood-ratio tests still run."""
+    real = inference._profile
+
+    def replaced(*args, **kwargs):
+        intervals, tests = real(*args, **kwargs)
+        return {param: interval_of(param) for param in intervals}, tests
+
+    monkeypatch.setattr(inference, "_profile", replaced)
+
+
 GOOD = """time,event,treatment,biomarker_test
 1.5,1,0,1
 2.0,0,1,0
@@ -141,11 +153,8 @@ class TestRunFit:
         data = sim_dataset(35, n_per_arm=40, sens=1.0, spec=1.0)
         p = tmp_path / "d.csv"
         write_dataset(data, p)
-        monkeypatch.setattr(
-            inference, "profile_ci",
-            lambda data, diag, param, *args, **kwargs: inference.Interval(
-                -50.0, 50.0, open_high=param == "gamma"),
-        )
+        replace_intervals(monkeypatch, lambda param: inference.Interval(
+            -50.0, 50.0, open_high=param == "gamma"))
         assert main(["fit", str(p), "--sens", "1", "--spec", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
         marked = [line for line in lines if ") *" in line]
@@ -211,8 +220,7 @@ class TestExitCodes:
         data = sim_dataset(35, n_per_arm=40, sens=1.0, spec=1.0)
         p = tmp_path / "d.csv"
         write_dataset(data, p)
-        monkeypatch.setattr(inference, "profile_ci",
-                            lambda *args, **kwargs: inference.Interval(1e6, 2e6))
+        replace_intervals(monkeypatch, lambda param: inference.Interval(1e6, 2e6))
         assert main(["fit", str(p), "--sens", "1", "--spec", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: estimation failed: ")

@@ -47,7 +47,7 @@ def m_step(data, w, free_mask=(True, True, True)):
     free = np.array(free_mask)
     beta = np.zeros(3)
     for _ in range(50):
-        new, inc = em._m_step(ws, w, beta, free)
+        new, inc, _ = em._m_step(ws, w, beta, free)
         done = np.max(np.abs(new - beta)) < 1e-12
         beta = new
         if done:
@@ -189,7 +189,7 @@ def plain_em(data, d, state, free):
     trace = []
     ll_prev = -np.inf
     for _ in range(EmConfig().max_iter):
-        theta, inc = em._m_step(ws, w, theta, free)
+        theta, inc, _ = em._m_step(ws, w, theta, free)
         if not d.prevalence_known:
             pi = em._update_prevalence(w)
         ll, w = em._e_pass(ws, (theta, inc, pi), d)
@@ -272,14 +272,16 @@ class TestAcceleratedRefit:
     def test_failed_jumps_are_rejected(self, monkeypatch, failure):
         # every map from an extrapolated point fails: the accepted
         # sequence is then plain EM from the start, cold or warm, and each
-        # rejected jump still counts as an iteration
+        # rejected jump still counts as an iteration.  A failed map
+        # reports its lane's exception by lane index; a map from a jump
+        # whose hazard increment underflowed must not run at all
         unpack, em_map, sqs3_point = em._unpack, em._em_map, em._sqs3_point
         jumps, plain_lls = [], []
 
         def underflowing_point(*args):
             # the first log hazard increment so low that exp gives 0.0
             point = sqs3_point(*args)
-            point[3] = -1e4
+            point[..., 3] = -1e4
             return point
 
         def marked_unpack(*args):
@@ -293,10 +295,10 @@ class TestAcceleratedRefit:
                 return out
             if failure == "hazard_underflow":
                 raise AssertionError("a map ran from a zero hazard increment")
+            new, w_new, ll, errors = em_map(ws, d, free, state, w)
             if failure == "separation":
-                raise SeparationError("forced")
-            out = em_map(ws, d, free, state, w)
-            return out[0], out[1], plain_lls[-1] - 1e-6
+                return new, w_new, ll, {0: SeparationError("forced")}
+            return new, w_new, plain_lls[-1] - 1e-6, errors
 
         monkeypatch.setattr(em, "_unpack", marked_unpack)
         monkeypatch.setattr(em, "_em_map", failing_map)
@@ -554,3 +556,76 @@ class TestProperties:
         except (SeparationError, DegenerateDataError):
             return
         assert res.obs_loglik >= trace[-1] - 1e-8
+
+
+def stack_lanes(d, center, pi_known):
+    """Lanes of one stack around the fit ``center``: two with pinned
+    coefficients, one with the prevalence known at ``pi_known``, the
+    gamma = 0 null, and last one pinned far enough out to separate on the
+    golden trial."""
+    known = DiagnosticModel(d.sensitivity, d.specificity, pi_known,
+                            prevalence_known=True)
+    return [(d, {"beta1": center[0] + 0.1}),
+            (d, {"beta2": center[1] - 0.2, "gamma": center[2] + 0.1}),
+            (known, {}),
+            (d, {"gamma": 0.0}),
+            (d, {"beta1": -20.0})]
+
+
+def assert_same_lanes(got, want):
+    """Each lane bitwise equal: loglik, trace, theta, baseline, weights and
+    map count, or the same exception."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, Exception):
+            assert type(a) is type(b) and a.args == b.args
+            continue
+        assert a.obs_loglik == b.obs_loglik
+        assert a.iterations == b.iterations and a.converged == b.converged
+        assert a.pi_hat == b.pi_hat
+        for x, y in ((a.theta_hat.as_array(), b.theta_hat.as_array()),
+                     (a.loglik_trace, b.loglik_trace),
+                     (a.baseline.increments, b.baseline.increments),
+                     (a.weights, b.weights)):
+            assert np.array_equal(x, y)
+
+
+class TestLockstepLanes:
+    """Refits stacked as lanes of one EM match their one-lane refits bit
+    for bit: every reduction of the kernels runs along a lane's own axis
+    (a pairwise sum along the last axis, ``np.vecdot`` or a batched matrix
+    product per lane), so none needs a tolerance."""
+
+    def test_golden_stack(self):
+        data = parse_dataset(Path(__file__).parent / "data" / "golden_trial.csv")
+        d = diag(0.9, 0.85, 0.5, known=False)
+        base = fit(data, d)
+        lanes = stack_lanes(d, base.theta_hat.as_array(), 0.3)
+        stacked = em._fit_lanes(data, lanes, warm=base)
+        assert isinstance(stacked[-1], SeparationError)
+        assert all(isinstance(r, em.FitResult) and r.converged for r in stacked[:-1])
+        assert_same_lanes(stacked, [em._fit_lanes(data, [lane], warm=base)[0]
+                                    for lane in lanes])
+        # the separating lane's exit leaves the others as they were
+        assert_same_lanes(em._fit_lanes(data, lanes[:-1], warm=base), stacked[:-1])
+        # a lane with the prevalence known holds it exactly: it is never
+        # round-tripped through its logit
+        assert stacked[2].pi_hat == 0.3
+        # fit() is the stack of one lane
+        d_known = lanes[2][0]
+        assert_same_lanes([fit(data, d_known, warm=base)], [stacked[2]])
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_trials(), accuracies, accuracies, st.floats(0.1, 0.9), st.booleans())
+    def test_lanes_match_one_lane_refits(self, data, sens, spec, pi, cold):
+        d = diag(sens, spec, pi, known=False)
+        try:
+            base = fit(data, d)
+        except (SeparationError, DegenerateDataError):
+            return
+        lanes = stack_lanes(d, base.theta_hat.as_array(), pi)
+        warm = None if cold else base
+        stacked = em._fit_lanes(data, lanes, warm=warm)
+        assert_same_lanes(stacked, [em._fit_lanes(data, [lane], warm=warm)[0]
+                                    for lane in lanes])
+        assert_same_lanes(em._fit_lanes(data, lanes[:-1], warm=warm), stacked[:-1])

@@ -15,6 +15,7 @@ from mixcox import (
     DegenerateDataError,
     DiagnosticModel,
     EffectParams,
+    MixcoxError,
     SeparationError,
     bvn_rect_prob,
     concordance_prob,
@@ -120,18 +121,26 @@ class TestProfileCi:
 
 
 def _fake_profile(monkeypatch, res, param, lam_of_distance):
-    """Replace ``inference.profile_loglik`` by a profile whose LR statistic
-    is ``lam_of_distance(value - estimate)``; returns the estimate and the
-    list of values the profile is evaluated at."""
+    """Replace the profile searches' evaluation seam
+    (``inference._profile_logliks``) by a profile whose LR statistic is
+    ``lam_of_distance(value - estimate)``; a lane whose statistic raises
+    ends with that exception.  Returns the estimate and the list of values
+    the profile is evaluated at."""
     mle = res.pi_hat if param == "pi" else getattr(res.theta_hat, param)
     calls = []
 
-    def fake(data, diag, fixed, **kwargs):
-        (value,) = fixed.values()
-        calls.append(value)
-        return res.obs_loglik - 0.5 * lam_of_distance(value - mle)
+    def fake(data, diag, pins, **kwargs):
+        values = []
+        for fixed in pins:
+            (value,) = fixed.values()
+            calls.append(value)
+            try:
+                values.append(res.obs_loglik - 0.5 * lam_of_distance(value - mle))
+            except MixcoxError as exc:
+                values.append(exc)
+        return values
 
-    monkeypatch.setattr(inference, "profile_loglik", fake)
+    monkeypatch.setattr(inference, "_profile_logliks", fake)
     return mle, calls
 
 
@@ -180,6 +189,103 @@ class TestProfileCiOpenEndpoints:
 CHI2_95 = float(stats.chi2.ppf(0.95, 1))
 
 
+# asymmetric fake profiles, one per parameter: a statistic that rises
+# faster on one side, one that flattens out (an open endpoint) and one
+# whose refits separate beyond a distance
+FAKE_PROFILES = {
+    "beta1": lambda d: (d / 0.2) ** 2 * (1.0 + 0.8 * d),
+    "beta2": lambda d: 1.0 - math.exp(-abs(d)),
+    "gamma": lambda d: _raise(SeparationError("diverges")) if abs(d) > 1.5
+    else (d / 0.25) ** 2,
+    "pi": lambda d: (d / 0.05) ** 2 * (1.0 - 2.0 * d),
+}
+FAKE_SES = {"beta1": 0.3, "beta2": 0.1, "gamma": 1.0, "pi": None}
+
+
+def _raise(exc):
+    raise exc
+
+
+def _fake_profiles(monkeypatch, res, rounds):
+    """Replace the evaluation seam by FAKE_PROFILES; each call appends its
+    list of pinned values to ``rounds``."""
+    def fake(data, diag, pins, **kwargs):
+        rounds.append([dict(fixed) for fixed in pins])
+        values = []
+        for fixed in pins:
+            ((param, value),) = fixed.items()
+            mle = res.pi_hat if param == "pi" else getattr(res.theta_hat, param)
+            try:
+                values.append(res.obs_loglik - 0.5 * FAKE_PROFILES[param](value - mle))
+            except MixcoxError as exc:
+                values.append(exc)
+        return values
+
+    monkeypatch.setattr(inference, "_profile_logliks", fake)
+
+
+def _logged(search, points):
+    """``search``, appending each point it yields to ``points``."""
+    point = next(search)
+    while True:
+        points.append(point)
+        try:
+            point = search.send((yield point))
+        except StopIteration as stop:
+            return stop.value
+
+
+class TestLockstepSearches:
+    def test_each_search_follows_its_own_sequence(self, fitted, monkeypatch):
+        # every search of a lockstep run evaluates exactly the values it
+        # evaluates alone, one point per round, all of a round's points in
+        # one evaluation
+        data, diag, res = fitted
+        cfg = inference.InferenceConfig()
+        rounds = []
+        _fake_profiles(monkeypatch, res, rounds)
+
+        def searches():
+            out = []
+            for param, se in FAKE_SES.items():
+                out += inference._interval_searches(data, diag, param, cfg, res, se)
+                if param != "pi":
+                    out.append(inference._lr_null(res, param, 0.0))
+            return out
+
+        alone = []
+        for search in searches():
+            alone.append([])
+            inference._run_searches(data, diag, [_logged(search, alone[-1])],
+                                    fit_result=res, em_config=em.EmConfig())
+        rounds.clear()
+        together = [[] for _ in alone]
+        results = inference._run_searches(
+            data, diag, [_logged(search, log) for search, log in zip(searches(), together)],
+            fit_result=res, em_config=em.EmConfig())
+        assert together == alone
+        gamma_hat = res.theta_hat.gamma
+        assert any(abs(point["gamma"] - gamma_hat) > 1.5
+                   for log in together for point in log if "gamma" in point)
+        assert len(rounds) == max(map(len, alone)) >= 3
+        for k, pins in enumerate(rounds):
+            assert pins == [log[k] for log in together if len(log) > k]
+        # the separating refits are bracketed and the flat side stays open
+        nulls = {param: 0.0 for param in FAKE_SES if param != "pi"}
+        intervals, tests = inference._profile(
+            data, diag, FAKE_SES, cfg, fit_result=res, em_config=em.EmConfig(),
+            tests=nulls)
+        assert intervals["beta2"].open_low and intervals["beta2"].open_high
+        assert not (intervals["gamma"].open_low or intervals["gamma"].open_high)
+        # and the combined run gives each interval and test alone
+        for param, se in FAKE_SES.items():
+            assert intervals[param] == profile_ci(data, diag, param, cfg,
+                                                  fit_result=res, se=se)
+        for param, value in nulls.items():
+            assert tests[param] == lr_test(data, diag, param, value, fit_result=res)
+        assert len(results) == len(alone)
+
+
 def _lr_at(data, diag, res, param, value):
     return 2.0 * (res.obs_loglik - profile_loglik(data, diag, {param: value}, warm=res))
 
@@ -194,12 +300,13 @@ class TestProfileCiSolve:
         )
         ses = np.sqrt(np.diag(np.linalg.inv(info)))
         calls = []
+        evaluate = inference._profile_logliks
 
-        def counting(*args, **kwargs):
-            calls.append(args[2])
-            return profile_loglik(*args, **kwargs)
+        def counting(data, diag, pins, **kwargs):
+            calls.extend(pins)
+            return evaluate(data, diag, pins, **kwargs)
 
-        monkeypatch.setattr(inference, "profile_loglik", counting)
+        monkeypatch.setattr(inference, "_profile_logliks", counting)
         cis = {
             name: profile_ci(data, diag, name, fit_result=res, se=float(ses[i]))
             for i, name in enumerate(("beta1", "beta2", "gamma"))

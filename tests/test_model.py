@@ -9,11 +9,9 @@ from mixcox import (
     DatasetError,
     DiagnosticModel,
     EffectParams,
-    linear_predictor,
     mixture_survival,
-    npv,
-    ppv,
 )
+from mixcox.model import _linear_predictor, _npv, _ppv
 
 
 # columns (time, event, treatment, test) of a valid three-subject trial;
@@ -93,27 +91,27 @@ class TestTypes:
 
 class TestPredictiveValues:
     def test_ppv_hand_values(self):
-        assert ppv(DiagnosticModel(0.8, 0.8, 0.3)) == pytest.approx(0.24 / 0.38, abs=1e-12)
-        assert ppv(DiagnosticModel(0.95, 0.90, 0.47)) == pytest.approx(
+        assert _ppv(DiagnosticModel(0.8, 0.8, 0.3)) == pytest.approx(0.24 / 0.38, abs=1e-12)
+        assert _ppv(DiagnosticModel(0.95, 0.90, 0.47)) == pytest.approx(
             0.4465 / 0.4995, abs=1e-12
         )
 
     def test_npv_hand_values(self):
-        assert npv(DiagnosticModel(0.8, 0.8, 0.3)) == pytest.approx(0.56 / 0.62, abs=1e-12)
-        assert npv(DiagnosticModel(0.95, 0.90, 0.47)) == pytest.approx(
+        assert _npv(DiagnosticModel(0.8, 0.8, 0.3)) == pytest.approx(0.56 / 0.62, abs=1e-12)
+        assert _npv(DiagnosticModel(0.95, 0.90, 0.47)) == pytest.approx(
             0.477 / 0.5005, abs=1e-12
         )
 
     @pytest.mark.parametrize("pi", [0.05, 0.3, 0.7, 0.95])
     def test_perfect_test(self, pi):
         diag = DiagnosticModel(1.0, 1.0, pi)
-        assert ppv(diag) == 1.0
-        assert npv(diag) == 1.0
+        assert _ppv(diag) == 1.0
+        assert _npv(diag) == 1.0
 
     def test_monotone_in_prevalence(self):
         grid = np.linspace(0.01, 0.99, 50)
-        ppvs = [ppv(DiagnosticModel(0.9, 0.85, p)) for p in grid]
-        npvs = [npv(DiagnosticModel(0.9, 0.85, p)) for p in grid]
+        ppvs = [_ppv(DiagnosticModel(0.9, 0.85, p)) for p in grid]
+        npvs = [_npv(DiagnosticModel(0.9, 0.85, p)) for p in grid]
         assert np.all(np.diff(ppvs) > 0)
         assert np.all(np.diff(npvs) < 0)
         assert all(0 < v <= 1 for v in ppvs + npvs)
@@ -121,18 +119,18 @@ class TestPredictiveValues:
 
 class TestLinearPredictor:
     def test_zero_effects(self):
-        assert linear_predictor(EffectParams(0, 0, 0), 1, 1) == 0.0
+        assert _linear_predictor(EffectParams(0, 0, 0), 1, 1) == 0.0
 
     def test_scenario_sum(self):
         theta = EffectParams(-0.5, 0.1, 0.3)
-        assert linear_predictor(theta, 1, 1) == pytest.approx(-0.1)
+        assert _linear_predictor(theta, 1, 1) == pytest.approx(-0.1)
         # treated biomarker-negative: hazard ratio exp(-0.5) ~ 0.61
-        assert linear_predictor(theta, 1, 0) == pytest.approx(-0.5)
+        assert _linear_predictor(theta, 1, 0) == pytest.approx(-0.5)
         assert math.exp(-0.5) == pytest.approx(0.61, abs=0.005)
 
     def test_vectorized(self):
         theta = EffectParams(1.0, 2.0, 4.0)
-        out = linear_predictor(theta, np.array([0, 1, 1]), np.array([1, 0, 1]))
+        out = _linear_predictor(theta, np.array([0, 1, 1]), np.array([1, 0, 1]))
         assert np.allclose(out, [2.0, 1.0, 7.0])
 
 
@@ -169,8 +167,8 @@ class TestMixtureSurvival:
         assert np.all(np.diff(vals) <= 1e-15)
         for t, v in zip(ts, vals):
             h0t = self.baseline.cumulative(t)
-            s1 = math.exp(-h0t * math.exp(linear_predictor(self.theta, 1, 1)))
-            s0 = math.exp(-h0t * math.exp(linear_predictor(self.theta, 1, 0)))
+            s1 = math.exp(-h0t * math.exp(_linear_predictor(self.theta, 1, 1)))
+            s0 = math.exp(-h0t * math.exp(_linear_predictor(self.theta, 1, 0)))
             assert min(s0, s1) - 1e-12 <= v <= max(s0, s1) + 1e-12
         assert mixture_survival(1e-12, 1, 0, self.theta, self.baseline, self.diag) == (
             pytest.approx(1.0, abs=1e-9)

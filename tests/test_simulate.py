@@ -8,12 +8,11 @@ from mixcox import (
     EffectParams,
     RngStream,
     ScenarioConfig,
-    draw_survival_time,
     emit_table,
     generate_trial,
     run_scenario,
 )
-from mixcox.simulate import _draw_trial
+from mixcox.simulate import _draw_survival_time, _draw_trial
 
 
 def scenario(**kw):
@@ -28,18 +27,18 @@ def scenario(**kw):
 class TestDrawSurvivalTime:
     def test_unit_cumulative_hazard_point(self):
         # survival exp(-1) at t=10 under the null linear predictor
-        assert draw_survival_time(math.exp(-1), 0.0) == pytest.approx(10.0, rel=1e-12)
+        assert _draw_survival_time(math.exp(-1), 0.0) == pytest.approx(10.0, rel=1e-12)
 
     def test_hand_value_with_effect(self):
         expected = 10.0 * 0.5 ** 1.25
-        assert draw_survival_time(math.exp(-1), math.log(2)) == pytest.approx(
+        assert _draw_survival_time(math.exp(-1), math.log(2)) == pytest.approx(
             expected, rel=1e-12
         )
         assert expected == pytest.approx(4.2045, abs=1e-4)
 
     def test_distribution_matches_target(self):
         rng = np.random.default_rng(77)
-        draws = draw_survival_time(rng.random(100_000), 0.0)
+        draws = _draw_survival_time(rng.random(100_000), 0.0)
         ks = stats.kstest(draws, lambda t: 1 - np.exp(-((0.1 * t) ** 0.8)))
         assert ks.statistic < 0.01
 
