@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,12 @@ class _ConvergenceFailure(Exception):
 
 @dataclass(frozen=True)
 class AnalysisRequest:
-    """Validated inputs of the ``fit`` subcommand."""
+    """Validated inputs of the ``fit`` subcommand.
+
+    Construction builds the diagnostic model and the EM and inference
+    configurations from the inputs, so their own checks validate the
+    request before the dataset is read.
+    """
 
     dataset_path: str
     sensitivity: float
@@ -61,20 +66,21 @@ class AnalysisRequest:
     alpha: float = 0.05
     output_format: str = "text"
     em_max_iter: int = 2000
+    diag: DiagnosticModel = field(init=False, repr=False)
+    em_config: em.EmConfig = field(init=False, repr=False)
+    inference_config: inference.InferenceConfig = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (0 < self.sensitivity <= 1 and 0 < self.specificity <= 1):
-            raise DatasetError("sensitivity and specificity must be in (0, 1]")
-        if not self.sensitivity + self.specificity > 1:
-            raise DatasetError("sensitivity + specificity must exceed 1")
-        if self.prevalence is not None and not 0 < self.prevalence < 1:
-            raise DatasetError("prevalence must be in (0, 1)")
-        if not 0 < self.alpha < 1:
-            raise DatasetError("alpha must be in (0, 1)")
-        if self.em_max_iter < 1:
-            raise DatasetError("max-em-iter must be at least 1")
         if self.output_format not in ("text", "structured"):
             raise DatasetError("format must be 'text' or 'structured'")
+        estimated = self.prevalence is None
+        diag = DiagnosticModel(self.sensitivity, self.specificity,
+                               0.5 if estimated else self.prevalence,
+                               prevalence_known=not estimated)
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "em_config", em.EmConfig(max_iter=self.em_max_iter))
+        object.__setattr__(self, "inference_config",
+                           inference.InferenceConfig(alpha=self.alpha))
 
 
 @dataclass
@@ -275,15 +281,8 @@ def write_dataset(data: Dataset, path) -> None:
 def run_fit(request: AnalysisRequest) -> AnalysisReport:
     """Fit, build all intervals and tests, and assemble the report."""
     data = parse_dataset(request.dataset_path)
-    estimated = request.prevalence is None
-    diag = DiagnosticModel(
-        request.sensitivity,
-        request.specificity,
-        0.5 if estimated else request.prevalence,
-        prevalence_known=not estimated,
-    )
-    em_cfg = em.EmConfig(max_iter=request.em_max_iter)
-    icfg = inference.InferenceConfig(alpha=request.alpha)
+    diag, em_cfg, icfg = request.diag, request.em_config, request.inference_config
+    estimated = not diag.prevalence_known
     res = em.fit(data, diag, em_cfg)
     if not res.converged:
         raise _ConvergenceFailure(

@@ -41,8 +41,12 @@ structures of a dataset (:class:`_Workspace`) travel with the
 reuses them.
 
 The loop runs a stack of independent fits in lockstep (:func:`_fit_lanes`):
-K *lanes* on the same subjects, each with its own pinned coefficients
-and its own prevalence, known or estimated.  Every array of the state
+K *lanes* on the same subjects under one diagnostic model, each with its
+own pinned coefficients and, when the prevalence is estimated, either an
+estimated prevalence or one held at a profiled value.  A held prevalence
+stays in the joint likelihood the estimated one maximizes, the way a
+pinned coefficient stays in the partial likelihood, so a lane's
+log-likelihood is the profile log-likelihood.  Every array of the state
 carries a leading lane axis, and each EM map is one call of each kernel
 for the whole stack; :func:`fit` is the stack of one lane.  The profile
 refits of an analysis (:mod:`inference`) share one stack, so their maps
@@ -58,13 +62,14 @@ the arithmetic of the unstacked kernels.
 
 Every fit, cold or warm-started, is accelerated by SQUAREM (Varadhan &
 Roland 2008, Scand. J. Statist. 35:335) on the state vector (theta, log
-hazard increments, logit prevalence when it is estimated; a known
-prevalence is held in its lane and never passes through a logit).  Each
-cycle takes two EM maps x0 -> x1 -> x2, jumps to the SqS3 extrapolation
-x' and takes one EM map from x'.  That map is kept only if its observed
-log-likelihood is finite and not below the one at x2; a jump whose map
-separates, degenerates, overflows or underflows a hazard increment is
-rejected too, and the next cycle starts from x2.  The step length
+hazard increments, logit prevalence).  A known or held prevalence does
+not move, so the extrapolation leaves its logit alone, and the jump takes
+the value itself from the lane's state: it never passes through a logit.
+Each cycle takes two EM maps x0 -> x1 -> x2, jumps to the SqS3
+extrapolation x' and takes one EM map from x'.  That map is kept only if
+its observed log-likelihood is finite and not below the one at x2; a
+jump whose map separates, degenerates, overflows or underflows a hazard
+increment is rejected too, and the next cycle starts from x2.  The step length
 -|r|/|v| and the acceptance are per lane, and all lanes of a stack run
 their cycles in phase, since a rejected jump also starts a new cycle.
 The accepted log-likelihoods are therefore nondecreasing, and a pinned
@@ -119,7 +124,7 @@ class EmConfig:
 
     def __post_init__(self):
         if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+            raise DatasetError("max_iter must be at least 1")
 
 
 @dataclass
@@ -168,37 +173,6 @@ def _workspace(data: Dataset, res: "FitResult | None") -> _Workspace:
     return ws if ws is not None and ws.data is data else _Workspace(data)
 
 
-class _Lanes:
-    """The diagnostic models of a stack of lanes: the shared sensitivity
-    and specificity, and per lane whether the prevalence is known and its
-    known value (unused where it is estimated).  It has the attributes of
-    a :class:`DiagnosticModel` that :func:`_e_pass` reads, with the
-    per-lane ones as arrays, and ``any_known``: whether any lane's
-    prevalence is known."""
-
-    __slots__ = ("sensitivity", "specificity", "prevalence_known", "prevalence",
-                 "any_known")
-
-    def __init__(self, sensitivity, specificity, prevalence_known, prevalence):
-        self.sensitivity = sensitivity
-        self.specificity = specificity
-        self.prevalence_known = prevalence_known
-        self.prevalence = prevalence
-        self.any_known = bool(prevalence_known.any())
-
-    @classmethod
-    def of(cls, diags) -> "_Lanes":
-        se, sp = diags[0].sensitivity, diags[0].specificity
-        if any((d.sensitivity, d.specificity) != (se, sp) for d in diags):
-            raise ValueError("the lanes of a stack share sensitivity and specificity")
-        return cls(se, sp, np.array([d.prevalence_known for d in diags]),
-                   np.array([d.prevalence for d in diags], dtype=float))
-
-    def take(self, keep) -> "_Lanes":
-        return _Lanes(self.sensitivity, self.specificity,
-                      self.prevalence_known[keep], self.prevalence[keep])
-
-
 @functools.lru_cache(maxsize=16)
 def _test_probs(sensitivity: float, specificity: float):
     """(2, 3) table of P(test result | status): rows truly positive and
@@ -213,26 +187,21 @@ def _test_probs(sensitivity: float, specificity: float):
 def _log_priors(diag, pi) -> np.ndarray:
     """(..., 2, 3) table of prior log-weights per lane: rows truly positive
     and truly negative, columns the test results positive, negative and
-    missing.  ``diag`` is a DiagnosticModel or the :class:`_Lanes` of a
-    stack, ``pi`` the prevalence of each lane.
+    missing.  ``pi`` is the prevalence of each lane.
 
     With unknown prevalence the entries are the joint probabilities
-    P(status, test result) (``pi * sensitivity`` etc.); with known
-    prevalence the test result is conditioned on, so the tested columns
-    are divided by P(test result), which gives the predictive values.  An
-    untested subject has the prevalence either way.  A perfect test gives
-    zeros, whose logs are -inf.
+    P(status, test result) (``pi * sensitivity`` etc.), also in a lane
+    that holds the prevalence at a profiled value; with known prevalence
+    the test result is conditioned on, so the tested columns are divided
+    by P(test result), which gives the predictive values.  An untested
+    subject has the prevalence either way.  A perfect test gives zeros,
+    whose logs are -inf.
     """
     table, perfect = _test_probs(diag.sensitivity, diag.specificity)
     pi = np.asarray(pi, dtype=float)[..., None, None]
     probs = np.concatenate((pi, 1 - pi), axis=-2) * table
-    known = diag.prevalence_known
-    # a DiagnosticModel has one bool, the lanes of a stack say whether any
-    # of theirs is set
-    if getattr(diag, "any_known", known):
-        tested = probs[..., :2] / (probs[..., :1, :2] + probs[..., 1:, :2])
-        probs[..., :2] = np.where(np.asarray(known)[..., None, None], tested,
-                                  probs[..., :2])
+    if diag.prevalence_known:
+        probs[..., :2] /= probs[..., :1, :2] + probs[..., 1:, :2]
     if not perfect:
         return np.log(probs)
     with np.errstate(divide="ignore"):
@@ -310,7 +279,9 @@ def _m_step(ws, w, theta, free):
 
 def _initial_state(ws, diag, fixed):
     se, sp = diag.sensitivity, diag.specificity
-    if diag.prevalence_known:
+    if "pi" in fixed:
+        pi = fixed["pi"]
+    elif diag.prevalence_known:
         pi = diag.prevalence
     else:
         # method-of-moments inversion of the observed positive fraction
@@ -332,13 +303,14 @@ def _lane_mask(errors: dict, size: int) -> np.ndarray:
     return mask
 
 
-def _em_map(ws, diag, free, state, w):
+def _em_map(ws, diag, free, held, state, w):
     """One EM iteration of every lane from ``state`` = (theta, hazard
     increments, pi) whose posterior weights are ``w``: the generalized
-    M-step and, where the prevalence is estimated, its update.  Returns
-    the new state, its posterior weights (the next map's E-step), its
-    observed log-likelihood, both from one :func:`_e_pass`, and the failed
-    lanes' exceptions by lane index; a failed lane keeps its old state."""
+    M-step and the prevalence update, except in the lanes where the
+    boolean mask ``held`` is set.  Returns the new state, its posterior
+    weights (the next map's E-step), its observed log-likelihood, both
+    from one :func:`_e_pass`, and the failed lanes' exceptions by lane
+    index; a failed lane keeps its old state."""
     theta, inc, pi = state
     beta, inc_new, errors = _m_step(ws, w, theta, free)
     if not inc_new.min() > 0:
@@ -348,35 +320,26 @@ def _em_map(ws, diag, free, state, w):
         failed = _lane_mask(errors, theta.shape[0])[:, None]
         beta = np.where(failed, theta, beta)
         inc_new = np.where(failed, inc, inc_new)
-    if not diag.any_known:
-        pi = _update_prevalence(w)
-    elif not diag.prevalence_known.all():
-        pi = np.where(diag.prevalence_known, pi, _update_prevalence(w))
-    new = (beta, inc_new, pi)
+    new = (beta, inc_new, np.where(held, pi, _update_prevalence(w)))
     ll, w_new = _e_pass(ws, new, diag)
     return new, w_new, ll, errors
 
 
-def _pack(state, diag) -> np.ndarray:
+def _pack(state) -> np.ndarray:
     """The EM state of each lane as one vector: theta, the log hazard
-    increments and the logit prevalence where it is estimated (0.0 where
-    it is known, so the extrapolation leaves it alone)."""
+    increments and the logit prevalence."""
     theta, inc, pi = state
     x = np.empty(inc.shape[:-1] + (inc.shape[-1] + 4,))
     x[..., :3] = theta
     np.log(inc, out=x[..., 3:-1])
-    logit_pi = logit(pi)
-    x[..., -1] = np.where(diag.prevalence_known, 0.0, logit_pi) if diag.any_known \
-        else logit_pi
+    x[..., -1] = logit(pi)
     return x
 
 
-def _unpack(x, diag):
-    """Inverse of :func:`_pack`; a known prevalence is taken from ``diag``."""
-    pi = expit(x[..., -1])
-    if diag.any_known:
-        pi = np.where(diag.prevalence_known, diag.prevalence, pi)
-    return x[..., :3], np.exp(x[..., 3:-1]), pi
+def _unpack(x, held, pi):
+    """Inverse of :func:`_pack`; in the lanes where ``held`` is set the
+    prevalence is taken from ``pi``, not round-tripped through its logit."""
+    return x[..., :3], np.exp(x[..., 3:-1]), np.where(held, pi, expit(x[..., -1]))
 
 
 def _sqs3_point(x0, x1, x2):
@@ -404,7 +367,7 @@ def _select(kept, new, old):
     return np.where(kept.reshape(kept.shape + (1,) * (new.ndim - 1)), new, old)
 
 
-def _jump(ws, diag, free, state, w, w_next, cycle, ll_prev):
+def _jump(ws, diag, free, held, state, w, w_next, cycle, ll_prev):
     """The SQUAREM step of every lane from its cycle x0 -> x1 -> x2: the
     jump and one EM map from it, kept in the lanes where it is finite, no
     kernel failed and its log-likelihood is not below ``ll_prev``.
@@ -412,7 +375,7 @@ def _jump(ws, diag, free, state, w, w_next, cycle, ll_prev):
     log-likelihoods."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = _sqs3_point(*cycle)
-        jump = _unpack(x, diag)
+        jump = _unpack(x, held, state[2])
         inc = jump[1]
         # an overflowed jump, or a hazard increment that under- or
         # overflowed, is rejected without a map
@@ -423,7 +386,7 @@ def _jump(ws, diag, free, state, w, w_next, cycle, ll_prev):
                 return sane, state, w, w_next, ll_prev
             jump = _select(sane, jump, state)
         w_jump = _e_pass(ws, jump, diag)[1]
-        jumped, w_jumped, ll, errors = _em_map(ws, diag, free, jump, w_jump)
+        jumped, w_jumped, ll, errors = _em_map(ws, diag, free, held, jump, w_jump)
         kept = sane & np.isfinite(ll) & (ll >= ll_prev)
     if errors:
         kept &= ~_lane_mask(errors, kept.size)
@@ -435,58 +398,67 @@ def _jump(ws, diag, free, state, w, w_next, cycle, ll_prev):
             _select(kept, w_jumped, w_next), ll)
 
 
-def _fit_lanes(data: Dataset, lanes, config: EmConfig = EmConfig(),
-               warm: FitResult | None = None) -> list:
-    """Fit every lane of ``lanes``, a sequence of (diag, fixed) pairs that
-    share the sensitivity and specificity, in lockstep on ``data``.
+def _fit_lanes(data: Dataset, diag: DiagnosticModel, pins,
+               config: EmConfig = EmConfig(), warm: FitResult | None = None) -> list:
+    """Fit one lane per ``fixed`` mapping of ``pins`` in lockstep on
+    ``data``, all under the diagnostic model ``diag``.
 
     Each lane is the fit ``fit(data, diag, config, fixed=fixed,
     warm=warm)`` would return, and runs the same maps: SQUAREM cycles of
-    two EM maps, a jump and one map from it (see :func:`fit`).  Returns,
-    per lane, its FitResult or the exception that ended it.
+    two EM maps, a jump and one map from it (see :func:`fit`).  A lane
+    whose ``fixed`` names "pi" holds the prevalence at that value, in the
+    same joint likelihood the estimated prevalence maximizes: its
+    log-likelihood is the profile log-likelihood at that prevalence.
+    Returns, per lane, its FitResult or the exception that ended it.
     """
-    fixed = [dict(f) for _, f in lanes]
-    unknown = set().union(*fixed) - set(PARAM_NAMES)
+    fixed = [dict(f) for f in pins]
+    unknown = set().union(*fixed) - set(PARAM_NAMES) - {"pi"}
     if unknown:
         raise ValueError(f"unknown fixed parameter(s): {sorted(unknown)}")
+    pinned_pi = [f["pi"] for f in fixed if "pi" in f]
+    if pinned_pi and diag.prevalence_known:
+        raise ValueError("cannot hold pi fixed: the prevalence is already known")
+    if not all(0 < pi < 1 for pi in pinned_pi):
+        raise DatasetError("prevalence must be in (0, 1)")
+    # the lanes whose prevalence the EM leaves alone
+    held = np.array([diag.prevalence_known or "pi" in f for f in fixed])
     ws = _workspace(data, warm)
-    diag = _Lanes.of([d for d, _ in lanes])
     free = np.array([[name not in f for name in PARAM_NAMES] for f in fixed])
     if warm is not None:
         start = warm.theta_hat.as_array()
         theta = np.array([[f.get(name, start[i]) for i, name in enumerate(PARAM_NAMES)]
                           for f in fixed], dtype=float)
-        inc = np.repeat(warm.baseline.increments[None], len(lanes), axis=0)
-        pi = np.array([d.prevalence if d.prevalence_known else warm.pi_hat
-                       for d, _ in lanes])
+        inc = np.repeat(warm.baseline.increments[None], len(fixed), axis=0)
+        pi0 = diag.prevalence if diag.prevalence_known else warm.pi_hat
+        pi = np.array([f.get("pi", pi0) for f in fixed], dtype=float)
     else:
-        starts = [_initial_state(ws, d, f) for (d, _), f in zip(lanes, fixed)]
+        starts = [_initial_state(ws, diag, f) for f in fixed]
         theta, inc, pi = (np.array(part) for part in zip(*starts))
     state = (theta, inc, pi)
 
-    results: list = [None] * len(lanes)
-    traces: list[list[float]] = [[] for _ in lanes]
-    ids = list(range(len(lanes)))  # the lane of each row of the stack
-    ll_prev = [-np.inf] * len(lanes)
+    results: list = [None] * len(fixed)
+    traces: list[list[float]] = [[] for _ in fixed]
+    ids = list(range(len(fixed)))  # the lane of each row of the stack
+    ll_prev = [-np.inf] * len(fixed)
     it = 0
     w = None
     w_next = _e_pass(ws, state, diag)[1]
     # the packed states of the current SQUAREM cycle
-    cycle = [_pack(state, diag)]
+    cycle = [_pack(state)]
     while ids:
         it += 1
         if len(cycle) < 3:
             w = w_next
-            state, w_next, ll, errors = _em_map(ws, diag, free, state, w)
+            state, w_next, ll, errors = _em_map(ws, diag, free, held, state, w)
             kept = [k not in errors for k in range(len(ids))]
         else:
             # the next cycle starts from x2 in the lanes whose jump fails;
             # a failed jump ends no lane
-            kept, state, w, w_next, ll = _jump(ws, diag, free, state, w, w_next,
-                                               cycle, np.array(ll_prev))
+            kept, state, w, w_next, ll = _jump(ws, diag, free, held, state, w,
+                                               w_next, cycle, np.array(ll_prev))
             kept = kept.tolist()
             cycle, errors = [], {}
-        cycle.append(_pack(state, diag))
+        cycle.append(_pack(state))
         done = []
         for k, value in enumerate(ll.tolist()):
             converged = False
@@ -505,7 +477,7 @@ def _fit_lanes(data: Dataset, lanes, config: EmConfig = EmConfig(),
             keep[done] = False
             ids = [lane for k, lane in enumerate(ids) if keep[k]]
             ll_prev = [value for k, value in enumerate(ll_prev) if keep[k]]
-            free, diag = free[keep], diag.take(keep)
+            free, held = free[keep], held[keep]
             state = tuple(part[keep] for part in state)
             w, w_next = w[keep], w_next[keep]
             cycle = [x[keep] for x in cycle]
@@ -549,8 +521,11 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
         changes by less than TOL_LOGLIK.  An estimated prevalence is
         clipped to [PREVALENCE_FLOOR, 1 - PREVALENCE_FLOOR].
     fixed : mapping, optional
-        Coefficients to hold fixed by name ("beta1", "beta2", "gamma"):
-        they keep the given values while the M-step moves the others.
+        Parameters to hold fixed by name ("beta1", "beta2", "gamma", and
+        "pi" when the prevalence is estimated): they keep the given
+        values while the M-step moves the others.  A held prevalence
+        stays in the likelihood the estimated one maximizes, so
+        ``obs_loglik`` is the profile log-likelihood at that value.
         This is the profiling hook used by the confidence-interval
         machinery.
     warm : FitResult, optional
@@ -580,8 +555,11 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
         If a free coefficient runs away during a step (|beta| > 50), or
         ends the fit beyond 15 in absolute value: the likelihood appears
         monotone (infinite MLE).
+    ValueError
+        If ``fixed`` names an unknown parameter, or "pi" while
+        ``diag.prevalence_known`` is set.
     """
-    (res,) = _fit_lanes(data, [(diag, fixed or {})], config, warm)
+    (res,) = _fit_lanes(data, diag, [fixed or {}], config, warm)
     if isinstance(res, Exception):
         raise res
     return res

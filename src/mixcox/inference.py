@@ -32,7 +32,7 @@ from scipy import integrate, linalg, optimize
 from scipy.special import chdtrc, expit, gammaincinv, logit, ndtr, ndtri
 
 from . import em
-from .errors import ConditioningError, DegenerateDataError, SeparationError
+from .errors import ConditioningError, DatasetError, DegenerateDataError, SeparationError
 from .model import Dataset, DiagnosticModel, EffectParams
 
 __all__ = [
@@ -93,7 +93,7 @@ class InferenceConfig:
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
-            raise ValueError("alpha must be in (0, 1)")
+            raise DatasetError("alpha must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -142,16 +142,6 @@ def _chi2_quantile(p: float) -> float:
     return float(2.0 * gammaincinv(0.5, p))
 
 
-def _v_marginal_loglik(data: Dataset, diag: DiagnosticModel, pi: float) -> float:
-    """Log-probability of the observed test results under prevalence pi."""
-    se, sp = diag.sensitivity, diag.specificity
-    n_pos = int(np.sum(data.test == 1))
-    n_neg = int(np.sum(data.test == 0))
-    return n_pos * math.log(pi * se + (1 - pi) * (1 - sp)) + n_neg * math.log(
-        pi * (1 - se) + (1 - pi) * sp
-    )
-
-
 def _profile_logliks(
     data: Dataset,
     diag: DiagnosticModel,
@@ -163,32 +153,13 @@ def _profile_logliks(
     """The profile log-likelihood at each of ``pins`` (each a ``fixed`` of
     :func:`profile_loglik`), from one stacked refit of all of them
     (``em._fit_lanes``): a lane per pin, with its own pinned coefficients
-    and, for a pinned prevalence, the prevalence known at that value.
+    and, for a pinned prevalence, the prevalence held at that value.
     Each entry is the value, or the exception that ended its lane.
 
     This is the one place the profile searches evaluate the likelihood.
     """
-    lanes = []
-    for fixed in pins:
-        fixed = dict(fixed)
-        pi0 = fixed.pop("pi", None)
-        if pi0 is None:
-            lanes.append((diag, fixed))
-            continue
-        if diag.prevalence_known:
-            raise ValueError("cannot profile over pi: the prevalence is already fixed")
-        lanes.append((DiagnosticModel(diag.sensitivity, diag.specificity, pi0,
-                                      prevalence_known=True), fixed))
-    values = []
-    for fixed, res in zip(pins, em._fit_lanes(data, lanes, em_config, warm)):
-        if isinstance(res, Exception):
-            values.append(res)
-        elif "pi" in fixed:
-            # put the conditional-likelihood value back on the marginal scale
-            values.append(res.obs_loglik + _v_marginal_loglik(data, diag, fixed["pi"]))
-        else:
-            values.append(res.obs_loglik)
-    return values
+    return [res if isinstance(res, Exception) else res.obs_loglik
+            for res in em._fit_lanes(data, diag, pins, em_config, warm)]
 
 
 def profile_loglik(
@@ -204,9 +175,10 @@ def profile_loglik(
     ``fixed`` maps names among "beta1", "beta2", "gamma" (and "pi" when
     the prevalence is being estimated) to the values they are pinned at;
     everything else, including the baseline hazard, is profiled out by
-    rerunning the EM with the fixed coefficients held there.  Values are
-    on the scale of the full marginal likelihood, so they are directly
-    comparable with the unconstrained ``FitResult.obs_loglik``.
+    rerunning the EM with the fixed parameters held there (``em.fit``
+    with ``fixed``).  A held prevalence stays in the joint likelihood of
+    the unconstrained fit, so every value is directly comparable with its
+    ``FitResult.obs_loglik``.
     """
     (value,) = _profile_logliks(data, diag, [fixed], em_config=em_config, warm=warm)
     if isinstance(value, Exception):

@@ -6,11 +6,14 @@ quasi-Newton optimizer, and a dense numeric Hessian of the observed
 log-likelihood) so that agreement is meaningful.
 """
 
+import math
+
 import numpy as np
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit, logit
 
-from mixcox import Dataset, EffectParams, ScenarioConfig, em
+from mixcox import Dataset, DiagnosticModel, EffectParams, ScenarioConfig, em
 from mixcox.simulate import RngStream, generate_trial
 
 
@@ -61,6 +64,42 @@ def sim_dataset(seed, n_per_arm=100, theta=(-0.5, 0.1, 0.3), pi=0.3,
         n_per_arm=n_per_arm, replications=1, base_seed=seed,
     )
     return generate_trial(cfg, RngStream(seed, 0))
+
+
+@st.composite
+def small_trials(draw, missing_tests=True):
+    """Up to 30 subjects per arm, times on five tied values, random
+    censoring and (optionally) missing test results."""
+    n_arm = (draw(st.integers(2, 30)), draw(st.integers(2, 30)))
+    n = sum(n_arm)
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    time = np.array(column(st.integers(1, 5)), dtype=float)
+    event = np.array(column(st.integers(0, 1)))
+    event[0] = 1
+    test = column(st.sampled_from((0, 1, -1) if missing_tests else (0, 1)))
+    return Dataset(time, event, np.repeat([0, 1], n_arm), test)
+
+
+accuracies = st.floats(0.7, 1.0)
+
+
+def conditional_profile_loglik(data, diag, pi0, warm=None):
+    """Profile log-likelihood at prevalence ``pi0`` built from the
+    known-prevalence likelihood, which conditions on the test results:
+    the log-likelihood of a fit with the prevalence known at ``pi0``, plus
+    the test results' log-probability n_pos log P(+) + n_neg log P(-)
+    under ``pi0``.  At ``pi0`` the joint likelihood is that sum, and its
+    EM maps are the conditional ones."""
+    se, sp = diag.sensitivity, diag.specificity
+    known = DiagnosticModel(se, sp, pi0, prevalence_known=True)
+    res = em.fit(data, known, warm=warm)
+    n_pos = int(np.sum(data.test == 1))
+    n_neg = int(np.sum(data.test == 0))
+    return (res.obs_loglik + n_pos * math.log(pi0 * se + (1 - pi0) * (1 - sp))
+            + n_neg * math.log(pi0 * (1 - se) + (1 - pi0) * sp))
 
 
 def expanded_loglik(time, event, x, w, theta):

@@ -206,6 +206,10 @@ class TestExitCodes:
         assert main(["fit", str(p), "--sens", "1", "--spec", "1",
                      "--max-em-iter", "0"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        for flag, value in (("--alpha", "1.5"), ("--prev", "1.0")):
+            assert main(["fit", str(p), "--sens", "1", "--spec", "1",
+                         flag, value]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_convergence_failure(self, tmp_path, capsys):
         data = sim_dataset(36, n_per_arm=60, sens=0.8, spec=0.8)

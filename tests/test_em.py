@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import oracle_cox, sim_dataset
+from helpers import accuracies, oracle_cox, sim_dataset, small_trials
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -288,14 +288,14 @@ class TestAcceleratedRefit:
             jumps.append(unpack(*args))
             return jumps[-1]
 
-        def failing_map(ws, d, free, state, w):
+        def failing_map(ws, d, free, held, state, w):
             if not any(state is jump for jump in jumps):
-                out = em_map(ws, d, free, state, w)
+                out = em_map(ws, d, free, held, state, w)
                 plain_lls.append(out[2])
                 return out
             if failure == "hazard_underflow":
                 raise AssertionError("a map ran from a zero hazard increment")
-            new, w_new, ll, errors = em_map(ws, d, free, state, w)
+            new, w_new, ll, errors = em_map(ws, d, free, held, state, w)
             if failure == "separation":
                 return new, w_new, ll, {0: SeparationError("forced")}
             return new, w_new, plain_lls[-1] - 1e-6, errors
@@ -498,26 +498,6 @@ class TestWorkspaceCache:
         assert replace(res, _workspace=None) == res
 
 
-@st.composite
-def small_trials(draw, missing_tests=True):
-    """Up to 30 subjects per arm, times on five tied values, random
-    censoring and (optionally) missing test results."""
-    n_arm = (draw(st.integers(2, 30)), draw(st.integers(2, 30)))
-    n = sum(n_arm)
-
-    def column(elements):
-        return draw(st.lists(elements, min_size=n, max_size=n))
-
-    time = np.array(column(st.integers(1, 5)), dtype=float)
-    event = np.array(column(st.integers(0, 1)))
-    event[0] = 1
-    test = column(st.sampled_from((0, 1, -1) if missing_tests else (0, 1)))
-    return Dataset(time, event, np.repeat([0, 1], n_arm), test)
-
-
-accuracies = st.floats(0.7, 1.0)
-
-
 class TestProperties:
     @settings(max_examples=60)
     @given(small_trials(), accuracies, accuracies, st.floats(0.1, 0.9), st.booleans())
@@ -558,18 +538,16 @@ class TestProperties:
         assert res.obs_loglik >= trace[-1] - 1e-8
 
 
-def stack_lanes(d, center, pi_known):
+def stack_lanes(center, pi_held):
     """Lanes of one stack around the fit ``center``: two with pinned
-    coefficients, one with the prevalence known at ``pi_known``, the
+    coefficients, one with the prevalence held at ``pi_held``, the
     gamma = 0 null, and last one pinned far enough out to separate on the
     golden trial."""
-    known = DiagnosticModel(d.sensitivity, d.specificity, pi_known,
-                            prevalence_known=True)
-    return [(d, {"beta1": center[0] + 0.1}),
-            (d, {"beta2": center[1] - 0.2, "gamma": center[2] + 0.1}),
-            (known, {}),
-            (d, {"gamma": 0.0}),
-            (d, {"beta1": -20.0})]
+    return [{"beta1": center[0] + 0.1},
+            {"beta2": center[1] - 0.2, "gamma": center[2] + 0.1},
+            {"pi": pi_held},
+            {"gamma": 0.0},
+            {"beta1": -20.0}]
 
 
 def assert_same_lanes(got, want):
@@ -600,20 +578,19 @@ class TestLockstepLanes:
         data = parse_dataset(Path(__file__).parent / "data" / "golden_trial.csv")
         d = diag(0.9, 0.85, 0.5, known=False)
         base = fit(data, d)
-        lanes = stack_lanes(d, base.theta_hat.as_array(), 0.3)
-        stacked = em._fit_lanes(data, lanes, warm=base)
+        lanes = stack_lanes(base.theta_hat.as_array(), 0.3)
+        stacked = em._fit_lanes(data, d, lanes, warm=base)
         assert isinstance(stacked[-1], SeparationError)
         assert all(isinstance(r, em.FitResult) and r.converged for r in stacked[:-1])
-        assert_same_lanes(stacked, [em._fit_lanes(data, [lane], warm=base)[0]
+        assert_same_lanes(stacked, [em._fit_lanes(data, d, [lane], warm=base)[0]
                                     for lane in lanes])
         # the separating lane's exit leaves the others as they were
-        assert_same_lanes(em._fit_lanes(data, lanes[:-1], warm=base), stacked[:-1])
-        # a lane with the prevalence known holds it exactly: it is never
+        assert_same_lanes(em._fit_lanes(data, d, lanes[:-1], warm=base), stacked[:-1])
+        # a lane that holds the prevalence holds it exactly: it is never
         # round-tripped through its logit
         assert stacked[2].pi_hat == 0.3
         # fit() is the stack of one lane
-        d_known = lanes[2][0]
-        assert_same_lanes([fit(data, d_known, warm=base)], [stacked[2]])
+        assert_same_lanes([fit(data, d, fixed=lanes[2], warm=base)], [stacked[2]])
 
     @settings(max_examples=40, deadline=None)
     @given(small_trials(), accuracies, accuracies, st.floats(0.1, 0.9), st.booleans())
@@ -623,9 +600,9 @@ class TestLockstepLanes:
             base = fit(data, d)
         except (SeparationError, DegenerateDataError):
             return
-        lanes = stack_lanes(d, base.theta_hat.as_array(), pi)
+        lanes = stack_lanes(base.theta_hat.as_array(), pi)
         warm = None if cold else base
-        stacked = em._fit_lanes(data, lanes, warm=warm)
-        assert_same_lanes(stacked, [em._fit_lanes(data, [lane], warm=warm)[0]
+        stacked = em._fit_lanes(data, d, lanes, warm=warm)
+        assert_same_lanes(stacked, [em._fit_lanes(data, d, [lane], warm=warm)[0]
                                     for lane in lanes])
-        assert_same_lanes(em._fit_lanes(data, lanes[:-1], warm=warm), stacked[:-1])
+        assert_same_lanes(em._fit_lanes(data, d, lanes[:-1], warm=warm), stacked[:-1])

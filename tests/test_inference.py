@@ -3,7 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import dense_profile_information, sim_dataset
+from helpers import (
+    accuracies,
+    conditional_profile_loglik,
+    dense_profile_information,
+    sim_dataset,
+    small_trials,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
@@ -66,6 +72,70 @@ class TestProfileLoglik:
         val = profile_loglik(data, diag, {"pi": res.pi_hat}, warm=res)
         assert val == pytest.approx(res.obs_loglik, abs=1e-4)
         assert profile_loglik(data, diag, {"pi": 0.6}, warm=res) < val
+
+
+class TestHeldPrevalence:
+    """A pinned prevalence is held in the joint likelihood the fit
+    maximizes.  The reference (``helpers.conditional_profile_loglik``)
+    builds the same profile from the known-prevalence likelihood plus the
+    test results' log-probability; from the same start both run the same
+    EM maps up to rounding."""
+
+    @staticmethod
+    def assert_matches_reference(data, diag, res, v):
+        try:
+            ref_warm = conditional_profile_loglik(data, diag, v, warm=res)
+        except (SeparationError, DegenerateDataError) as exc:
+            with pytest.raises(type(exc)):
+                profile_loglik(data, diag, {"pi": v}, warm=res)
+        else:
+            got = profile_loglik(data, diag, {"pi": v}, warm=res)
+            assert abs(got - ref_warm) <= 1e-9
+        try:
+            ref_cold = conditional_profile_loglik(data, diag, v)
+        except (SeparationError, DegenerateDataError) as exc:
+            with pytest.raises(type(exc)):
+                fit(data, diag, fixed={"pi": v})
+        else:
+            cold = fit(data, diag, fixed={"pi": v})
+            assert cold.pi_hat == v
+            assert abs(cold.obs_loglik - ref_cold) <= 1e-9
+
+    def test_golden_trial(self):
+        data = parse_dataset(Path(__file__).parent / "data" / "golden_trial.csv")
+        diag = DiagnosticModel(0.9, 0.85, 0.5, prevalence_known=False)
+        res = fit(data, diag)
+        for v in (0.01, res.pi_hat, 0.99, 0.137, 0.62):
+            self.assert_matches_reference(data, diag, res, v)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_trials(), accuracies, accuracies,
+           st.one_of(st.sampled_from([0.01, 0.99, None]), st.floats(0.01, 0.99)))
+    def test_small_trials(self, data, sens, spec, v):
+        diag = DiagnosticModel(sens, spec, 0.5, prevalence_known=False)
+        try:
+            res = fit(data, diag)
+        except (SeparationError, DegenerateDataError):
+            return
+        self.assert_matches_reference(data, diag, res, res.pi_hat if v is None else v)
+
+    def test_known_prevalence_cannot_be_held(self, fitted):
+        data, _, _ = fitted
+        known = DiagnosticModel(0.9, 0.85, 0.3)
+        res = fit(data, known)
+        match = "the prevalence is already known"
+        with pytest.raises(ValueError, match=match):
+            fit(data, known, fixed={"pi": 0.4})
+        with pytest.raises(ValueError, match=match):
+            profile_loglik(data, known, {"pi": 0.4}, warm=res)
+        with pytest.raises(ValueError, match=match):
+            profile_ci(data, known, "pi", fit_result=res)
+
+    def test_held_value_must_be_a_prevalence(self, fitted):
+        data, diag, res = fitted
+        for v in (0.0, 1.0):
+            with pytest.raises(ValueError, match="prevalence must be in"):
+                profile_loglik(data, diag, {"pi": v}, warm=res)
 
 
 class TestLrTest:
