@@ -8,7 +8,7 @@ interaction test.  The headline result: misclassification erodes the
 power to detect an interaction, here at the mild-interaction setting
 (log HRs -0.5 / -0.2, so hazard ratios about 0.61 and 0.82).
 
-Replications are kept small so the script finishes in about a minute;
+Replications are kept small so the script finishes in a few seconds;
 increase `REPS` to tighten the Monte-Carlo error.
 
 Run:  python demos/03_simulation_study.py

@@ -206,14 +206,14 @@ def _fmt_p(p: float) -> str:
 
 def parse_dataset(path) -> Dataset:
     """Read a delimited dataset with header columns time, event,
-    treatment, biomarker_test (biomarker_test: 0, 1, NA or empty)."""
-    raw = Path(path).read_text()
-    sample = raw[:4096]
-    try:
-        dialect = csv.Sniffer().sniff(sample, delimiters=",;\t")
-    except csv.Error:
-        dialect = csv.excel
-    reader = csv.reader(raw.splitlines(), dialect)
+    treatment, biomarker_test (biomarker_test: 0, 1, NA or empty).
+
+    The delimiter is the first of comma, semicolon and tab that the header
+    line contains (a comma if it holds none); fields may be quoted."""
+    lines = Path(path).read_text().splitlines()
+    header_line = next((line for line in lines if line.strip()), "")
+    delimiter = next((d for d in ",;\t" if d in header_line), ",")
+    reader = csv.reader(lines, delimiter=delimiter, skipinitialspace=True)
     rows = [row for row in reader if row and any(field.strip() for field in row)]
     if not rows:
         raise DatasetError(f"{path}: file has no rows")

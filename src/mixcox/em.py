@@ -88,6 +88,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, logit
@@ -145,6 +146,22 @@ class FitResult:
     # object reuses them.  Not part of the result's value.
     _workspace: "_Workspace | None" = field(default=None, repr=False,
                                             compare=False)
+
+
+class _Lane(NamedTuple):
+    """Where one lane of :func:`_fit_lanes` stopped: its state (theta,
+    hazard increments, pi), the E-step that fed its last M-step, the
+    observed log-likelihood of each accepted map, the map count, whether
+    it converged and the workspace of the stack."""
+
+    theta: np.ndarray
+    increments: np.ndarray
+    pi: float
+    weights: np.ndarray
+    loglik_trace: list
+    iterations: int
+    converged: bool
+    workspace: "_Workspace"
 
 
 class _Workspace:
@@ -372,22 +389,22 @@ def _jump(ws, diag, free, held, state, w, w_next, cycle, ll_prev):
     jump and one EM map from it, kept in the lanes where it is finite, no
     kernel failed and its log-likelihood is not below ``ll_prev``.
     Returns the kept mask, the lanes' states and E-steps and the maps'
-    log-likelihoods."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = _sqs3_point(*cycle)
-        jump = _unpack(x, held, state[2])
-        inc = jump[1]
-        # an overflowed jump, or a hazard increment that under- or
-        # overflowed, is rejected without a map
-        sane = np.isfinite(x).all(axis=-1)
-        if not (sane.all() and inc.min() > 0 and inc.max() < np.inf):
-            sane &= (inc.min(axis=-1) > 0) & (inc.max(axis=-1) < np.inf)
-            if not sane.any():
-                return sane, state, w, w_next, ll_prev
-            jump = _select(sane, jump, state)
-        w_jump = _e_pass(ws, jump, diag)[1]
-        jumped, w_jumped, ll, errors = _em_map(ws, diag, free, held, jump, w_jump)
-        kept = sane & np.isfinite(ll) & (ll >= ll_prev)
+    log-likelihoods.  An overflow here is the jump's failure, not an
+    error (see :func:`_fit_lanes`)."""
+    x = _sqs3_point(*cycle)
+    jump = _unpack(x, held, state[2])
+    inc = jump[1]
+    # an overflowed jump, or a hazard increment that under- or
+    # overflowed, is rejected without a map
+    sane = np.isfinite(x).all(axis=-1)
+    if not (sane.all() and inc.min() > 0 and inc.max() < np.inf):
+        sane &= (inc.min(axis=-1) > 0) & (inc.max(axis=-1) < np.inf)
+        if not sane.any():
+            return sane, state, w, w_next, ll_prev
+        jump = _select(sane, jump, state)
+    w_jump = _e_pass(ws, jump, diag)[1]
+    jumped, w_jumped, ll, errors = _em_map(ws, diag, free, held, jump, w_jump)
+    kept = sane & np.isfinite(ll) & (ll >= ll_prev)
     if errors:
         kept &= ~_lane_mask(errors, kept.size)
     if kept.all():
@@ -398,6 +415,7 @@ def _jump(ws, diag, free, held, state, w, w_next, cycle, ll_prev):
             _select(kept, w_jumped, w_next), ll)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _fit_lanes(data: Dataset, diag: DiagnosticModel, pins,
                config: EmConfig = EmConfig(), warm: FitResult | None = None) -> list:
     """Fit one lane per ``fixed`` mapping of ``pins`` in lockstep on
@@ -409,7 +427,18 @@ def _fit_lanes(data: Dataset, diag: DiagnosticModel, pins,
     whose ``fixed`` names "pi" holds the prevalence at that value, in the
     same joint likelihood the estimated prevalence maximizes: its
     log-likelihood is the profile log-likelihood at that prevalence.
-    Returns, per lane, its FitResult or the exception that ended it.
+    Returns, per lane, its :class:`_Lane` or the exception that ended it:
+    a kernel failure, or the SeparationError of a free coefficient that
+    ended beyond ``cox.SEPARATION_FLAG``.
+
+    Floating-point overflow, invalid-operation and divide warnings are off
+    in the loop.  A state far out along a separating direction -- a warm
+    start pinned thousands of units out, or a SQUAREM jump -- overflows
+    the relative risks, and each lane's own checks judge the values: an
+    overflowed survival factor is 0, a NaN partial log-likelihood fails
+    the lane with a DegenerateDataError in the Cox step, a hazard
+    increment that is not positive fails it in the map and a non-finite
+    jump is rejected.
     """
     fixed = [dict(f) for f in pins]
     unknown = set().union(*fixed) - set(PARAM_NAMES) - {"pi"}
@@ -468,7 +497,7 @@ def _fit_lanes(data: Dataset, diag: DiagnosticModel, pins,
                 ll_prev[k] = value
             if converged or it >= config.max_iter or k in errors:
                 done.append(k)
-                results[ids[k]] = errors.get(k) or _lane_result(
+                results[ids[k]] = errors.get(k) or _lane_end(
                     ws, state, w, k, free[k], traces[ids[k]], it, converged)
         if len(done) == len(ids):
             break
@@ -484,25 +513,16 @@ def _fit_lanes(data: Dataset, diag: DiagnosticModel, pins,
     return results
 
 
-def _lane_result(ws, state, w, k, free, trace, iterations, converged):
-    """The FitResult of row ``k`` of the stack, or the SeparationError of
-    a free coefficient that ended beyond ``cox.SEPARATION_FLAG``."""
+def _lane_end(ws, state, w, k, free, trace, iterations, converged):
+    """The :class:`_Lane` of row ``k`` of the stack, or the
+    SeparationError of a free coefficient that ended beyond
+    ``cox.SEPARATION_FLAG``."""
     theta, inc, pi = state
     try:
         cox.check_separation(theta[k][free])
     except SeparationError as exc:
         return exc
-    return FitResult(
-        theta_hat=EffectParams.from_array(theta[k]),
-        baseline=BaselineHazard(ws.risk_sets.ets, inc[k]),
-        pi_hat=float(pi[k]),
-        weights=w[k],
-        obs_loglik=trace[-1],
-        iterations=iterations,
-        converged=converged,
-        loglik_trace=np.array(trace),
-        _workspace=ws,
-    )
+    return _Lane(theta[k], inc[k], float(pi[k]), w[k], trace, iterations, converged, ws)
 
 
 def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
@@ -559,7 +579,17 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
         If ``fixed`` names an unknown parameter, or "pi" while
         ``diag.prevalence_known`` is set.
     """
-    (res,) = _fit_lanes(data, diag, [fixed or {}], config, warm)
-    if isinstance(res, Exception):
-        raise res
-    return res
+    (lane,) = _fit_lanes(data, diag, [fixed or {}], config, warm)
+    if isinstance(lane, Exception):
+        raise lane
+    return FitResult(
+        theta_hat=EffectParams.from_array(lane.theta),
+        baseline=BaselineHazard(lane.workspace.risk_sets.ets, lane.increments),
+        pi_hat=lane.pi,
+        weights=lane.weights,
+        obs_loglik=lane.loglik_trace[-1],
+        iterations=lane.iterations,
+        converged=lane.converged,
+        loglik_trace=np.array(lane.loglik_trace),
+        _workspace=lane.workspace,
+    )

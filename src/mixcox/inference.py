@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import integrate, linalg, optimize
+from scipy import linalg
 from scipy.special import chdtrc, expit, gammaincinv, logit, ndtr, ndtri
 
 from . import em
@@ -64,25 +64,34 @@ _MAX_REACH_SE = 4.0 * 2**9
 _CI_TOL = 1e-4
 _LR_TOL = 1e-4
 _SQRT_2PI = math.sqrt(2 * math.pi)  # equals scipy.stats' normal-density constant
-# trivariate box probability (_trivariate_box_prob): Gauss-Legendre nodes
-# per smooth piece, the |y3| range kept, fixed breaks, the CDF arguments
+# rectangle and box probabilities (_rectangle, _trivariate_box_prob):
+# Gauss-Legendre nodes per smooth piece, the range kept of a coordinate
+# integrated against the normal density, fixed breaks, the CDF arguments
 # that break a steep strip's ramp and the floor on the Cholesky entries
 _TVN_NODES = 12
 _TVN_REACH = 8.0
 _TVN_BREAKS = np.array([-4.0, -2.0, 0.0, 2.0, 4.0])
 _TVN_RAMP_BREAKS = np.array([-6.0, -2.0, 2.0, 6.0])
 _TVN_FLOOR = 1e-100
-# xi tolerances of the Brent solves of the equicoordinate scales, set by
-# measured coverage error.  Bivariate: 3-7 rectangle probabilities per
-# solve and a coverage error <= 2.2e-9 over rho in [-1, 1].  Trivariate:
-# the box probability's own error (~1e-11, over a slope of ~0.1) puts
-# xi at +-1e-10, and 1e-10 costs no more evaluations than 1e-9 (7 on the
-# golden trial).
-_BVN_XTOL = 1e-7
+# the equicoordinate scales (_newton_scale) stop once the predicted error
+# xi * step**2 of a Newton step is at most _TVN_XTOL, below the box
+# probability's own error (~1e-11) over its slope (~0.1).  The trivariate
+# scale first steps on the box probability at _TVN_COARSE_NODES nodes per
+# piece, about a quarter of the cost, to a predicted error of
+# _TVN_COARSE_XTOL; from there one step on the full box probability
+# usually meets _TVN_XTOL, and the result is a root of the full one.
 _TVN_XTOL = 1e-10
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_TVN_NODES)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)  # on [0, 1]
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+_TVN_COARSE_NODES = 6
+_TVN_COARSE_XTOL = 1e-6
+
+
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+_GAUSS_LEGENDRE = {n: _gauss_legendre(n) for n in (_TVN_COARSE_NODES, _TVN_NODES)}
 
 
 @dataclass(frozen=True)
@@ -158,8 +167,8 @@ def _profile_logliks(
 
     This is the one place the profile searches evaluate the likelihood.
     """
-    return [res if isinstance(res, Exception) else res.obs_loglik
-            for res in em._fit_lanes(data, diag, pins, em_config, warm)]
+    return [lane if isinstance(lane, Exception) else lane.loglik_trace[-1]
+            for lane in em._fit_lanes(data, diag, pins, em_config, warm)]
 
 
 def profile_loglik(
@@ -553,21 +562,45 @@ def subgroup_cov(information: np.ndarray) -> np.ndarray:
     return 0.5 * (sigma + sigma.T)
 
 
+def _rectangle(lo1, hi1, lo2, hi2, slope, scale) -> np.ndarray:
+    """P(lo1 <= U <= hi1, lo2 <= slope U + scale V <= hi2) for independent
+    standard normal U and V, per entry of the arguments (arrays of one
+    shape, scale > 0): the integral of phi(u) [Phi((hi2 - slope u) / scale)
+    - Phi((lo2 - slope u) / scale)] over u in [lo1, hi1], by piecewise
+    Gauss-Legendre quadrature with ``_TVN_NODES`` nodes per piece
+    (:func:`_normal_pieces`).
+
+    The pieces break at 0, +-2 and +-4, and |u| > 8 is dropped
+    (probability < 1.3e-15).  A strip steeper than the diagonal (|slope| >
+    scale) also gets breaks where its CDF arguments are -6, -2, 2 and 6,
+    so no piece holds the whole of a CDF's ramp: as scale -> 0 the ramps
+    become layers of width scale / |slope| that the pieces then resolve,
+    and the probability needs no separate formula there.
+    """
+    lo2, hi2, slope, scale = (a[..., None] for a in (lo2, hi2, slope, scale))
+    cuts = _TVN_BREAKS + np.zeros_like(scale)
+    steep = np.abs(slope) > scale
+    if steep.any():
+        # a gentle strip's ramp breaks fall on 0, already a break
+        ramp = np.concatenate([hi2 - scale * _TVN_RAMP_BREAKS, lo2 - scale * _TVN_RAMP_BREAKS],
+                              axis=-1) / np.where(steep, slope, np.inf)
+        cuts = np.concatenate([ramp, cuts], axis=-1)
+    u, w = _normal_pieces(np.maximum(lo1, -_TVN_REACH), np.minimum(hi1, _TVN_REACH), cuts)
+    inner = ndtr((hi2 - slope * u) / scale) - ndtr((lo2 - slope * u) / scale)
+    return np.add.reduce(w * inner, axis=-1)
+
+
 def bvn_rect_prob(xi: float, rho: float) -> float:
     """P(|X1| <= xi and |X2| <= xi) for standard bivariate normal with
-    correlation rho, by one-dimensional adaptive quadrature of the
-    conditional-normal representation (absolute error well below 1e-9).
+    correlation rho: the conditional-normal integral of phi(u) [Phi((xi -
+    rho u) / s) - Phi((-xi - rho u) / s)] over |u| <= xi, s = sqrt(1 -
+    rho**2), by piecewise Gauss-Legendre quadrature (:func:`_rectangle`).
 
-    The integrand calls ``scipy.special.ndtr`` and the closed-form density
-    exp(-u**2 / 2) / sqrt(2 pi) directly: the same arithmetic as
-    ``scipy.stats.norm.cdf``/``pdf``, so results are bit-identical, without
-    their per-call argument checking.
-
-    For 1 - |rho| < 1e-5 the integrand has boundary layers of width
-    s = sqrt(1 - rho**2) at u = +-xi, which adaptive quadrature over
-    [-xi, xi] steps over.  There the probability is computed as
-    P(|X1| <= xi) minus P(|X1| <= xi, |X2| > xi); by symmetry the latter
-    is twice one layer's integral, which vanishes below xi - 40 s.
+    Its pieces break on the integrand's boundary layers of width s at u =
+    +-xi as |rho| -> 1, so only |rho| = 1 itself is a special case.  It
+    agrees with adaptive quadrature (``scipy.integrate.quad``, with the
+    layers integrated on their own for 1 - |rho| < 1e-5) to 4.9e-13 for
+    xi in [0.3, 4.5] and rho in [-0.99, 0.99] or within 1e-5 of +-1.
     """
     if not xi > 0:
         raise ValueError("xi must be positive")
@@ -575,46 +608,82 @@ def bvn_rect_prob(xi: float, rho: float) -> float:
         raise ValueError("rho must be in [-1, 1]")
     r = abs(rho)
     if r == 1.0:
-        return 2.0 * ndtr(xi) - 1.0
-    if r > 1.0 - 1e-5:
-        s = math.sqrt((1.0 - r) * (1.0 + r))
+        return float(2.0 * ndtr(xi) - 1.0)
+    s = math.sqrt((1.0 - r) * (1.0 + r))
+    return float(_rectangle(*np.array([-xi, xi, -xi, xi, rho, s])[:, None])[0])
 
-        def layer(u):
-            return np.exp(-u**2 / 2.0) / _SQRT_2PI * ndtr((r * u - xi) / s)
 
-        tail, _ = integrate.quad(layer, max(-xi, xi - 40.0 * s), xi,
-                                 epsabs=1e-13, epsrel=1e-12, limit=200)
-        return float(2.0 * ndtr(xi) - 1.0 - 2.0 * tail)
-    s = math.sqrt(1.0 - rho * rho)
+def _bvn_rect_slope(xi: float, rho: float) -> float:
+    """d/dxi of :func:`bvn_rect_prob`: the density on the four edges of
+    the square, 4 phi(xi) [Phi(xi (1 - rho) / s) - Phi(-xi (1 + rho) / s)]
+    with s = sqrt(1 - rho**2), that is 4 phi(xi) P(|X2| <= xi | X1 = xi)."""
+    density = math.exp(-0.5 * xi * xi) / _SQRT_2PI
+    if abs(rho) == 1.0:
+        return 2.0 * density
+    return 4.0 * density * float(ndtr(xi * math.sqrt((1.0 - rho) / (1.0 + rho)))
+                                 - ndtr(-xi * math.sqrt((1.0 + rho) / (1.0 - rho))))
 
-    def integrand(u):
-        # np.exp, not math.exp: scipy's norm.pdf uses np.exp, and the two
-        # are not guaranteed to round alike
-        return np.exp(-u**2 / 2.0) / _SQRT_2PI * (
-            ndtr((xi - rho * u) / s) - ndtr((-xi - rho * u) / s)
-        )
 
-    val, _ = integrate.quad(integrand, -xi, xi, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return float(val)
+def _newton_scale(coverage, slope, target: float, lo: float, hi: float,
+                  x: float, tol: float = _TVN_XTOL) -> float:
+    """The xi in [lo, hi] with ``coverage(xi) = target``, by Newton's
+    method from ``x`` with the derivative ``slope``.
+
+    The coverage is increasing and concave on the equicoordinate brackets,
+    so Newton's method from the left end never overshoots, and |P''/P'|
+    is at most about xi there: a step delta leaves an error below xi *
+    delta**2 / 2.  The solve stops once xi * delta**2 <= ``tol`` and
+    returns the point after that step.  Each value narrows the bracket
+    [lo, hi]; a step that would leave it, that meets a slope not positive
+    or that fails to halve the Newton step before it is replaced by
+    bisection, which stops when the bracket is narrower than ``tol``.
+    """
+    last = math.inf
+    while True:
+        p = coverage(x)
+        if p < target:
+            lo = x
+        else:
+            hi = x
+        d = slope(x)
+        step = (target - p) / d if d > 0 else math.nan
+        if lo <= x + step <= hi and abs(step) <= 0.5 * last:
+            if x * step * step <= tol:
+                return x + step
+            last = abs(step)
+            x += step
+        else:
+            x = 0.5 * (lo + hi)
+            if hi - lo <= tol:
+                return x
+
+
+def _scale_bracket(alpha: float, dims: int) -> tuple[float, float]:
+    """The bracket of an equicoordinate scale in ``dims`` dimensions: from
+    the univariate normal quantile (perfect correlation) to the Sidak
+    quantile (independence), widened by 1e-9 and 1e-6."""
+    lo = float(ndtri(1.0 - alpha / 2)) - 1e-9
+    hi = float(ndtri(0.5 * (1.0 + (1.0 - alpha) ** (1.0 / dims)))) + 1e-6
+    return lo, hi
 
 
 def simultaneous_scale(rho: float, alpha: float) -> float:
     """Equicoordinate scaling factor: the xi with joint bivariate-normal
     coverage 1 - alpha at correlation rho.
 
-    The coverage is smooth and increasing in xi, so Brent's method
-    (``scipy.optimize.brentq``) solves it on the bracket from the
-    univariate normal quantile (|rho| = 1) to the Sidak-corrected quantile
-    (rho = 0), to 1e-7 in xi: 3-7 rectangle probabilities, with a coverage
-    error below 2.2e-9.  The result always lies in that bracket.
+    The coverage (:func:`bvn_rect_prob`) is smooth, increasing and concave
+    in xi on the bracket from the univariate normal quantile (|rho| = 1) to
+    the Sidak-corrected quantile (rho = 0).  Newton's method with the
+    closed-form slope (:func:`_newton_scale`) solves it from the left end
+    until the predicted error is below 1e-10: 4-5 rectangle probabilities,
+    with a coverage error below 1e-11.  The result always lies in the
+    bracket.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    target = 1.0 - alpha
-    lo = float(ndtri(1.0 - alpha / 2)) - 1e-9
-    hi = float(ndtri(0.5 * (1.0 + math.sqrt(target)))) + 1e-6
-    return optimize.brentq(lambda xi: bvn_rect_prob(xi, rho) - target, lo, hi,
-                           xtol=_BVN_XTOL)
+    lo, hi = _scale_bracket(alpha, 2)
+    return _newton_scale(lambda xi: bvn_rect_prob(xi, rho),
+                         lambda xi: _bvn_rect_slope(xi, rho), 1.0 - alpha, lo, hi, lo)
 
 
 def simultaneous_cis(
@@ -703,23 +772,27 @@ def _trivariate_factor(corr: np.ndarray) -> tuple[float, ...]:
     return l11, l21, l31, l22, max(l32, _TVN_FLOOR), l33
 
 
-def _normal_pieces(lo, hi, cuts):
+def _normal_pieces(lo, hi, cuts, nodes: int = _TVN_NODES):
     """Nodes and weights for the integral of phi(y) f(y) dy over [lo, hi]:
-    Gauss-Legendre with ``_TVN_NODES`` nodes on every piece between the
-    sorted ``cuts`` (clipped to the range).  ``lo`` and ``hi`` have the
-    shape of ``cuts`` without its last axis, and so do the leading axes of
-    the results."""
-    inner = np.clip(np.sort(cuts, axis=-1), lo[..., None], hi[..., None])
-    ends = np.concatenate([lo[..., None], inner, hi[..., None]], axis=-1)
-    width = np.diff(ends, axis=-1)[..., None]
-    y = (ends[..., :-1, None] + width * _GL_NODES).reshape(*ends.shape[:-1], -1)
-    w = (width * _GL_WEIGHTS).reshape(y.shape) * np.exp(-0.5 * y * y) / _SQRT_2PI
+    Gauss-Legendre with ``nodes`` nodes on every piece between the sorted
+    ``cuts`` (clipped to the range).  ``lo`` and ``hi`` have the shape of
+    ``cuts`` without its last axis, and so do the leading axes of the
+    results."""
+    gl_nodes, gl_weights = _GAUSS_LEGENDRE[nodes]
+    lo, hi = lo[..., None], hi[..., None]
+    ends = np.concatenate([lo, np.minimum(np.maximum(np.sort(cuts, axis=-1), lo), hi), hi],
+                          axis=-1)
+    start = ends[..., :-1, None]
+    width = ends[..., 1:, None] - start
+    y = (start + width * gl_nodes).reshape(*ends.shape[:-1], -1)
+    w = (width * gl_weights).reshape(y.shape) * np.exp(-0.5 * y * y) / _SQRT_2PI
     return y, w
 
 
-def _trivariate_box_prob(xi: float, corr: np.ndarray) -> float:
+def _trivariate_box_prob(xi: float, corr: np.ndarray, nodes: int = _TVN_NODES) -> float:
     """P(|Z_k| <= xi, k = 1, 2, 3) for a trivariate standard normal with
-    correlation ``corr``, by piecewise Gauss-Legendre quadrature.
+    correlation ``corr``, by piecewise Gauss-Legendre quadrature with
+    ``nodes`` nodes per piece.
 
     With Z = L Y (Y standard normal, L from :func:`_trivariate_factor`)
     the probability is E[Q(Y3)], where Q(y3) is the bivariate normal mass
@@ -745,7 +818,7 @@ def _trivariate_box_prob(xi: float, corr: np.ndarray) -> float:
     cuts3 = np.concatenate([
         ((sign[:, None] * xi - m_vertex[None, :]) / l33).ravel(), _TVN_BREAKS,
     ])
-    y3, w3 = _normal_pieces(np.array(-_TVN_REACH), np.array(_TVN_REACH), cuts3)
+    y3, w3 = _normal_pieces(np.array(-_TVN_REACH), np.array(_TVN_REACH), cuts3, nodes)
     # the Z3 strip at y3: l31 y1 + l32 y2 in [lo3, hi3]
     lo3 = -xi - l33 * y3
     hi3 = xi - l33 * y3
@@ -763,32 +836,72 @@ def _trivariate_box_prob(xi: float, corr: np.ndarray) -> float:
         cuts1.append(np.concatenate([lo3[:, None] - l32 * ramp,
                                      hi3[:, None] - l32 * ramp], axis=-1) / l31)
     lo1 = np.full(y3.shape, -xi / l11)
-    y1, w1 = _normal_pieces(lo1, -lo1, np.concatenate(cuts1, axis=-1))
+    y1, w1 = _normal_pieces(lo1, -lo1, np.concatenate(cuts1, axis=-1), nodes)
     lo2 = np.maximum((-xi - l21 * y1) / l22, (lo3[:, None] - l31 * y1) / l32)
     hi2 = np.minimum((xi - l21 * y1) / l22, (hi3[:, None] - l31 * y1) / l32)
     inner = np.maximum(ndtr(hi2) - ndtr(lo2), 0.0)
     return float(w3 @ np.sum(w1 * inner, axis=1))
 
 
+def _box_slope(xi: float, corr: np.ndarray) -> float:
+    """d/dxi of :func:`_trivariate_box_prob`: the density on the six faces
+    of the box, 2 phi(xi) sum_k P(|Z_i| <= xi, |Z_j| <= xi | Z_k = xi),
+    the faces Z_k = -xi mirroring Z_k = xi.
+
+    Given Z_k = xi, (Z_i, Z_j) is normal with means rho_ik xi and rho_jk
+    xi, variances 1 - rho_ik**2 and 1 - rho_jk**2 and covariance c =
+    rho_ij - rho_ik rho_jk, so each term is a noncentral rectangle
+    (:func:`_rectangle`, the three in one call): Z_i = mean + sd_i U with
+    i the coordinate of larger variance, and Z_j = mean + (c / sd_i) U +
+    t V.  The standard deviations are floored at a tiny positive value, so
+    a singular matrix gives a usable, if not always exact, slope.
+    """
+    lo1, hi1, lo2, hi2, slope, scale = (np.empty(3) for _ in range(6))
+    for k in range(3):
+        i, j = sorted((n for n in range(3) if n != k), key=lambda n: abs(corr[n, k]))
+        sd_i = math.sqrt(max(1.0 - corr[i, k] ** 2, _TVN_FLOOR**2))
+        slope[k] = (corr[i, j] - corr[i, k] * corr[j, k]) / sd_i
+        scale[k] = math.sqrt(max(1.0 - corr[j, k] ** 2 - slope[k] ** 2, _TVN_FLOOR**2))
+        lo1[k] = (-xi - corr[i, k] * xi) / sd_i
+        hi1[k] = (xi - corr[i, k] * xi) / sd_i
+        lo2[k] = -xi - corr[j, k] * xi
+        hi2[k] = xi - corr[j, k] * xi
+    faces = _rectangle(lo1, hi1, lo2, hi2, slope, scale)
+    return 2.0 * math.exp(-0.5 * xi * xi) / _SQRT_2PI * float(np.sum(faces))
+
+
 def _equicoordinate_scale_mvn(corr: np.ndarray, alpha: float) -> float:
     """Equicoordinate quantile of a trivariate standard normal with the
     given correlation matrix: the xi with P(|Z_k| <= xi for all k) = 1 -
-    alpha, found by Brent's method (``scipy.optimize.brentq``) to 1e-10 on
-    the box probability of :func:`_trivariate_box_prob`; 7 box
-    probabilities on the golden trial.
+    alpha for the box probability of :func:`_trivariate_box_prob`.
 
-    The bracket runs from the univariate normal quantile (perfect
-    correlation) to the Sidak quantile (independence), so the result is
-    never below the univariate quantile.  The box probability agrees with
-    the same quadrature at 40 nodes per piece to 1e-11 on 1,000 random
-    (matrix, xi) pairs, near-singular and near rank-1 matrices included,
-    and with a 1024 x 1024 tensor grid to 3e-15 on the golden trial's.
+    The box lies inside every pair's square, so the bivariate scale of the
+    least correlated pair is below the root.  From there Newton's method
+    with the closed-form slope (:func:`_box_slope`, :func:`_newton_scale`)
+    steps on the box probability at ``_TVN_COARSE_NODES`` nodes per piece
+    until the predicted error is below 1e-6, and then on the full box
+    probability to 1e-10; so the result is a root of the full one to
+    1e-10, and the coarse steps only save time.  On the golden trial that
+    is 3 coarse and 1 full box probability and 4 slopes.  The bracket
+    runs from the univariate normal quantile (perfect correlation) to the
+    Sidak quantile (independence), so the result is never below the
+    univariate quantile.  The box probability agrees with the same
+    quadrature at 40 nodes per piece to 1e-11 on 1,000 random (matrix, xi)
+    pairs, near-singular and near rank-1 matrices included, and with a
+    1024 x 1024 tensor grid to 3e-15 on the golden trial's.
     """
+    corr = np.asarray(corr, dtype=float)
     target = 1.0 - alpha
-    lo = float(ndtri(1.0 - alpha / 2)) - 1e-9
-    hi = float(ndtri(0.5 * (1.0 + target ** (1.0 / 3.0)))) + 1e-6
-    return optimize.brentq(lambda xi: _trivariate_box_prob(xi, corr) - target, lo, hi,
-                           xtol=_TVN_XTOL)
+    lo, hi = _scale_bracket(alpha, 3)
+    pair = min(((0, 1), (0, 2), (1, 2)), key=lambda ij: abs(corr[ij]))
+    x = simultaneous_scale(float(np.clip(corr[pair], -1.0, 1.0)), alpha)
+
+    def slope(xi):
+        return _box_slope(xi, corr)
+
+    x = _newton_scale(lambda xi: _trivariate_box_prob(xi, corr, nodes=_TVN_COARSE_NODES),
+                      slope, target, lo, hi, x, _TVN_COARSE_XTOL)
+    return _newton_scale(lambda xi: _trivariate_box_prob(xi, corr), slope, target, lo, hi, x)
 
 
 def overall_concordance_report(
@@ -808,9 +921,9 @@ def overall_concordance_report(
     form.  The prevalence is held at its estimate, so its sampling
     uncertainty is not propagated into the overall effect.  The common
     scale ``xi_alpha`` is the equicoordinate quantile of the trivariate
-    normal with that covariance's correlation, computed by deterministic
-    quadrature and Brent's method to 1e-10 (see
-    ``_equicoordinate_scale_mvn``).
+    normal with that covariance's correlation, a root of the deterministic
+    box probability to 1e-10 by Newton's method with its closed-form slope
+    (see ``_equicoordinate_scale_mvn``).
     ``information`` short-circuits the profile information when the caller
     already computed it.
     """

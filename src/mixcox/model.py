@@ -182,14 +182,6 @@ class BaselineHazard:
         cum.flags.writeable = False
         object.__setattr__(self, "_cum_at_events", cum)
 
-    def hazard(self, t):
-        """Hazard level at time ``t`` (0 beyond the last event time)."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.event_times, t, side="left")
-        padded = np.concatenate((self.increments, [0.0]))
-        out = padded[np.minimum(idx, self.event_times.size)]
-        return out if out.ndim else float(out)
-
     def cumulative(self, t):
         """Cumulative hazard at ``t``: piecewise linear, flat past the end."""
         t = np.asarray(t, dtype=float)
@@ -201,21 +193,6 @@ class BaselineHazard:
         part = np.where(idx < m, t - left, 0.0)
         padded = np.concatenate((self.increments, [0.0]))
         out = self._cum_at_events[idx] + padded[idx] * part
-        return out if out.ndim else float(out)
-
-    def step_cumulative(self, t):
-        """Cumulative hazard with all of an interval's mass placed at its
-        event time, i.e. the usual jump-form nonparametric estimate.
-
-        This is the evaluation the EM estimator uses in its likelihoods:
-        under this form the expected complete-data likelihood, maximized
-        over the baseline, is the weighted partial likelihood, so a
-        partial-likelihood ascent step followed by the baseline update
-        makes every EM iteration an ascent step (a generalized EM).
-        """
-        t = np.asarray(t, dtype=float)
-        nle = np.searchsorted(self.event_times, t, side="right")
-        out = self._cum_at_events[nle]
         return out if out.ndim else float(out)
 
 

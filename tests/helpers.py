@@ -57,6 +57,26 @@ def oracle_breslow_cumhaz(time, event, X, beta):
     return out
 
 
+def hazard_level(baseline, t):
+    """Hazard of the piecewise-constant ``baseline`` (a BaselineHazard) at
+    time ``t``: the increment of the interval holding ``t``, 0 beyond the
+    last event time."""
+    idx = np.searchsorted(baseline.event_times, np.asarray(t, dtype=float), side="left")
+    out = np.append(baseline.increments, 0.0)[idx]
+    return out if out.ndim else float(out)
+
+
+def step_cumulative(baseline, t):
+    """Cumulative hazard of ``baseline`` at time ``t`` with all of an
+    interval's mass placed at its event time: the jump form the EM's
+    likelihoods use."""
+    ets = baseline.event_times
+    at_events = np.concatenate(([0.0], np.cumsum(baseline.increments
+                                                 * np.diff(ets, prepend=0.0))))
+    out = at_events[np.searchsorted(ets, np.asarray(t, dtype=float), side="right")]
+    return out if out.ndim else float(out)
+
+
 def sim_dataset(seed, n_per_arm=100, theta=(-0.5, 0.1, 0.3), pi=0.3,
                 sens=0.8, spec=0.8) -> Dataset:
     cfg = ScenarioConfig(

@@ -2,9 +2,9 @@
 quick demos must run.
 
 Every demo and the README's python blocks are parsed for the names they
-import from the package.  Demos 01 and 02 (about 5 s together) are also
-run, so a changed signature or result attribute breaks a test; demo 03
-runs 300 replications and is only parsed.
+import from the package.  Every demo is also run (about 3.5 s together,
+most of it demo 03's 300 replications), so a changed signature or result
+attribute breaks a test.
 """
 
 import ast
@@ -19,7 +19,8 @@ import mixcox
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-RUNNABLE_DEMOS = ("01_fit_a_trial.py", "02_intervals_and_overall_effect.py")
+RUNNABLE_DEMOS = ("01_fit_a_trial.py", "02_intervals_and_overall_effect.py",
+                  "03_simulation_study.py")
 
 
 def readme_python_blocks():

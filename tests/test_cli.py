@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -75,10 +78,29 @@ class TestParseDataset:
         with pytest.raises(DatasetError, match=r":4: column biomarker_test"):
             parse_dataset(p)
 
+    def test_semicolon_delimited(self, tmp_path):
+        data = parse_dataset(write(tmp_path, GOOD.replace(",", ";")))
+        assert list(data.test) == [1, 0, -1]
+        assert data.time[2] == 3.25
+
+    def test_quoted_header(self, tmp_path):
+        header, rest = GOOD.split("\n", 1)
+        for sep in (",", ", ", "\t"):
+            quoted = sep.join(f'"{name}"' for name in header.split(","))
+            body = rest if sep == ", " else rest.replace(",", sep)
+            data = parse_dataset(write(tmp_path, quoted + "\n" + body))
+            assert list(data.test) == [1, 0, -1], sep
+
     def test_bad_header(self, tmp_path):
         p = write(tmp_path, GOOD.replace("biomarker_test", "marker"))
         with pytest.raises(DatasetError, match="header"):
             parse_dataset(p)
+        with pytest.raises(DatasetError) as info:
+            parse_dataset(write(tmp_path, GOOD.replace("biomarker_test", "marker")
+                                .replace(",", ";")))
+        assert str(info.value) == (
+            f"{p}: header must contain exactly time, event, treatment, "
+            "biomarker_test; got time, event, treatment, marker")
 
     def test_roundtrip_identical_fit(self, tmp_path):
         data = sim_dataset(31, n_per_arm=50, sens=0.9, spec=0.9)
@@ -270,6 +292,19 @@ class TestExitCodes:
         assert rc == 0
         assert "converged: True" in capsys.readouterr().out
 
+    def test_overflowing_warm_start_is_quiet(self, tmp_path, capsys):
+        # the gamma endpoint search pins gamma past 709, where the warm
+        # start's relative risk exp(beta1 + beta2 + gamma) overflows; the
+        # refit fails as degenerate, quietly, and the interval ends there
+        p = tmp_path / "trial.csv"
+        write_dataset(sim_dataset(10022, n_per_arm=40), p)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["fit", str(p), "--sens", "0.8", "--spec", "0.8"])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert rc == 0
+        assert "(-4817.95, 709.99) *" in capsys.readouterr().out
+
     def test_io_error(self, capsys):
         assert main(["fit", "/nonexistent/file.csv",
                      "--sens", "1", "--spec", "1"]) == 3
@@ -325,3 +360,14 @@ class TestSimulateCommand:
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "none.json"),
                      "--out-dir", str(tmp_path / "x")]) == 3
+
+
+def test_import_leaves_out_quadrature_and_root_finding():
+    # most of the command's start-up is imports; the package needs neither
+    # scipy.integrate nor scipy.optimize
+    src = Path(inference.__file__).resolve().parent.parent
+    code = ("import sys, mixcox.cli; print([m for m in ('scipy.integrate', "
+            "'scipy.optimize') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "[]"

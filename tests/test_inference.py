@@ -41,6 +41,24 @@ from mixcox.cli import parse_dataset
 
 
 @pytest.fixture(scope="module")
+def golden():
+    """The golden trial as ``mixcox fit`` analyses it (prevalence
+    estimated, starting at 0.5), its fit and the correlation matrix of its
+    trivariate simultaneous scale."""
+    data = parse_dataset(Path(__file__).parent / "data" / "golden_trial.csv")
+    diag = DiagnosticModel(0.9, 0.85, 0.5, prevalence_known=False)
+    res = fit(data, diag)
+    seen = []
+    scale = inference._equicoordinate_scale_mvn
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inference, "_equicoordinate_scale_mvn",
+                   lambda corr, alpha: seen.append(corr) or scale(corr, alpha))
+        overall_concordance_report(data, diag, res)
+    (corr,) = seen
+    return data, diag, res, corr
+
+
+@pytest.fixture(scope="module")
 def fitted():
     data = sim_dataset(101, n_per_arm=150, theta=(-0.4, 0.3, 0.5),
                        sens=0.9, spec=0.85)
@@ -537,11 +555,20 @@ class TestBvnRect:
 
 
 def _reference_bvn_rect_prob(xi, rho):
-    """The scipy.stats formulation of the integrand, with the same quad
-    arguments: bvn_rect_prob must reproduce it bit for bit."""
-    if abs(rho) >= 1.0 - 1e-12:
+    """The rectangle probability by adaptive quadrature (``quad``) of the
+    scipy.stats formulation of the integrand, integrating the boundary
+    layers on their own for 1 - |rho| < 1e-5."""
+    r = abs(rho)
+    if r == 1.0:
         return 2.0 * stats.norm.cdf(xi) - 1.0
-    s = math.sqrt(1.0 - rho * rho)
+    s = math.sqrt((1.0 - r) * (1.0 + r))
+    if r > 1.0 - 1e-5:
+        def layer(u):
+            return stats.norm.pdf(u) * stats.norm.cdf((r * u - xi) / s)
+
+        tail, _ = integrate.quad(layer, max(-xi, xi - 40.0 * s), xi,
+                                 epsabs=1e-13, epsrel=1e-12, limit=200)
+        return float(2.0 * stats.norm.cdf(xi) - 1.0 - 2.0 * tail)
 
     def integrand(u):
         return stats.norm.pdf(u) * (
@@ -560,12 +587,14 @@ def _trivariate_reference_bvn(xi, rho):
 
 
 class TestBvnRectReference:
-    def test_bit_identical_on_grid(self):
-        for xi in (0.01, 0.05, 0.7, 1.95996, 3.5):
-            for rho in (-1.0, -0.6, 0.0, 0.25, 0.95, 1.0):
-                assert bvn_rect_prob(xi, rho) == _reference_bvn_rect_prob(xi, rho)
-            # below 1 - |rho| = 1e-5 the plain quadrature can miss the
-            # integrand's boundary layers (off by up to ~1e-4)
+    RHO_GRID = [*np.linspace(-0.99, 0.99, 23), -1.0, 1.0, 1 - 1e-5, -1 + 1e-5,
+                1 - 1e-7, 1 - 1e-10, 1 - 1e-12]
+
+    def test_matches_adaptive_quadrature_on_grid(self):
+        for xi in (0.01, 0.05, *np.linspace(0.3, 4.5, 8)):
+            for rho in self.RHO_GRID:
+                assert bvn_rect_prob(xi, rho) == pytest.approx(
+                    _reference_bvn_rect_prob(xi, rho), abs=1e-12), (xi, rho)
             for rho in (-1 + 1e-7, 1 - 1e-6, 1 - 1e-9):
                 assert bvn_rect_prob(xi, rho) == pytest.approx(
                     _trivariate_reference_bvn(xi, rho), abs=1e-9)
@@ -577,12 +606,12 @@ class TestBvnRectReference:
                 assert bvn_rect_prob(xi, rho) == pytest.approx(
                     _trivariate_reference_bvn(xi, rho), abs=1e-9)
 
-    def test_scale_bit_identical(self, monkeypatch):
+    def test_scale_matches_adaptive_quadrature(self, monkeypatch):
         grid = np.linspace(-0.99, 0.99, 9)
         new = [simultaneous_scale(float(r), 0.05) for r in grid]
         monkeypatch.setattr(inference, "bvn_rect_prob", _reference_bvn_rect_prob)
         ref = [simultaneous_scale(float(r), 0.05) for r in grid]
-        assert new == ref
+        assert new == pytest.approx(ref, abs=1e-10)
 
 
 class TestSimultaneousScale:
@@ -609,8 +638,8 @@ class TestSimultaneousScale:
             simultaneous_scale(1.0, 0.05), abs=0.005
         )
 
-    # 0 is the Sidak end of the bracket, +-1 the univariate end, and
-    # 1 - |rho| = 1e-7 is on bvn_rect_prob's boundary-layer branch
+    # 0 is the Sidak end of the bracket, +-1 the univariate end, and at
+    # 1 - |rho| = 1e-7 the rectangle's integrand has boundary layers
     RHO_GRID = sorted({0.0, 1.0, -1.0, 1 - 1e-7, -1 + 1e-7, 1 - 1e-5, -1 + 1e-5,
                        *np.round(np.linspace(-0.99, 0.99, 23), 6)})
 
@@ -622,12 +651,12 @@ class TestSimultaneousScale:
         for rho in self.RHO_GRID:
             calls.clear()
             simultaneous_scale(float(rho), 0.05)
-            assert len(calls) <= 8, rho
+            assert len(calls) <= 5, rho
 
     def test_coverage_error(self):
         for rho in self.RHO_GRID:
             xi = simultaneous_scale(float(rho), 0.05)
-            assert abs(bvn_rect_prob(xi, float(rho)) - 0.95) <= 1e-8, rho
+            assert abs(bvn_rect_prob(xi, float(rho)) - 0.95) <= 1e-10, rho
 
     @pytest.mark.parametrize("solver", ["bivariate", "trivariate"])
     def test_last_bit_jitter_stays_in_the_bracket(self, monkeypatch, solver):
@@ -636,7 +665,7 @@ class TestSimultaneousScale:
         rng = np.random.default_rng(7)
         name = "bvn_rect_prob" if solver == "bivariate" else "_trivariate_box_prob"
         exact = getattr(inference, name)
-        monkeypatch.setattr(inference, name, lambda xi, arg: exact(xi, arg) * (
+        monkeypatch.setattr(inference, name, lambda xi, arg, **kw: exact(xi, arg, **kw) * (
             1.0 + 4e-16 * rng.integers(-4, 5)))
         z = stats.norm.ppf(0.975)
         dim = 2 if solver == "bivariate" else 3
@@ -648,6 +677,56 @@ class TestSimultaneousScale:
                 corr = np.full((3, 3), abs(rho)) + (1.0 - abs(rho)) * np.eye(3)
                 xi = inference._equicoordinate_scale_mvn(corr, 0.05)
             assert z - 1e-9 <= xi <= sidak + 1e-6
+
+
+def _central_difference(f, x, h=1e-5):
+    return (f(x + h) - f(x - h)) / (2 * h)
+
+
+def _random_correlation(entries, noise):
+    """Correlation of Z = A u, with the third column of the 3 x 3 matrix
+    ``entries`` scaled by ``noise``: near-singular as ``noise`` -> 0."""
+    a = np.array(entries).reshape(3, 3)
+    a[:, 2] *= noise
+    cov = a @ a.T + 1e-6 * np.eye(3)
+    sd = np.sqrt(np.diag(cov))
+    return cov / np.outer(sd, sd)
+
+
+class TestScaleSlopes:
+    @settings(max_examples=60)
+    @given(xi=st.floats(0.5, 4.0),
+           rho=st.one_of(st.floats(-0.999, 0.999),
+                         st.sampled_from([1 - 1e-6, -1 + 1e-6, 1 - 1e-9, 1.0, -1.0])))
+    def test_bivariate_slope_matches_central_difference(self, xi, rho):
+        fd = _central_difference(lambda x: bvn_rect_prob(x, rho), xi)
+        assert inference._bvn_rect_slope(xi, rho) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+    @settings(max_examples=60)
+    @given(entries=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+           noise=st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e-2, 1e-3, 1e-4])),
+           xi=st.floats(1.5, 3.5))
+    def test_trivariate_slope_matches_central_difference(self, entries, noise, xi):
+        corr = _random_correlation(entries, noise)
+        fd = _central_difference(lambda x: inference._trivariate_box_prob(x, corr), xi)
+        assert inference._box_slope(xi, corr) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+    def test_coverage_is_concave_with_bounded_curvature(self, golden):
+        # Newton's method from the left never overshoots, and a step delta
+        # leaves an error of at most xi * delta**2 / 2: -P'' / P' in [0, xi]
+        lo, hi = inference._scale_bracket(0.05, 3)
+        h = 1e-4
+        rng = np.random.default_rng(11)
+        slopes = [lambda x, rho=rho: inference._bvn_rect_slope(x, rho)
+                  for rho in (-1 + 1e-9, -0.9, -0.5, 0.0, 0.3, 0.8, 0.99, 1 - 1e-7)]
+        for corr in (golden[3], _near_combination(0.01), _near_combination(0.3),
+                     *(_random_correlation(rng.uniform(-1, 1, 9), rng.uniform(0, 1))
+                       for _ in range(10))):
+            slopes.append(lambda x, corr=corr: inference._box_slope(x, corr))
+        for slope in slopes:
+            for xi in np.linspace(lo, hi, 9):
+                curvature = -_central_difference(slope, xi, h) / slope(xi)
+                assert 0.0 < curvature <= xi, xi
 
 
 def _near_combination(eps):
@@ -718,30 +797,41 @@ class TestTrivariateScale:
         assert inference._trivariate_box_prob(2.3, corr) == pytest.approx(
             _tensor_box_prob(2.3, corr), abs=1e-8)
 
-    def test_golden_trial_correlation(self, monkeypatch):
-        data = parse_dataset(Path(__file__).parent / "data" / "golden_trial.csv")
-        # the prevalence starts at 0.5, as in `mixcox fit`
-        diag = DiagnosticModel(0.9, 0.85, 0.5, prevalence_known=False)
-        res = fit(data, diag)
-        seen = []
-        scale = inference._equicoordinate_scale_mvn
-        monkeypatch.setattr(inference, "_equicoordinate_scale_mvn",
-                            lambda corr, alpha: seen.append(corr) or scale(corr, alpha))
+    def test_golden_trial_correlation(self, monkeypatch, golden):
+        data, diag, res, corr = golden
         rep = overall_concordance_report(data, diag, res)
-        (corr,) = seen
         assert rep.xi_alpha == pytest.approx(self.SOBOL_GOLDEN, abs=1e-4)
         box = inference._trivariate_box_prob
+        full = inference._TVN_NODES
         calls = []
         monkeypatch.setattr(inference, "_trivariate_box_prob",
-                            lambda xi, c: calls.append(xi) or box(xi, c))
-        assert rep.xi_alpha == scale(corr, 0.05)
-        assert len(calls) <= 10
+                            lambda xi, c, nodes=full: calls.append(nodes) or box(xi, c, nodes))
+        assert rep.xi_alpha == inference._equicoordinate_scale_mvn(corr, 0.05)
+        # full-accuracy box probabilities; a coarse one costs about a quarter
+        assert calls.count(full) <= 2
+        assert len(calls) <= 6
         # reference: bisection of the same box probability to 1e-13
+        assert rep.xi_alpha == pytest.approx(self.bisection(corr), abs=1e-10)
+
+    def bisection(self, corr):
+        """The root of the full box probability, bisected to 1e-13."""
         lo, hi = self.UNIVARIATE, self.SIDAK
         while hi - lo > 1e-13:
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if box(mid, corr) < 0.95 else (lo, mid)
-        assert rep.xi_alpha == pytest.approx(0.5 * (lo + hi), abs=1e-9)
+            below = inference._trivariate_box_prob(mid, corr) < 0.95
+            lo, hi = (mid, hi) if below else (lo, mid)
+        return 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("case", ["near combination", "rank two 0.3", "rank two -0.5"])
+    def test_matches_fine_bisection(self, case):
+        # the golden trial's correlation is checked above
+        if case == "near combination":
+            corr = _near_combination(0.01)
+        else:
+            rho = float(case.split()[-1])
+            corr = np.array([[1.0, rho, rho], [rho, 1.0, 1.0], [rho, 1.0, 1.0]])
+        xi = inference._equicoordinate_scale_mvn(corr, 0.05)
+        assert xi == pytest.approx(self.bisection(corr), abs=1e-10)
 
     @settings(max_examples=40)
     @given(entries=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),

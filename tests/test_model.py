@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import hazard_level, step_cumulative
 
 from mixcox import (
     BaselineHazard,
@@ -188,14 +189,14 @@ class TestBaselineEvaluation:
         assert self.baseline.cumulative(10.0) == pytest.approx(0.6)
 
     def test_hazard_levels(self):
-        assert self.baseline.hazard(0.5) == pytest.approx(0.4)
-        assert self.baseline.hazard(1.0) == pytest.approx(0.4)
-        assert self.baseline.hazard(2.0) == pytest.approx(0.1)
-        assert self.baseline.hazard(3.5) == 0.0
+        assert hazard_level(self.baseline, 0.5) == pytest.approx(0.4)
+        assert hazard_level(self.baseline, 1.0) == pytest.approx(0.4)
+        assert hazard_level(self.baseline, 2.0) == pytest.approx(0.1)
+        assert hazard_level(self.baseline, 3.5) == 0.0
 
     def test_step_form_masses_at_event_times(self):
-        assert self.baseline.step_cumulative(0.99) == 0.0
-        assert self.baseline.step_cumulative(1.0) == pytest.approx(0.4)
-        assert self.baseline.step_cumulative(2.9) == pytest.approx(0.4)
-        assert self.baseline.step_cumulative(3.0) == pytest.approx(0.6)
-        assert self.baseline.step_cumulative(99.0) == pytest.approx(0.6)
+        assert step_cumulative(self.baseline, 0.99) == 0.0
+        assert step_cumulative(self.baseline, 1.0) == pytest.approx(0.4)
+        assert step_cumulative(self.baseline, 2.9) == pytest.approx(0.4)
+        assert step_cumulative(self.baseline, 3.0) == pytest.approx(0.6)
+        assert step_cumulative(self.baseline, 99.0) == pytest.approx(0.6)
