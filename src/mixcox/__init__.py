@@ -13,6 +13,7 @@ and regenerates the accompanying simulation study at desk scale.
 from .em import EmConfig, FitResult, fit
 from .errors import (
     ConditioningError,
+    ConvergenceError,
     DatasetError,
     DegenerateDataError,
     MixcoxError,
@@ -53,7 +54,7 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineHazard", "ConditioningError", "Dataset",
+    "BaselineHazard", "ConditioningError", "ConvergenceError", "Dataset",
     "DatasetError", "DegenerateDataError", "DiagnosticModel", "EffectParams",
     "EmConfig", "FitResult", "InferenceConfig", "Interval", "MixcoxError",
     "RenderedTable", "RngStream", "ScenarioConfig",

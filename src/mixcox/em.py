@@ -53,12 +53,13 @@ refits of an analysis (:mod:`inference`) share one stack, so their maps
 cost about as many numpy calls as one refit's.  Everything that decides
 a lane's path is per lane: the Newton step's halving, the SQUAREM jump's
 acceptance, convergence and failure.  A lane leaves the stack as soon as
-it converges, reaches the iteration cap or fails; a failed lane takes
-its exception with it and does not disturb the others.  Each kernel
-reduces only along a lane's own axis (a pairwise sum along the last
-axis, ``np.vecdot`` or a matrix product per lane), so a lane's result is
-the same, bit for bit, in any stack, and the stack of one lane repeats
-the arithmetic of the unstacked kernels.
+it converges, with the posterior weights at its final state, or fails;
+reaching the iteration cap is a failure (a ConvergenceError).  A failed
+lane takes its exception with it and does not disturb the others.  Each
+kernel reduces only along a lane's own axis (a pairwise sum along the
+last axis, ``np.vecdot`` or a matrix product per lane), so a lane's
+result is the same, bit for bit, in any stack, and the stack of one lane
+repeats the arithmetic of the unstacked kernels.
 
 Every fit, cold or warm-started, is accelerated by SQUAREM (Varadhan &
 Roland 2008, Scand. J. Statist. 35:335) on the state vector (theta, log
@@ -94,7 +95,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from . import cox
-from .errors import DatasetError, SeparationError
+from .errors import ConvergenceError, DatasetError, SeparationError
 from .model import (
     BaselineHazard,
     Dataset,
@@ -130,17 +131,16 @@ class EmConfig:
 
 @dataclass
 class FitResult:
-    """Converged (or stopped) EM state plus diagnostics."""
+    """Converged EM state plus diagnostics."""
 
     theta_hat: EffectParams
     baseline: BaselineHazard
     pi_hat: float
-    # posterior P(true positive) per subject from the last E-step: the
-    # weights whose M-step gave theta_hat and the baseline
+    # posterior P(true positive) per subject at (theta_hat, baseline,
+    # pi_hat): the E-step the next EM map would take
     weights: np.ndarray
     obs_loglik: float
     iterations: int
-    converged: bool
     loglik_trace: np.ndarray = field(default=None, repr=False)
     # the fit's precomputed structures; a warm refit on the same Dataset
     # object reuses them.  Not part of the result's value.
@@ -149,10 +149,10 @@ class FitResult:
 
 
 class _Lane(NamedTuple):
-    """Where one lane of :func:`_fit_lanes` stopped: its state (theta,
-    hazard increments, pi), the E-step that fed its last M-step, the
-    observed log-likelihood of each accepted map, the map count, whether
-    it converged and the workspace of the stack."""
+    """Where one lane of :func:`_fit_lanes` converged: its state (theta,
+    hazard increments, pi), the posterior weights at that state, the
+    observed log-likelihood of each accepted map, the map count and the
+    workspace of the stack."""
 
     theta: np.ndarray
     increments: np.ndarray
@@ -160,7 +160,6 @@ class _Lane(NamedTuple):
     weights: np.ndarray
     loglik_trace: list
     iterations: int
-    converged: bool
     workspace: "_Workspace"
 
 
@@ -384,11 +383,12 @@ def _select(kept, new, old):
     return np.where(kept.reshape(kept.shape + (1,) * (new.ndim - 1)), new, old)
 
 
-def _jump(ws, diag, free, held, state, w, w_next, cycle, ll_prev):
-    """The SQUAREM step of every lane from its cycle x0 -> x1 -> x2: the
-    jump and one EM map from it, kept in the lanes where it is finite, no
-    kernel failed and its log-likelihood is not below ``ll_prev``.
-    Returns the kept mask, the lanes' states and E-steps and the maps'
+def _jump(ws, diag, free, held, state, w, cycle, ll_prev):
+    """The SQUAREM step of every lane from its cycle x0 -> x1 -> x2 =
+    ``state``, whose posterior weights are ``w``: the jump and one EM map
+    from it, kept in the lanes where it is finite, no kernel failed and
+    its log-likelihood is not below ``ll_prev``.  Returns the kept mask,
+    the lanes' states and their posterior weights and the maps'
     log-likelihoods.  An overflow here is the jump's failure, not an
     error (see :func:`_fit_lanes`)."""
     x = _sqs3_point(*cycle)
@@ -400,19 +400,16 @@ def _jump(ws, diag, free, held, state, w, w_next, cycle, ll_prev):
     if not (sane.all() and inc.min() > 0 and inc.max() < np.inf):
         sane &= (inc.min(axis=-1) > 0) & (inc.max(axis=-1) < np.inf)
         if not sane.any():
-            return sane, state, w, w_next, ll_prev
+            return sane, state, w, ll_prev
         jump = _select(sane, jump, state)
     w_jump = _e_pass(ws, jump, diag)[1]
     jumped, w_jumped, ll, errors = _em_map(ws, diag, free, held, jump, w_jump)
     kept = sane & np.isfinite(ll) & (ll >= ll_prev)
     if errors:
         kept &= ~_lane_mask(errors, kept.size)
-    if kept.all():
-        return kept, jumped, w_jump, w_jumped, ll
     if not kept.any():
-        return kept, state, w, w_next, ll
-    return (kept, _select(kept, jumped, state), _select(kept, w_jump, w),
-            _select(kept, w_jumped, w_next), ll)
+        return kept, state, w, ll
+    return kept, _select(kept, jumped, state), _select(kept, w_jumped, w), ll
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -428,8 +425,9 @@ def _fit_lanes(data: Dataset, diag: DiagnosticModel, pins,
     same joint likelihood the estimated prevalence maximizes: its
     log-likelihood is the profile log-likelihood at that prevalence.
     Returns, per lane, its :class:`_Lane` or the exception that ended it:
-    a kernel failure, or the SeparationError of a free coefficient that
-    ended beyond ``cox.SEPARATION_FLAG``.
+    a kernel failure, the ConvergenceError of a lane still moving after
+    ``config.max_iter`` maps, or the SeparationError of a free
+    coefficient that converged beyond ``cox.SEPARATION_FLAG``.
 
     Floating-point overflow, invalid-operation and divide warnings are off
     in the loop.  A state far out along a separating direction -- a warm
@@ -470,21 +468,20 @@ def _fit_lanes(data: Dataset, diag: DiagnosticModel, pins,
     ids = list(range(len(fixed)))  # the lane of each row of the stack
     ll_prev = [-np.inf] * len(fixed)
     it = 0
-    w = None
-    w_next = _e_pass(ws, state, diag)[1]
+    # the posterior weights at each lane's state: the next map's E-step
+    w = _e_pass(ws, state, diag)[1]
     # the packed states of the current SQUAREM cycle
     cycle = [_pack(state)]
     while ids:
         it += 1
         if len(cycle) < 3:
-            w = w_next
-            state, w_next, ll, errors = _em_map(ws, diag, free, held, state, w)
+            state, w, ll, errors = _em_map(ws, diag, free, held, state, w)
             kept = [k not in errors for k in range(len(ids))]
         else:
             # the next cycle starts from x2 in the lanes whose jump fails;
             # a failed jump ends no lane
-            kept, state, w, w_next, ll = _jump(ws, diag, free, held, state, w,
-                                               w_next, cycle, np.array(ll_prev))
+            kept, state, w, ll = _jump(ws, diag, free, held, state, w, cycle,
+                                       np.array(ll_prev))
             kept = kept.tolist()
             cycle, errors = [], {}
         cycle.append(_pack(state))
@@ -508,21 +505,24 @@ def _fit_lanes(data: Dataset, diag: DiagnosticModel, pins,
             ll_prev = [value for k, value in enumerate(ll_prev) if keep[k]]
             free, held = free[keep], held[keep]
             state = tuple(part[keep] for part in state)
-            w, w_next = w[keep], w_next[keep]
+            w = w[keep]
             cycle = [x[keep] for x in cycle]
     return results
 
 
 def _lane_end(ws, state, w, k, free, trace, iterations, converged):
-    """The :class:`_Lane` of row ``k`` of the stack, or the
-    SeparationError of a free coefficient that ended beyond
-    ``cox.SEPARATION_FLAG``."""
+    """The :class:`_Lane` of row ``k`` of the stack; the ConvergenceError
+    of a lane that has not converged, or the SeparationError of a free
+    coefficient that converged beyond ``cox.SEPARATION_FLAG``."""
+    if not converged:
+        return ConvergenceError(f"EM did not converge within {iterations} iterations "
+                                f"(last log-likelihood {trace[-1]:.6f})")
     theta, inc, pi = state
     try:
         cox.check_separation(theta[k][free])
     except SeparationError as exc:
         return exc
-    return _Lane(theta[k], inc[k], float(pi[k]), w[k], trace, iterations, converged, ws)
+    return _Lane(theta[k], inc[k], float(pi[k]), w[k], trace, iterations, ws)
 
 
 def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
@@ -563,14 +563,16 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
     Returns
     -------
     FitResult
-        With ``converged`` False when the iteration cap was reached.
-        ``iterations`` counts every EM map, those from rejected jumps
-        included; ``loglik_trace`` holds the observed log-likelihood of
-        each accepted map, so it never decreases.  The loop stops when
-        two consecutive accepted values differ by less than TOL_LOGLIK.
+        At convergence: two consecutive accepted log-likelihoods differ
+        by less than TOL_LOGLIK.  ``iterations`` counts every EM map,
+        those from rejected jumps included; ``loglik_trace`` holds the
+        observed log-likelihood of each accepted map, so it never
+        decreases; ``weights`` is the posterior at the returned state.
 
     Raises
     ------
+    ConvergenceError
+        If the loop has not converged after ``config.max_iter`` maps.
     SeparationError
         If a free coefficient runs away during a step (|beta| > 50), or
         ends the fit beyond 15 in absolute value: the likelihood appears
@@ -589,7 +591,6 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
         weights=lane.weights,
         obs_loglik=lane.loglik_trace[-1],
         iterations=lane.iterations,
-        converged=lane.converged,
         loglik_trace=np.array(lane.loglik_trace),
         _workspace=lane.workspace,
     )

@@ -13,6 +13,10 @@ class SeparationError(MixcoxError):
     """Monotone partial likelihood: a coefficient diverges (infinite MLE)."""
 
 
+class ConvergenceError(MixcoxError):
+    """The EM reached its iteration cap before the log-likelihood settled."""
+
+
 class ConditioningError(MixcoxError):
     """A profile information matrix is not positive definite."""
 

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import linalg
 from scipy.special import chdtrc, expit, gammaincinv, logit, ndtr, ndtri
 
-from . import em
+from . import cox, em
 from .errors import ConditioningError, DatasetError, DegenerateDataError, SeparationError
 from .model import Dataset, DiagnosticModel, EffectParams
 
@@ -58,8 +58,8 @@ _PARAM_INDEX = {"beta1": 0, "beta2": 1, "gamma": 2}
 # parameter (Venzon & Moolgavkar 1988), so the solve starts at the Wald
 # point and usually stops after 3-4 refits, once the statistic is within
 # _LR_TOL of the quantile or the bracket is narrower than _CI_TOL.  An
-# endpoint not bracketed within _MAX_REACH_SE profile standard errors is
-# returned open.
+# endpoint not bracketed within _MAX_REACH_SE profile standard errors, or
+# within cox.SEPARATION_BOUND of zero for a coefficient, is returned open.
 _MAX_REACH_SE = 4.0 * 2**9
 _CI_TOL = 1e-4
 _LR_TOL = 1e-4
@@ -116,9 +116,6 @@ class Interval:
 
     def contains(self, value: float) -> bool:
         return self.low <= value <= self.high
-
-    def width(self) -> float:
-        return self.high - self.low
 
 
 @dataclass
@@ -275,7 +272,8 @@ def _endpoint_search(param: str, direction: int, mle: float, se: float,
     if param == "pi":
         bound = 1.0 - em.PREVALENCE_FLOOR if direction > 0 else em.PREVALENCE_FLOOR
     else:
-        bound = mle + direction * _MAX_REACH_SE * se
+        bound = min(max(mle + direction * _MAX_REACH_SE * se, -cox.SEPARATION_BOUND),
+                    cox.SEPARATION_BOUND)
     reach = abs(bound - mle)
 
     def at(x: float) -> float:
@@ -364,9 +362,11 @@ def profile_ci(
     last, is replaced by bisection.  The search stops when lambda is within
     1e-4 of q or the bracket is narrower than 1e-4 on the parameter scale.
     A constrained fit that separates or degenerates counts as lambda =
-    infinity.  An endpoint not bracketed within 2048 profile standard
-    errors -- or, for the prevalence, within the admissible range -- is
-    returned at that limit with its open flag set.
+    infinity; one that does not converge within ``em_config.max_iter``
+    maps raises its ConvergenceError.  An endpoint not bracketed within
+    2048 profile standard errors or +-50 (``cox.SEPARATION_BOUND``),
+    whichever is nearer -- or, for the prevalence, within the admissible
+    range -- is returned at that limit with its open flag set.
 
     The two endpoint searches run in lockstep (:func:`_run_searches`): each
     round refits both of their next points as two lanes of one stacked EM.
@@ -466,7 +466,8 @@ def _coefficient_information(data: Dataset, diag: DiagnosticModel,
     H_i r_pos + event_i log r_pos and B_i the same for negative status.
     H_i is the sum of the hazard jumps lambda_j up to its K_i-th distinct
     event time, and r_pos, r_neg are its relative risks under either
-    status.  With p_i = expit(A_i - B_i) the Hessian of logaddexp is
+    status.  With p_i = expit(A_i - B_i), the posterior ``res.weights``,
+    the Hessian of logaddexp is
     p A'' + (1 - p) B'' + p (1 - p) (A' - B')(A' - B')^T.  A and B are
     linear in lambda and in the log prior, which is log pi or log(1 - pi)
     plus a constant when the prevalence is estimated; so, in the
@@ -490,7 +491,7 @@ def _coefficient_information(data: Dataset, diag: DiagnosticModel,
     inc, pi = res.baseline.increments, res.pi_hat
     free_pi = (not diag.prevalence_known
                and em.PREVALENCE_FLOOR < pi < 1.0 - em.PREVALENCE_FLOOR)
-    p = em._e_pass(ws, (theta, inc, pi), diag)[1]
+    p = res.weights
     q = p * (1.0 - p)
     jumps = inc * rs.widths
     k = ws.n_events_le

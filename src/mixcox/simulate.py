@@ -18,7 +18,7 @@ import numpy as np
 
 from . import em, inference
 from .errors import DatasetError, MixcoxError
-from .model import Dataset, DiagnosticModel, EffectParams
+from .model import Dataset, DiagnosticModel, EffectParams, _linear_predictor
 
 __all__ = [
     "ScenarioConfig",
@@ -121,8 +121,7 @@ def _draw_trial(config: ScenarioConfig, rng: np.random.Generator):
         x[idx] = pattern
         if idx.size % 2 == 1:
             start = 1 - start
-    theta = config.theta_true
-    eta = theta.beta1 * x + theta.beta2 * z + theta.gamma * x * z
+    eta = _linear_predictor(config.theta_true, x, z)
     t_latent = _draw_survival_time(rng.random(n), eta)
     censor = rng.uniform(config.censor_low, config.censor_high, n)
     time = np.minimum(t_latent, censor)
@@ -145,8 +144,6 @@ def _replicate(config: ScenarioConfig, rep: int):
     try:
         data = generate_trial(config, RngStream(config.base_seed, rep))
         res = em.fit(data, diag)
-        if not res.converged:
-            return np.full(3, np.nan), False, False, False
         info = inference.fd_profile_information(
             data, diag, ("beta1", "gamma"), fit_result=res
         )
@@ -166,8 +163,9 @@ def _replicate(config: ScenarioConfig, rep: int):
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioSummary:
     """Run all replications of one cell and aggregate.
 
-    Failed replications (non-convergence or degenerate data) are counted
-    and excluded; a warning is issued if they exceed 1% of the total.
+    Failed replications (an estimation failure such as non-convergence,
+    separation or degenerate data) are counted and excluded; a warning is
+    issued if they exceed 1% of the total.
     Results are identical for any ``workers`` because every replication
     has its own seeded stream and aggregation is in replication order.
     """

@@ -7,13 +7,17 @@ log-likelihood) so that agreement is meaningful.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit, logit
 
-from mixcox import Dataset, DiagnosticModel, EffectParams, ScenarioConfig, em
+from mixcox import (BaselineHazard, Dataset, DiagnosticModel, EffectParams,
+                    ScenarioConfig, em)
+from mixcox.cli import DATASET_COLUMNS
+from mixcox.model import TEST_MISSING
 from mixcox.simulate import RngStream, generate_trial
 
 
@@ -84,6 +88,40 @@ def sim_dataset(seed, n_per_arm=100, theta=(-0.5, 0.1, 0.3), pi=0.3,
         n_per_arm=n_per_arm, replications=1, base_seed=seed,
     )
     return generate_trial(cfg, RngStream(seed, 0))
+
+
+def write_dataset(data: Dataset, path) -> None:
+    """Write a dataset in the format ``cli.parse_dataset`` reads, times at
+    full precision."""
+    lines = [",".join(DATASET_COLUMNS)]
+    for t, d, x, v in zip(data.time, data.event, data.treatment, data.test):
+        test = "NA" if v == TEST_MISSING else str(int(v))
+        lines.append(f"{float(t)!r},{int(d)},{int(x)},{test}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def one_em_map(data, diag, warm=None) -> em.FitResult:
+    """The state after a single EM map (``em._em_map``), every coefficient
+    free, as a FitResult: from the state of the fit ``warm``, or from the
+    null start of a cold fit.  Its ``weights`` are the posterior there."""
+    ws = em._Workspace(data)
+    if warm is None:
+        theta, inc, pi = em._initial_state(ws, diag, {})
+    else:
+        theta, inc = warm.theta_hat.as_array(), warm.baseline.increments
+        pi = diag.prevalence if diag.prevalence_known else warm.pi_hat
+    state = (theta[None], inc[None], np.array([pi]))
+    held = np.array([diag.prevalence_known])
+    w = em._e_pass(ws, state, diag)[1]
+    (theta, inc, pi), w, ll, errors = em._em_map(ws, diag, np.ones((1, 3), dtype=bool),
+                                                 held, state, w)
+    assert not errors
+    return em.FitResult(
+        theta_hat=EffectParams.from_array(theta[0]),
+        baseline=BaselineHazard(ws.risk_sets.ets, inc[0]),
+        pi_hat=float(pi[0]), weights=w[0], obs_loglik=float(ll[0]), iterations=1,
+        loglik_trace=ll.copy(), _workspace=ws,
+    )
 
 
 @st.composite

@@ -17,6 +17,7 @@ from scipy.special import expit, logit
 
 from mixcox import (
     ConditioningError,
+    ConvergenceError,
     Dataset,
     DegenerateDataError,
     DiagnosticModel,
@@ -25,6 +26,7 @@ from mixcox import (
     SeparationError,
     bvn_rect_prob,
     concordance_prob,
+    cox,
     em,
     fd_profile_information,
     fit,
@@ -201,6 +203,16 @@ class TestProfileCi:
         assert ci.low < res.pi_hat < ci.high
         assert 0.01 <= ci.low and ci.high <= 0.99
 
+    def test_refit_at_the_cap_fails_the_search(self, golden):
+        # a refit stopped by the iteration cap has too low a likelihood;
+        # it must fail the interval and the test, not narrow or inflate them
+        data, diag, res, _ = golden
+        capped = em.EmConfig(max_iter=3)
+        with pytest.raises(ConvergenceError, match="did not converge within 3"):
+            profile_ci(data, diag, "gamma", fit_result=res, em_config=capped)
+        with pytest.raises(ConvergenceError, match="did not converge within 3"):
+            lr_test(data, diag, "gamma", 0.0, fit_result=res, em_config=capped)
+
     def test_nonpositive_se_rejected(self, fitted):
         data, diag, res = fitted
         for se in (0.0, -0.1, math.inf):
@@ -235,15 +247,21 @@ def _fake_profile(monkeypatch, res, param, lam_of_distance):
 class TestProfileCiOpenEndpoints:
     def test_flat_profile_is_open_at_maximum_reach(self, fitted, monkeypatch):
         data, diag, res = fitted
-        se = 0.2
         # rises towards 1, never reaching the chi-square(1) quantile
         mle, _ = _fake_profile(monkeypatch, res, "gamma",
                                lambda d: 1.0 - math.exp(-abs(d)))
+        # 2048 standard errors out, when that is within +-50
+        se = 0.01
         ci = profile_ci(data, diag, "gamma", fit_result=res, se=se)
         assert ci.open_low and ci.open_high
         reach = 4.0 * 2**9 * se
+        assert abs(mle) + reach < cox.SEPARATION_BOUND
         assert ci.low == pytest.approx(mle - reach, rel=1e-12)
         assert ci.high == pytest.approx(mle + reach, rel=1e-12)
+        # +-50 on the coefficient scale, when that is nearer
+        ci = profile_ci(data, diag, "gamma", fit_result=res, se=0.2)
+        assert ci.open_low and ci.open_high
+        assert (ci.low, ci.high) == (-cox.SEPARATION_BOUND, cox.SEPARATION_BOUND)
 
     def test_separation_region_is_bracketed_and_closed(self, fitted, monkeypatch):
         data, diag, res = fitted
@@ -465,7 +483,6 @@ class TestFdInformation:
         # complement does not depend on the nuisance parametrization
         monkeypatch.setattr(em, "TOL_LOGLIK", 1e-13)
         res = fit(data, diag)
-        assert res.converged
         if case == "pi_clipped":
             assert res.pi_hat == 1.0 - em.PREVALENCE_FLOOR
         if case == "perfect_test":
@@ -860,8 +877,8 @@ class TestSimultaneousCis:
         sigma = np.array([[0.04, 0.0], [0.0, 0.04]])
         rep = simultaneous_cis(theta, sigma, 0.05)
         assert rep.rho == 0.0
-        w_pos = rep.interval_pos.width()
-        w_neg = rep.interval_neg.width()
+        w_pos = rep.interval_pos.high - rep.interval_pos.low
+        w_neg = rep.interval_neg.high - rep.interval_neg.low
         assert w_pos == pytest.approx(w_neg, rel=1e-12)
         assert w_pos == pytest.approx(2 * rep.xi_alpha * 0.2, rel=1e-12)
         assert rep.interval_pos.contains(0.1)
