@@ -120,13 +120,15 @@ _ETA = np.array([[1, 2], [3, 0]])
 
 @dataclass(frozen=True)
 class EmConfig:
-    """EM control knob: the iteration cap."""
+    """EM control knob: the iteration cap.  It is at least 2, since
+    convergence compares the log-likelihoods of two maps."""
 
     max_iter: int = 2000
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise DatasetError("max_iter must be at least 1")
+        if self.max_iter < 2:
+            raise DatasetError("max_iter must be at least 2: convergence compares "
+                               "the log-likelihoods of two EM maps")
 
 
 @dataclass

@@ -2,23 +2,29 @@
 
 Confidence intervals invert the profile likelihood-ratio statistic against
 its chi-square(1) limit, each endpoint found by rerunning the EM with the
-parameter held fixed.  The endpoint searches and likelihood-ratio tests
-of an analysis are independent refits warm-started from the same fit, so
-they run in lockstep (:func:`_run_searches`): each search is a generator
-that yields its next point and is sent the profile log-likelihood there,
-and each round refits every active search's point as one lane of a
-single stacked EM (``em._fit_lanes``).  A search follows the same points
-as it would alone; only the number of stacked refits falls, to the
-longest search's count of points.  Standard errors come from the profile information
-of the coefficients, computed exactly at the EM fixed point as the Schur
-complement of the observed-likelihood Hessian over the nuisance
-parameters (the baseline hazard jumps and, when it is estimated, the
-prevalence); its structure reduces the elimination of the baseline to one
-tridiagonal solve.  Simultaneous (equicoordinate) intervals for the
+parameter held fixed.  An endpoint search takes Newton steps on the signed
+root of the statistic: by the envelope theorem the profile's slope at a
+pinned value is the pinned parameter's score at the refit's own state, so
+every refit gives the slope with its value, and the search returns the
+Newton-corrected point of its last refit.  The endpoint searches and
+likelihood-ratio tests of an analysis are independent refits warm-started
+from the same fit, so they run in lockstep (:func:`_run_searches`): each
+search is a generator that yields its next point and is sent the profile
+log-likelihood there, and each round refits every active search's point
+as one lane of a single stacked EM (``em._fit_lanes``).  A search follows
+the same points as it would alone; only the number of stacked refits
+falls, to the longest search's count of points: 3 rounds and 39 stacked
+EM maps on the golden trial.  Standard errors come from the profile
+information of the coefficients, computed exactly at the EM fixed point
+as the Schur complement of the observed-likelihood Hessian over the
+nuisance parameters (the baseline hazard jumps and, when it is estimated,
+the prevalence); its structure reduces the elimination of the baseline to
+one tridiagonal solve.  Simultaneous (equicoordinate) intervals for the
 two subgroup effects scale the usual normal quantile up to the factor
 that gives joint bivariate-normal coverage; adding the overall effect --
 the log concordance odds, a smooth function of the coefficients and the
-prevalence -- extends this to a trivariate rectangle.
+prevalence -- extends this to a trivariate rectangle, whose probability
+is integrated over half of its symmetric range.
 """
 
 from __future__ import annotations
@@ -52,11 +58,11 @@ __all__ = [
 ]
 
 _PARAM_INDEX = {"beta1": 0, "beta2": 1, "gamma": 2}
-# profile-CI endpoint search: a safeguarded secant solve of
+# profile-CI endpoint search: a safeguarded Newton solve of
 # sqrt(LR statistic) = sqrt(chi-square quantile) in the distance from the
 # estimate.  The signed root of the LR statistic is nearly linear in the
 # parameter (Venzon & Moolgavkar 1988), so the solve starts at the Wald
-# point and usually stops after 3-4 refits, once the statistic is within
+# point and usually stops after 2-3 refits, once the statistic is within
 # _LR_TOL of the quantile or the bracket is narrower than _CI_TOL.  An
 # endpoint not bracketed within _MAX_REACH_SE profile standard errors, or
 # within cox.SEPARATION_BOUND of zero for a coefficient, is returned open.
@@ -155,17 +161,53 @@ def _profile_logliks(
     *,
     em_config: em.EmConfig,
     warm: em.FitResult | None,
+    slopes: bool = False,
 ) -> list:
     """The profile log-likelihood at each of ``pins`` (each a ``fixed`` of
     :func:`profile_loglik`), from one stacked refit of all of them
     (``em._fit_lanes``): a lane per pin, with its own pinned coefficients
     and, for a pinned prevalence, the prevalence held at that value.
-    Each entry is the value, or the exception that ended its lane.
+    Each entry is the pair (value, slope), or the exception that ended
+    its lane.
 
-    This is the one place the profile searches evaluate the likelihood.
+    With ``slopes`` set, each pin holds one parameter and the slope is the
+    profile log-likelihood's derivative in its pinned value: by the
+    envelope theorem, the score of the pinned parameter at the refit's own
+    state (:func:`_pinned_scores`); otherwise the slope is None.  This is
+    the one place the profile searches evaluate the likelihood.
     """
-    return [lane if isinstance(lane, Exception) else lane.loglik_trace[-1]
-            for lane in em._fit_lanes(data, diag, pins, em_config, warm)]
+    lanes = em._fit_lanes(data, diag, pins, em_config, warm)
+    done = [k for k, lane in enumerate(lanes) if not isinstance(lane, Exception)]
+    scores = dict.fromkeys(done)
+    if slopes and done:
+        scores = dict(zip(done, _pinned_scores([pins[k] for k in done],
+                                               [lanes[k] for k in done])))
+    return [(lane.loglik_trace[-1], scores[k]) if k in scores else lane
+            for k, lane in enumerate(lanes)]
+
+
+def _pinned_scores(pins: Sequence[Mapping[str, float]], lanes: Sequence) -> list[float]:
+    """The score of each lane's one pinned parameter at its converged state
+    (``em._Lane``), all coefficients' from one stacked evaluation.
+
+    For a coefficient it is that component of the gradient of the partial
+    log-likelihood weighted by the lane's posterior (``cox._loglik_parts``),
+    which at an EM fixed point is the observed log-likelihood's.  For a
+    held prevalence it is the derivative of the sum of logaddexp(A_i, B_i)
+    (:func:`em._e_pass`) in pi, whose prior log-weights are log pi and
+    log(1 - pi) plus constants: (sum of w - n pi) / (pi (1 - pi)).
+    """
+    weights = np.array([lane.weights for lane in lanes])
+    sums = cox.RiskSums(lanes[0].workspace.risk_sets, weights)
+    grad = cox._loglik_parts(sums, np.array([lane.theta for lane in lanes]))[1]
+    scores = []
+    for (param,), lane, w, g in zip(pins, lanes, weights, grad.tolist()):
+        if param == "pi":
+            pi = lane.pi
+            scores.append(float((w.sum() - w.size * pi) / (pi * (1.0 - pi))))
+        else:
+            scores.append(g[_PARAM_INDEX[param]])
+    return scores
 
 
 def profile_loglik(
@@ -189,19 +231,21 @@ def profile_loglik(
     (value,) = _profile_logliks(data, diag, [fixed], em_config=em_config, warm=warm)
     if isinstance(value, Exception):
         raise value
-    return value
+    return value[0]
 
 
 def _run_searches(data: Dataset, diag: DiagnosticModel, searches, *,
-                  fit_result: em.FitResult, em_config: em.EmConfig) -> list:
+                  fit_result: em.FitResult, em_config: em.EmConfig,
+                  slopes: bool) -> list:
     """Run the profile searches ``searches`` in lockstep; returns each
     one's result, in order.
 
-    A search is a generator that yields the parameter values to pin (a
-    ``fixed`` of :func:`profile_loglik`), is sent the profile
-    log-likelihood there (or the exception its refit ended with) and
-    returns its result.  Each round sends every active search the value
-    at the point it yielded, all of them from one stacked refit warm-started
+    A search is a generator that yields the parameter value to pin (a
+    ``fixed`` of :func:`profile_loglik` that holds one parameter), is sent
+    the profile log-likelihood there and its slope, None unless
+    ``slopes`` is set (or the exception its refit ended with), and
+    returns its result.  Each round sends every active search the pair at
+    the point it yielded, all of them from one stacked refit warm-started
     at ``fit_result`` (:func:`_profile_logliks`).  A search's sequence of
     points depends only on its own values, so it is the one it would
     follow alone.
@@ -211,7 +255,7 @@ def _run_searches(data: Dataset, diag: DiagnosticModel, searches, *,
     while pending:
         keys = list(pending)
         values = _profile_logliks(data, diag, [pending[k] for k in keys],
-                                  em_config=em_config, warm=fit_result)
+                                  em_config=em_config, warm=fit_result, slopes=slopes)
         for k, value in zip(keys, values):
             try:
                 pending[k] = searches[k].send(value)
@@ -221,13 +265,19 @@ def _run_searches(data: Dataset, diag: DiagnosticModel, searches, *,
     return results
 
 
+def _refit_failure(exc: Exception, param: str, value: float) -> Exception:
+    """``exc``, of the same type, with its message naming the profile
+    refit it ended: the parameter and the value it was pinned at."""
+    return type(exc)(f"{exc}, in the profile refit at {param} = {value!r}")
+
+
 def _lr_null(fit_result: em.FitResult, param: str, null_value: float):
     """Search of one point: the likelihood-ratio test of ``param ==
     null_value`` (see :func:`lr_test`)."""
-    ll0 = yield {param: null_value}
-    if isinstance(ll0, Exception):
-        raise ll0
-    lam = max(2.0 * (fit_result.obs_loglik - ll0), 0.0)
+    got = yield {param: null_value}
+    if isinstance(got, Exception):
+        raise _refit_failure(got, param, null_value) from got
+    lam = max(2.0 * (fit_result.obs_loglik - got[0]), 0.0)
     return lam, _chi2_sf(lam)
 
 
@@ -265,8 +315,11 @@ def _endpoint_search(param: str, direction: int, mle: float, se: float,
     log-likelihood there and returns (endpoint, open flag).
 
     It solves g(x) = sqrt(lambda(mle + direction * x)) - sqrt(target) = 0
-    in the distance x by the safeguarded secant iteration that
-    :func:`profile_ci` describes.
+    in the distance x by the safeguarded Newton iteration that
+    :func:`profile_ci` describes.  The slope of g comes with each value:
+    lambda = 2 (fit_loglik - profile) falls by twice the profile's slope,
+    the pinned parameter's score, so g'(x) = -direction * score /
+    sqrt(lambda).
     """
     root_target = math.sqrt(target)
     if param == "pi":
@@ -280,30 +333,35 @@ def _endpoint_search(param: str, direction: int, mle: float, se: float,
         return bound if x >= reach else mle + direction * x
 
     x_in, x_out = 0.0, math.inf  # g(x_in) < 0 <= g(x_out)
-    x_prev, g_prev = 0.0, -root_target
     step_last = step_before = math.inf
     x = min(root_target * se, reach)
     while True:
-        ll = yield {param: at(x)}
-        if isinstance(ll, (SeparationError, DegenerateDataError)):
+        got = yield {param: at(x)}
+        score = None
+        if isinstance(got, (SeparationError, DegenerateDataError)):
             # the constrained fit degenerates this far out; certainly
             # outside the confidence region
             lam = math.inf
-        elif isinstance(ll, Exception):
-            raise ll
+        elif isinstance(got, Exception):
+            raise _refit_failure(got, param, at(x)) from got
         else:
+            ll, score = got
             lam = 2.0 * (fit_loglik - ll)
-        if abs(lam - target) < _LR_TOL:
-            return at(x), False
         g = math.sqrt(max(lam, 0.0)) - root_target
+        # the Newton step; NaN where no slope is usable
+        cand = math.nan
+        if score is not None and 0.0 < lam < math.inf:
+            slope = -direction * score / math.sqrt(lam)
+            if slope > 0:
+                cand = x - g / slope
         if g < 0:
             x_in = x
         else:
             x_out = x  # also an infinite or undefined statistic
+        if abs(lam - target) < _LR_TOL:
+            return at(cand if x_in < cand < x_out and cand <= reach else x), False
         if x_out - x_in < _CI_TOL:
             return at(0.5 * (x_in + x_out)), False
-        cand = _secant_step(x_prev, g_prev, x, g)
-        x_prev, g_prev = x, g
         if math.isinf(x_out):
             if x >= reach:
                 return bound, True
@@ -354,19 +412,29 @@ def profile_ci(
 
     Each endpoint solves g(x) = sqrt(lambda(estimate +- x)) - sqrt(q) = 0,
     where lambda is the LR statistic, q the chi-square(1) quantile and x
-    the distance from the estimate, by a safeguarded secant iteration.  It
-    starts from the Wald point x = sqrt(q) * se, with the secant through
-    g(0) = -sqrt(q).  Until g changes sign each step grows the distance by
-    at most a factor of 2; afterwards the sign change is kept as a bracket
-    and a step that leaves it, or that fails to halve the step before
-    last, is replaced by bisection.  The search stops when lambda is within
-    1e-4 of q or the bracket is narrower than 1e-4 on the parameter scale.
-    A constrained fit that separates or degenerates counts as lambda =
-    infinity; one that does not converge within ``em_config.max_iter``
-    maps raises its ConvergenceError.  An endpoint not bracketed within
-    2048 profile standard errors or +-50 (``cox.SEPARATION_BOUND``),
-    whichever is nearer -- or, for the prevalence, within the admissible
-    range -- is returned at that limit with its open flag set.
+    the distance from the estimate, by a safeguarded Newton iteration.
+    The slope of g needs no extra refit: by the envelope theorem the
+    profile log-likelihood's slope at a pinned value is the pinned
+    parameter's score at the refit's own state, so g' = -(+-score) /
+    sqrt(lambda).  The search starts from the Wald point x = sqrt(q) * se
+    and takes the Newton step wherever lambda > 0 and g' > 0.  Until g
+    changes sign each step grows the distance by at most a factor of 2,
+    and without a usable slope it doubles; afterwards the sign change is
+    kept as a bracket, and a step that leaves it, that fails to halve the
+    step before last or that has no usable slope is replaced by
+    bisection.  The search stops when lambda is within 1e-4 of q, and
+    returns the Newton-corrected point x - g / g' when that lies inside
+    the bracket and the reach (else x); or when the bracket is narrower
+    than 1e-4 on the parameter scale, and returns its midpoint.  On the
+    golden trial every endpoint then has lambda within 1e-9 of q, after
+    2-3 refits.  A constrained fit that separates or degenerates counts as
+    lambda = infinity; one that does not converge within
+    ``em_config.max_iter`` maps raises its ConvergenceError, with the
+    parameter and the pinned value in its message.  An endpoint not
+    bracketed within 2048 profile standard errors or +-50
+    (``cox.SEPARATION_BOUND``), whichever is nearer -- or, for the
+    prevalence, within the admissible range -- is returned at that limit
+    with its open flag set.
 
     The two endpoint searches run in lockstep (:func:`_run_searches`): each
     round refits both of their next points as two lanes of one stacked EM.
@@ -390,9 +458,11 @@ def _profile(
     with that standard error) and the likelihood-ratio test of each
     ``param == null_value`` of ``tests`` (:func:`lr_test`).
 
-    All of their searches run in lockstep (:func:`_run_searches`).  For the
-    report of ``mixcox fit`` -- eight endpoint searches and three tests --
-    that is four stacked refits instead of thirty refits one after another.
+    All of their searches run in lockstep (:func:`_run_searches`), with
+    the profile slopes computed only when there is an interval to search.
+    For the report of ``mixcox fit`` on the golden trial -- eight endpoint
+    searches and three tests -- that is three stacked refits (39 EM maps)
+    instead of twenty-three refits one after another.
     """
     tests = tests or {}
     searches = []
@@ -400,20 +470,12 @@ def _profile(
         searches += _interval_searches(data, diag, param, config, fit_result, se)
     searches += [_lr_null(fit_result, param, value) for param, value in tests.items()]
     results = _run_searches(data, diag, searches, fit_result=fit_result,
-                            em_config=em_config)
+                            em_config=em_config, slopes=bool(ses))
     intervals = {}
     for k, param in enumerate(ses):
         (high, open_high), (low, open_low) = results[2 * k:2 * k + 2]
         intervals[param] = Interval(low, high, open_low=open_low, open_high=open_high)
     return intervals, dict(zip(tests, results[2 * len(ses):]))
-
-
-def _secant_step(x0: float, g0: float, x1: float, g1: float) -> float:
-    """Root of the line through (x0, g0) and (x1, g1); NaN when that line
-    is undefined or flat."""
-    if not (math.isfinite(g0) and math.isfinite(g1)) or g0 == g1:
-        return math.nan
-    return x1 - g1 * (x1 - x0) / (g1 - g0)
 
 
 def fd_profile_information(
@@ -798,15 +860,17 @@ def _trivariate_box_prob(xi: float, corr: np.ndarray, nodes: int = _TVN_NODES) -
     With Z = L Y (Y standard normal, L from :func:`_trivariate_factor`)
     the probability is E[Q(Y3)], where Q(y3) is the bivariate normal mass
     of the polygon the three strips |Z_k| <= xi cut out of the (y1, y2)
-    plane.  Q is integrated over y1 with y2 in closed form (a difference
-    of normal CDFs between the tightest strip limits).  Every kink of the
-    integrands is a break between pieces: in y1, where an edge of the Z3
-    strip crosses an edge of the Z2 strip; in y3, where a Z3 edge passes a
-    vertex of the |Z1|, |Z2| <= xi parallelogram.  Fixed breaks at 0, +-2
-    and +-4 keep the pieces of both short.  A strip whose edges are
-    steeper than the diagonal of the (y1, y2) plane also gets y1 breaks
-    where its CDF argument is -6, -2, 2 and 6, so that no piece holds the
-    whole of that CDF's ramp.  Each piece is then smooth, and a
+    plane.  Y -> -Y maps the box to itself, so Q is even and the
+    probability is twice the integral over y3 >= 0.  Q is integrated over
+    y1 with y2 in closed form (a difference of normal CDFs between the
+    tightest strip limits).  Every kink of the integrands is a break
+    between pieces: in y1, where an edge of the Z3 strip crosses an edge
+    of the Z2 strip; in y3, where a Z3 edge passes a vertex of the |Z1|,
+    |Z2| <= xi parallelogram.  Fixed breaks (in y1 at 0, +-2 and +-4, in
+    y3 at 2 and 4) keep the pieces of both short.  A strip whose edges
+    are steeper than the diagonal of the (y1, y2) plane also gets y1
+    breaks where its CDF argument is -6, -2, 2 and 6, so that no piece
+    holds the whole of that CDF's ramp.  Each piece is then smooth, and a
     near-singular matrix (l33 -> 0: the overall contrast nearly a
     combination of the subgroup effects, as is usual) costs no accuracy.
     |y3| > 8 is dropped (probability < 1.3e-15).
@@ -816,10 +880,11 @@ def _trivariate_box_prob(xi: float, corr: np.ndarray, nodes: int = _TVN_NODES) -
     y1_vertex = sign[:, None] * xi / l11
     y2_vertex = (sign[None, :] * xi - l21 * y1_vertex) / l22
     m_vertex = (l31 * y1_vertex + l32 * y2_vertex).ravel()
-    cuts3 = np.concatenate([
-        ((sign[:, None] * xi - m_vertex[None, :]) / l33).ravel(), _TVN_BREAKS,
-    ])
-    y3, w3 = _normal_pieces(np.array(-_TVN_REACH), np.array(_TVN_REACH), cuts3, nodes)
+    # Q is even, and the vertices come in pairs m, -m, so the kinks at y3
+    # >= 0 are the |(xi - m) / l33|
+    cuts3 = np.concatenate([np.abs((xi - m_vertex) / l33), _TVN_BREAKS[_TVN_BREAKS > 0]])
+    y3, w3 = _normal_pieces(np.array(0.0), np.array(_TVN_REACH), cuts3, nodes)
+    w3 *= 2.0
     # the Z3 strip at y3: l31 y1 + l32 y2 in [lo3, hi3]
     lo3 = -xi - l33 * y3
     hi3 = xi - l33 * y3

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -231,7 +232,7 @@ class TestExitCodes:
         p = tmp_path / "d.csv"
         write_dataset(data, p)
         rc = main(["fit", str(p), "--sens", "0.8", "--spec", "0.8",
-                   "--max-em-iter", "1"])
+                   "--max-em-iter", "2"])
         assert rc == 2
         assert "did not converge" in capsys.readouterr().err
 
@@ -243,6 +244,16 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: estimation failed: EM did not converge within 10 ")
+        # and it names the refit, which the fit is not
+        assert re.search(r", in the profile refit at (beta1|beta2|gamma|pi) = -?[0-9.e-]+\n$",
+                         err)
+
+    def test_cap_of_one_is_a_validation_error(self, capsys):
+        # no fit converges in one map: convergence compares two of them
+        rc = main(["fit", str(DATA_DIR / "golden_trial.csv"), "--sens", "0.9",
+                   "--spec", "0.85", "--max-em-iter", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: max_iter must be at least 2")
 
     def test_interval_excluding_estimate(self, tmp_path, capsys, monkeypatch):
         data = sim_dataset(35, n_per_arm=40, sens=1.0, spec=1.0)

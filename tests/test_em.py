@@ -22,6 +22,7 @@ from mixcox import (
     BaselineHazard,
     ConvergenceError,
     Dataset,
+    DatasetError,
     DegenerateDataError,
     DiagnosticModel,
     EffectParams,
@@ -444,6 +445,13 @@ class TestFit:
         data = sim_dataset(19, n_per_arm=50, sens=0.8, spec=0.8)
         with pytest.raises(ConvergenceError, match="did not converge within 2 iterations"):
             fit(data, diag(known=False), EmConfig(max_iter=2))
+
+    def test_cap_below_two_rejected(self):
+        # convergence compares two maps' log-likelihoods, so a cap of 1
+        # could only ever fail
+        for cap in (0, 1):
+            with pytest.raises(DatasetError, match="at least 2"):
+                EmConfig(max_iter=cap)
 
     def test_weights_are_the_posterior_at_the_fit(self):
         # cold fits, pinned ones and warm refits: the weights are the

@@ -39,7 +39,9 @@ from mixcox import (
     simultaneous_scale,
     subgroup_cov,
 )
-from mixcox.cli import parse_dataset
+from mixcox.cli import AnalysisRequest, parse_dataset, run_fit
+
+GOLDEN_TRIAL = Path(__file__).parent / "data" / "golden_trial.csv"
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +60,23 @@ def golden():
         overall_concordance_report(data, diag, res)
     (corr,) = seen
     return data, diag, res, corr
+
+
+@pytest.fixture(scope="module")
+def golden_analysis():
+    """``mixcox fit``'s analysis of the golden trial (``run_fit``) and the
+    pins of each call of the profile searches' evaluation seam."""
+    rounds = []
+    evaluate = inference._profile_logliks
+
+    def logged(data, diag, pins, **kwargs):
+        rounds.append(list(pins))
+        return evaluate(data, diag, pins, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inference, "_profile_logliks", logged)
+        report = run_fit(AnalysisRequest(str(GOLDEN_TRIAL), 0.9, 0.85))
+    return report, rounds
 
 
 @pytest.fixture(scope="module")
@@ -208,9 +227,12 @@ class TestProfileCi:
         # it must fail the interval and the test, not narrow or inflate them
         data, diag, res, _ = golden
         capped = em.EmConfig(max_iter=3)
-        with pytest.raises(ConvergenceError, match="did not converge within 3"):
+        # the message names the refit: the parameter and its pinned value
+        with pytest.raises(ConvergenceError, match=r"did not converge within 3 .*"
+                           r", in the profile refit at gamma = -?[0-9.]+$"):
             profile_ci(data, diag, "gamma", fit_result=res, em_config=capped)
-        with pytest.raises(ConvergenceError, match="did not converge within 3"):
+        with pytest.raises(ConvergenceError, match=r"did not converge within 3 .*"
+                           r", in the profile refit at gamma = 0\.0$"):
             lr_test(data, diag, "gamma", 0.0, fit_result=res, em_config=capped)
 
     def test_nonpositive_se_rejected(self, fitted):
@@ -220,12 +242,23 @@ class TestProfileCi:
                 profile_ci(data, diag, "pi", fit_result=res, se=se)
 
 
-def _fake_profile(monkeypatch, res, param, lam_of_distance):
+def _fake_value(res, lam, dlam, distance):
+    """The evaluation seam's entry for a profile whose LR statistic is
+    ``lam(distance)``, with derivative ``dlam``: the profile
+    log-likelihood and its slope, or the exception ``lam`` raises."""
+    try:
+        return res.obs_loglik - 0.5 * lam(distance), -0.5 * dlam(distance)
+    except MixcoxError as exc:
+        return exc
+
+
+def _fake_profile(monkeypatch, res, param, lam_of_distance, slope_of_distance):
     """Replace the profile searches' evaluation seam
     (``inference._profile_logliks``) by a profile whose LR statistic is
-    ``lam_of_distance(value - estimate)``; a lane whose statistic raises
-    ends with that exception.  Returns the estimate and the list of values
-    the profile is evaluated at."""
+    ``lam_of_distance(value - estimate)``, with the derivative
+    ``slope_of_distance``; a lane whose statistic raises ends with that
+    exception.  Returns the estimate and the list of values the profile is
+    evaluated at."""
     mle = res.pi_hat if param == "pi" else getattr(res.theta_hat, param)
     calls = []
 
@@ -234,22 +267,24 @@ def _fake_profile(monkeypatch, res, param, lam_of_distance):
         for fixed in pins:
             (value,) = fixed.values()
             calls.append(value)
-            try:
-                values.append(res.obs_loglik - 0.5 * lam_of_distance(value - mle))
-            except MixcoxError as exc:
-                values.append(exc)
+            values.append(_fake_value(res, lam_of_distance, slope_of_distance,
+                                      value - mle))
         return values
 
     monkeypatch.setattr(inference, "_profile_logliks", fake)
     return mle, calls
 
 
+# an LR statistic that rises towards 1, never reaching the chi-square(1)
+# quantile, and its derivative
+FLAT = (lambda d: 1.0 - math.exp(-abs(d)), lambda d: math.copysign(math.exp(-abs(d)), d))
+
+
 class TestProfileCiOpenEndpoints:
     def test_flat_profile_is_open_at_maximum_reach(self, fitted, monkeypatch):
         data, diag, res = fitted
         # rises towards 1, never reaching the chi-square(1) quantile
-        mle, _ = _fake_profile(monkeypatch, res, "gamma",
-                               lambda d: 1.0 - math.exp(-abs(d)))
+        mle, _ = _fake_profile(monkeypatch, res, "gamma", *FLAT)
         # 2048 standard errors out, when that is within +-50
         se = 0.01
         ci = profile_ci(data, diag, "gamma", fit_result=res, se=se)
@@ -273,7 +308,8 @@ class TestProfileCiOpenEndpoints:
                 raise SeparationError("constrained fit diverges")
             return (d / sd) ** 2
 
-        mle, calls = _fake_profile(monkeypatch, res, "gamma", lam)
+        mle, calls = _fake_profile(monkeypatch, res, "gamma", lam,
+                                   lambda d: 2.0 * d / sd**2)
         # a standard error three times too large puts the first trial
         # points inside the separation region
         ci = profile_ci(data, diag, "gamma", fit_result=res, se=3 * sd)
@@ -285,7 +321,7 @@ class TestProfileCiOpenEndpoints:
 
     def test_pi_open_at_admissible_range(self, fitted, monkeypatch):
         data, diag, res = fitted
-        _fake_profile(monkeypatch, res, "pi", lambda d: 1.0 - math.exp(-abs(d)))
+        _fake_profile(monkeypatch, res, "pi", *FLAT)
         ci = profile_ci(data, diag, "pi", fit_result=res)
         assert ci.open_low and ci.open_high
         assert ci.low == em.PREVALENCE_FLOOR
@@ -295,15 +331,19 @@ class TestProfileCiOpenEndpoints:
 CHI2_95 = float(stats.chi2.ppf(0.95, 1))
 
 
-# asymmetric fake profiles, one per parameter: a statistic that rises
-# faster on one side, one that flattens out (an open endpoint) and one
-# whose refits separate beyond a distance
+# asymmetric fake profiles, one per parameter, each an LR statistic and
+# its derivative: a statistic that rises faster on one side, one that
+# flattens out (an open endpoint) and one whose refits separate beyond a
+# distance
 FAKE_PROFILES = {
-    "beta1": lambda d: (d / 0.2) ** 2 * (1.0 + 0.8 * d),
-    "beta2": lambda d: 1.0 - math.exp(-abs(d)),
-    "gamma": lambda d: _raise(SeparationError("diverges")) if abs(d) > 1.5
-    else (d / 0.25) ** 2,
-    "pi": lambda d: (d / 0.05) ** 2 * (1.0 - 2.0 * d),
+    "beta1": (lambda d: (d / 0.2) ** 2 * (1.0 + 0.8 * d),
+              lambda d: 2.0 * d / 0.2**2 * (1.0 + 0.8 * d) + 0.8 * (d / 0.2) ** 2),
+    "beta2": FLAT,
+    "gamma": (lambda d: _raise(SeparationError("diverges")) if abs(d) > 1.5
+              else (d / 0.25) ** 2,
+              lambda d: 2.0 * d / 0.25**2),
+    "pi": (lambda d: (d / 0.05) ** 2 * (1.0 - 2.0 * d),
+           lambda d: 2.0 * d / 0.05**2 * (1.0 - 2.0 * d) - 2.0 * (d / 0.05) ** 2),
 }
 FAKE_SES = {"beta1": 0.3, "beta2": 0.1, "gamma": 1.0, "pi": None}
 
@@ -321,10 +361,7 @@ def _fake_profiles(monkeypatch, res, rounds):
         for fixed in pins:
             ((param, value),) = fixed.items()
             mle = res.pi_hat if param == "pi" else getattr(res.theta_hat, param)
-            try:
-                values.append(res.obs_loglik - 0.5 * FAKE_PROFILES[param](value - mle))
-            except MixcoxError as exc:
-                values.append(exc)
+            values.append(_fake_value(res, *FAKE_PROFILES[param], value - mle))
         return values
 
     monkeypatch.setattr(inference, "_profile_logliks", fake)
@@ -363,12 +400,12 @@ class TestLockstepSearches:
         for search in searches():
             alone.append([])
             inference._run_searches(data, diag, [_logged(search, alone[-1])],
-                                    fit_result=res, em_config=em.EmConfig())
+                                    fit_result=res, em_config=em.EmConfig(), slopes=True)
         rounds.clear()
         together = [[] for _ in alone]
         results = inference._run_searches(
             data, diag, [_logged(search, log) for search, log in zip(searches(), together)],
-            fit_result=res, em_config=em.EmConfig())
+            fit_result=res, em_config=em.EmConfig(), slopes=True)
         assert together == alone
         gamma_hat = res.theta_hat.gamma
         assert any(abs(point["gamma"] - gamma_hat) > 1.5
@@ -397,6 +434,51 @@ def _lr_at(data, diag, res, param, value):
 
 
 class TestProfileCiSolve:
+    def test_golden_analysis_takes_three_rounds(self, golden_analysis):
+        # 8 endpoint searches and 3 LR nulls; the Newton steps from each
+        # refit's own slope end every search after its third refit
+        _, rounds = golden_analysis
+        assert [len(pins) for pins in rounds] == [11, 8, 4]
+
+    def test_golden_endpoints_solve_lr_equation(self, golden, golden_analysis):
+        # each endpoint is the Newton-corrected point of the last refit,
+        # far inside the 1e-4 stopping tolerance on lambda
+        data, diag, res, _ = golden
+        report, _ = golden_analysis
+        for row in report.parameters:
+            for value, is_open in ((row.ci.low, row.ci.open_low),
+                                   (row.ci.high, row.ci.open_high)):
+                assert not is_open
+                assert abs(_lr_at(data, diag, res, row.name, value) - CHI2_95) <= 1e-8
+
+    @pytest.mark.parametrize("param, offset", [("gamma", 0.6), ("beta2", -0.5),
+                                               ("pi", 0.08), ("pi", -0.1)])
+    def test_slopes_match_differences_of_the_profile(self, golden, monkeypatch,
+                                                     param, offset):
+        # the seam's slope is the pinned parameter's score at the refit's
+        # state.  At the default tolerance that state is ~1e-5 from the
+        # pinned optimum in score, and so are the refits the differences
+        # take; converged tightly, both must agree with the profile's
+        # derivative
+        data, diag, res, _ = golden
+        monkeypatch.setattr(em, "TOL_LOGLIK", 1e-12)
+        value = inference._param_estimate(res, param) + offset
+        ((ll, slope),) = inference._profile_logliks(
+            data, diag, [{param: value}], em_config=em.EmConfig(), warm=res, slopes=True)
+        assert ll == profile_loglik(data, diag, {param: value}, warm=res)
+        h = 1e-4
+        diff = (profile_loglik(data, diag, {param: value + h}, warm=res)
+                - profile_loglik(data, diag, {param: value - h}, warm=res)) / (2 * h)
+        assert abs(slope) > 1.0
+        assert slope == pytest.approx(diff, abs=1e-5)
+
+    def test_slopes_only_when_asked(self, golden):
+        data, diag, res, _ = golden
+        pins = [{"gamma": 0.0}, {"pi": 0.3}]
+        values = inference._profile_logliks(data, diag, pins, em_config=em.EmConfig(),
+                                            warm=res)
+        assert [slope for _, slope in values] == [None, None]
+
     def test_refit_budget_and_accuracy_on_golden_trial(self, monkeypatch):
         data = parse_dataset(Path(__file__).parent / "data" / "golden_trial.csv")
         diag = DiagnosticModel(0.9, 0.85, 0.5, prevalence_known=False)

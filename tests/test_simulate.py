@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from mixcox import (
     EffectParams,
     RngStream,
     ScenarioConfig,
+    cox,
     emit_table,
     generate_trial,
     run_scenario,
 )
-from mixcox.simulate import _draw_survival_time, _draw_trial
+from mixcox.simulate import _draw_survival_time, _draw_trial, _replicate
 
 
 def scenario(**kw):
@@ -133,6 +135,23 @@ class TestRunScenario:
         table = emit_table([s])
         assert "NA" in table.text
         assert "NA" in table.csv
+
+
+class TestReplicate:
+    def test_partial_likelihood_evaluations_are_the_em_steps(self, monkeypatch):
+        # a replication's only refit is the LR null, which needs no profile
+        # slope: every partial-likelihood evaluation is a Newton step or
+        # trial point of the fit's or the null's EM
+        callers = []
+        kernel = cox._loglik_parts
+
+        def logged(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(cox, "_loglik_parts", logged)
+        assert _replicate(scenario(n_per_arm=500, base_seed=70001), 0)[3]
+        assert callers and set(callers) == {"fit_weighted_cox"}
 
 
 class TestEmitTable:
