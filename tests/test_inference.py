@@ -41,8 +41,6 @@ from mixcox import (
 )
 from mixcox.cli import AnalysisRequest, parse_dataset, run_fit
 
-GOLDEN_TRIAL = Path(__file__).parent / "data" / "golden_trial.csv"
-
 
 @pytest.fixture(scope="module")
 def golden():
@@ -75,7 +73,8 @@ def golden_analysis():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inference, "_profile_logliks", logged)
-        report = run_fit(AnalysisRequest(str(GOLDEN_TRIAL), 0.9, 0.85))
+        path = Path(__file__).parent / "data" / "golden_trial.csv"
+        report = run_fit(AnalysisRequest(str(path), 0.9, 0.85))
     return report, rounds
 
 
