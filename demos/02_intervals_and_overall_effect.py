@@ -47,9 +47,11 @@ for name in ("beta1", "beta2", "gamma", "pi"):
     print(line)
 
 # simultaneous intervals for the two subgroup effects: the common scale
-# factor inflates the normal quantile according to the correlation
-info2 = fd_profile_information(data, diag, ("beta1", "gamma"), fit_result=res)
-sigma = subgroup_cov(info2)
+# factor inflates the normal quantile according to the correlation.  One
+# profile information of (beta1, beta2, gamma) gives every standard error
+# and covariance of the analysis
+info = fd_profile_information(data, diag, fit_result=res)
+sigma = subgroup_cov(info)
 rep2 = simultaneous_cis(res.theta_hat, sigma, alpha=0.05)
 print(f"\ncorrelation of the subgroup estimates: {rep2.rho:.3f}")
 print(f"scale factor xi = {rep2.xi_alpha:.4f} "
@@ -60,7 +62,7 @@ print(f"  positive group log HR: {rep2.est_pos: .3f} "
       f"({rep2.interval_pos.low: .3f}, {rep2.interval_pos.high: .3f})")
 
 # the three-way report adds the overall log concordance odds
-rep3 = overall_concordance_report(data, diag, res)
+rep3 = overall_concordance_report(data, diag, res, information=info)
 print(f"\nthree-way simultaneous intervals (xi = {rep3.xi_alpha:.4f}):")
 for label, est, ival in (
     ("negative", rep3.est_neg, rep3.interval_neg),

@@ -22,8 +22,6 @@ import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import em, inference, simulate
 from .errors import DatasetError, IntervalError, MixcoxError
 from .model import Dataset, DiagnosticModel, EffectParams, TEST_MISSING
@@ -270,10 +268,7 @@ def run_fit(request: AnalysisRequest) -> AnalysisReport:
     diag, em_cfg, icfg = request.diag, request.em_config, request.inference_config
     estimated = not diag.prevalence_known
     res = em.fit(data, diag, em_cfg)
-    info = inference.fd_profile_information(
-        data, diag, ("beta1", "beta2", "gamma"), fit_result=res,
-    )
-    ses = np.sqrt(np.diag(np.linalg.inv(info)))
+    info = inference.fd_profile_information(data, diag, fit_result=res)
     labels = {
         "beta1": "treatment (beta1)",
         "beta2": "biomarker positive (beta2)",
@@ -282,12 +277,9 @@ def run_fit(request: AnalysisRequest) -> AnalysisReport:
     # every interval and likelihood-ratio test of the report in one
     # lockstep run of their profile searches
     names = ("beta1", "beta2", "gamma")
-    profile_ses = dict(zip(names, map(float, ses)))
-    if estimated:
-        profile_ses["pi"] = None
     intervals, tests = inference._profile(
-        data, diag, profile_ses, icfg, fit_result=res, em_config=em_cfg,
-        tests=dict.fromkeys(names, 0.0),
+        data, diag, [*names, "pi"] if estimated else names, icfg, fit_result=res,
+        em_config=em_cfg, information=info, tests=dict.fromkeys(names, 0.0),
     )
     theta = res.theta_hat.as_array()
     rows = [ParamRow(name, labels[name], float(theta[i]), intervals[name], tests[name][1])

@@ -14,15 +14,16 @@ log-likelihood there, and each round refits every active search's point
 as one lane of a single stacked EM (``em._fit_lanes``).  A search follows
 the same points as it would alone; only the number of stacked refits
 falls, to the longest search's count of points: 3 rounds and 39 stacked
-EM maps on the golden trial.  Standard errors come from the profile
-information of the coefficients, computed exactly at the EM fixed point
-as the Schur complement of the observed-likelihood Hessian over the
+EM maps on the golden trial.  Every standard error, Wald start and
+covariance of an analysis comes from one matrix, the 3x3 profile
+information of (beta1, beta2, gamma), computed exactly at the EM fixed
+point as the Schur complement of the observed-likelihood Hessian over the
 nuisance parameters (the baseline hazard jumps and, when it is estimated,
 the prevalence); its structure reduces the elimination of the baseline to
-one tridiagonal solve.  Simultaneous (equicoordinate) intervals for the
-two subgroup effects scale the usual normal quantile up to the factor
-that gives joint bivariate-normal coverage; adding the overall effect --
-the log concordance odds, a smooth function of the coefficients and the
+one tridiagonal solve.  Simultaneous (equicoordinate) intervals for the two subgroup effects
+scale the usual normal quantile up to the factor that gives joint
+bivariate-normal coverage; adding the overall effect -- the log
+concordance odds, a smooth function of the coefficients and the
 prevalence -- extends this to a trivariate rectangle, whose probability
 is integrated over half of its symmetric range.
 """
@@ -58,6 +59,9 @@ __all__ = [
 ]
 
 _PARAM_INDEX = {"beta1": 0, "beta2": 1, "gamma": 2}
+# the subgroup treatment effects (beta1 + gamma, beta1) as rows of
+# coefficients on (beta1, beta2, gamma)
+_SUBGROUP_ROWS = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
 # profile-CI endpoint search: a safeguarded Newton solve of
 # sqrt(LR statistic) = sqrt(chi-square quantile) in the distance from the
 # estimate.  The signed root of the LR statistic is nearly linear in the
@@ -296,7 +300,7 @@ def lr_test(
     unconstrained ``fit_result``, clipped at zero) and its chi-square(1)
     p-value.
     """
-    _, tests = _profile(data, diag, {}, fit_result=fit_result, em_config=em_config,
+    _, tests = _profile(data, diag, [], fit_result=fit_result, em_config=em_config,
                         tests={param: null_value})
     return tests[param]
 
@@ -374,27 +378,29 @@ def _endpoint_search(param: str, direction: int, mle: float, se: float,
         x = x_new
 
 
-def _interval_searches(data: Dataset, diag: DiagnosticModel, param: str,
+def _interval_searches(data: Dataset, diag: DiagnosticModel, params: Sequence[str],
                        config: InferenceConfig, fit_result: em.FitResult,
-                       se: float | None) -> list:
-    """The upper and lower endpoint searches of :func:`profile_ci`."""
-    if param not in ("beta1", "beta2", "gamma", "pi"):
-        raise ValueError(f"unknown parameter: {param}")
-    mle = _param_estimate(fit_result, param)
+                       information: np.ndarray | None) -> list:
+    """The upper and lower endpoint searches of :func:`profile_ci` for each
+    of ``params``, in order, with the Wald scales :func:`_profile` sets."""
+    for param in params:
+        if param not in ("beta1", "beta2", "gamma", "pi"):
+            raise ValueError(f"unknown parameter: {param}")
+    if any(param != "pi" for param in params):
+        if information is None:
+            information = fd_profile_information(data, diag, fit_result=fit_result)
+        variances = np.diag(np.linalg.inv(information))
     target = _chi2_quantile(1.0 - config.alpha)
-    if se is None:
+    searches = []
+    for param in params:
+        mle = _param_estimate(fit_result, param)
         if param == "pi":
             se = math.sqrt(max(mle * (1 - mle), 1e-4) / len(data))
         else:
-            info = fd_profile_information(
-                data, diag, ("beta1", "beta2", "gamma"), fit_result=fit_result,
-            )
-            se = math.sqrt(np.linalg.inv(info)[_PARAM_INDEX[param],
-                                               _PARAM_INDEX[param]])
-    elif not 0 < se < math.inf:
-        raise ValueError("se must be positive and finite")
-    return [_endpoint_search(param, direction, mle, se, target, fit_result.obs_loglik)
-            for direction in (+1, -1)]
+            se = math.sqrt(variances[_PARAM_INDEX[param]])
+        searches += [_endpoint_search(param, direction, mle, se, target, fit_result.obs_loglik)
+                     for direction in (+1, -1)]
+    return searches
 
 
 def profile_ci(
@@ -405,7 +411,6 @@ def profile_ci(
     *,
     fit_result: em.FitResult,
     em_config: em.EmConfig = em.EmConfig(),
-    se: float | None = None,
 ) -> Interval:
     """Profile likelihood-ratio confidence interval for one parameter,
     around the unconstrained ``fit_result``.
@@ -439,7 +444,7 @@ def profile_ci(
     The two endpoint searches run in lockstep (:func:`_run_searches`): each
     round refits both of their next points as two lanes of one stacked EM.
     """
-    intervals, _ = _profile(data, diag, {param: se}, config, fit_result=fit_result,
+    intervals, _ = _profile(data, diag, [param], config, fit_result=fit_result,
                             em_config=em_config)
     return intervals[param]
 
@@ -447,89 +452,66 @@ def profile_ci(
 def _profile(
     data: Dataset,
     diag: DiagnosticModel,
-    ses: Mapping[str, float | None],
+    params: Sequence[str],
     config: InferenceConfig = InferenceConfig(),
     *,
     fit_result: em.FitResult,
     em_config: em.EmConfig,
+    information: np.ndarray | None = None,
     tests: Mapping[str, float] | None = None,
 ) -> tuple[dict[str, Interval], dict[str, tuple[float, float]]]:
-    """The profile interval of each parameter of ``ses`` (:func:`profile_ci`
-    with that standard error) and the likelihood-ratio test of each
-    ``param == null_value`` of ``tests`` (:func:`lr_test`).
+    """The profile interval of each of ``params`` (:func:`profile_ci`) and
+    the likelihood-ratio test of each ``param == null_value`` of ``tests``
+    (:func:`lr_test`).
 
-    All of their searches run in lockstep (:func:`_run_searches`), with
-    the profile slopes computed only when there is an interval to search.
-    For the report of ``mixcox fit`` on the golden trial -- eight endpoint
-    searches and three tests -- that is three stacked refits (39 EM maps)
-    instead of twenty-three refits one after another.
+    A coefficient's search starts from its standard error in
+    ``information`` (:func:`fd_profile_information`, computed once when
+    None and a coefficient is asked for), the prevalence's from sqrt(pi (1
+    - pi) / n).  All of the searches run in lockstep
+    (:func:`_run_searches`), with the profile slopes computed only when
+    there is an interval to search.  For the report of ``mixcox fit`` on
+    the golden trial -- eight endpoint searches and three tests -- that is
+    three stacked refits (39 EM maps) instead of twenty-three refits one
+    after another.
     """
     tests = tests or {}
-    searches = []
-    for param, se in ses.items():
-        searches += _interval_searches(data, diag, param, config, fit_result, se)
+    searches = _interval_searches(data, diag, params, config, fit_result, information)
     searches += [_lr_null(fit_result, param, value) for param, value in tests.items()]
     results = _run_searches(data, diag, searches, fit_result=fit_result,
-                            em_config=em_config, slopes=bool(ses))
+                            em_config=em_config, slopes=bool(params))
     intervals = {}
-    for k, param in enumerate(ses):
+    for k, param in enumerate(params):
         (high, open_high), (low, open_low) = results[2 * k:2 * k + 2]
         intervals[param] = Interval(low, high, open_low=open_low, open_high=open_high)
-    return intervals, dict(zip(tests, results[2 * len(ses):]))
+    return intervals, dict(zip(tests, results[2 * len(params):]))
 
 
 def fd_profile_information(
     data: Dataset,
     diag: DiagnosticModel,
-    params: Sequence[str],
     *,
     fit_result: em.FitResult,
 ) -> np.ndarray:
-    """Profile information matrix over ``params``, exact at the fit.
+    """Profile information of (beta1, beta2, gamma), exact at the fit: the
+    3x3 matrix every standard error and covariance of an analysis is
+    derived from.
 
     The nuisance parameters -- the baseline hazard jumps and, when it is
     estimated and not clipped at ``em.PREVALENCE_FLOOR``, the prevalence --
-    are profiled out of the observed log-likelihood, with the remaining
-    coefficients too when ``params`` is a subset of ("beta1", "beta2",
-    "gamma").  At the EM fixed point ``fit_result`` the observed
-    log-likelihood is stationary in the nuisance, so the profile
-    information is the Schur complement of its Hessian over the nuisance
-    (Murphy & van der Vaart 2000, JASA 95:449): the limit of second
-    differences of the profile log-likelihood as the step goes to zero.
-    :func:`_coefficient_information` builds it in O(n + m) with no refit;
-    for a subset the 3x3 matrix is inverted, restricted to ``params`` and
-    inverted again.
-
-    Raises
-    ------
-    ConditioningError
-        If the complement is not positive definite: the fit is not a
-        strict local maximum of the likelihood.
-    """
-    idx = []
-    for p in params:
-        if p not in _PARAM_INDEX:
-            raise ValueError(f"unknown parameter: {p}")
-        idx.append(_PARAM_INDEX[p])
-    info = _coefficient_information(data, diag, fit_result)
-    if idx == [0, 1, 2]:
-        return info
-    sub = np.linalg.inv(np.linalg.inv(info)[np.ix_(idx, idx)])
-    return 0.5 * (sub + sub.T)
-
-
-def _coefficient_information(data: Dataset, diag: DiagnosticModel,
-                             res: em.FitResult) -> np.ndarray:
-    """Profile information of (beta1, beta2, gamma) at the state of
-    ``res``, with the hazard jumps and a free prevalence eliminated.
+    are profiled out of the observed log-likelihood.  At the EM fixed
+    point ``fit_result`` the observed log-likelihood is stationary in the
+    nuisance, so the profile information is the Schur complement of its
+    Hessian over the nuisance (Murphy & van der Vaart 2000, JASA 95:449):
+    the limit of second differences of the profile log-likelihood as the
+    step goes to zero.  It is built in O(n + m) with no refit.
 
     Subject i contributes logaddexp(A_i, B_i) to the observed
     log-likelihood (:func:`em._e_pass`), with A_i = log prior_pos -
     H_i r_pos + event_i log r_pos and B_i the same for negative status.
     H_i is the sum of the hazard jumps lambda_j up to its K_i-th distinct
     event time, and r_pos, r_neg are its relative risks under either
-    status.  With p_i = expit(A_i - B_i), the posterior ``res.weights``,
-    the Hessian of logaddexp is
+    status.  With p_i = expit(A_i - B_i), the posterior
+    ``fit_result.weights``, the Hessian of logaddexp is
     p A'' + (1 - p) B'' + p (1 - p) (A' - B')(A' - B')^T.  A and B are
     linear in lambda and in the log prior, which is log pi or log(1 - pi)
     plus a constant when the prevalence is estimated; so, in the
@@ -546,33 +528,32 @@ def _coefficient_information(data: Dataset, diag: DiagnosticModel,
     Hence H_psilambda H_lambdalambda^-1 H_lambdapsi = V^T (C - T)^-1 V
     with the tridiagonal T = U^-1 D U^-T, one banded solve.  The
     prevalence is then eliminated from the 4x4 complement.
+
+    Raises
+    ------
+    ConditioningError
+        If the complement is not positive definite: the fit is not a
+        strict local maximum of the likelihood.
     """
-    ws = em._workspace(data, res)
+    ws = em._workspace(data, fit_result)
     rs = ws.risk_sets
-    theta = res.theta_hat.as_array()
-    inc, pi = res.baseline.increments, res.pi_hat
+    inc, pi = fit_result.baseline.increments, fit_result.pi_hat
     free_pi = (not diag.prevalence_known
                and em.PREVALENCE_FLOOR < pi < 1.0 - em.PREVALENCE_FLOOR)
-    p = res.weights
+    n_psi = 4 if free_pi else 3
+    p = fit_result.weights
     q = p * (1.0 - p)
     jumps = inc * rs.widths
     k = ws.n_events_le
     cum = np.concatenate(([0.0], np.cumsum(jumps)))[k]
-    b1, b2, g = theta
-    risk = np.exp(np.array([[b2, b1 + b2 + g], [0.0, b1]]))
-    r_pos, r_neg = risk[0][ws.arm], risk[1][ws.arm]
-    event = data.event
-    e_pos = event - cum * r_pos
-    e_neg = event - cum * r_neg
-    x = ws.arm.astype(float)
-    # design rows of psi under either status (the pi slot holds no
-    # coefficient) and A' - B' in psi
-    n_psi = 4 if free_pi else 3
-    z_pos = np.zeros((x.size, n_psi))
-    z_pos[:, 0] = z_pos[:, 2] = x
-    z_pos[:, 1] = 1.0
-    z_neg = np.zeros((x.size, n_psi))
-    z_neg[:, 0] = x
+    # each subject's relative risk and design row of psi under either
+    # status (positive, negative), from the linear predictors by status and
+    # arm that em._e_pass uses; the pi slot holds no coefficient
+    r_pos, r_neg = np.exp(cox._linear(fit_result.theta_hat.as_array()).take(em._ETA))[:, ws.arm]
+    z_pos, z_neg = np.pad(cox._LINEAR, ((0, 0), (0, n_psi - 3)))[em._ETA[:, ws.arm]]
+    e_pos = data.event - cum * r_pos
+    e_neg = data.event - cum * r_neg
+    # A' - B' in psi
     diff = z_pos * e_pos[:, None] - z_neg * e_neg[:, None]
     if free_pi:
         diff[:, 3] = 1.0 / (pi * (1.0 - pi))
@@ -584,7 +565,7 @@ def _coefficient_information(data: Dataset, diag: DiagnosticModel,
     # seen (lambda_j, j <= K_i) and its term of C, summed by K_i; a subject
     # with K_i = 0 has seen none
     dr = r_pos - r_neg
-    per_subject = np.empty((x.size, n_psi + 1))
+    per_subject = np.empty((p.size, n_psi + 1))
     per_subject[:, :n_psi] = (-(p * r_pos)[:, None] * z_pos
                               - ((1.0 - p) * r_neg)[:, None] * z_neg
                               - (q * dr)[:, None] * diff)
@@ -618,10 +599,10 @@ def _require_positive_definite(info: np.ndarray) -> None:
 
 
 def subgroup_cov(information: np.ndarray) -> np.ndarray:
-    """Covariance of (beta1 + gamma, beta1) from the (beta1, gamma)
-    profile information, by the delta method."""
-    a = np.array([[1.0, 1.0], [1.0, 0.0]])
-    sigma = a @ np.linalg.inv(information) @ a.T
+    """Covariance of the subgroup effects (beta1 + gamma, beta1) from the
+    3x3 profile information of (beta1, beta2, gamma)
+    (:func:`fd_profile_information`), by the delta method."""
+    sigma = _SUBGROUP_ROWS @ np.linalg.inv(information) @ _SUBGROUP_ROWS.T
     return 0.5 * (sigma + sigma.T)
 
 
@@ -759,8 +740,7 @@ def simultaneous_cis(
     sd_neg = math.sqrt(sigma[1, 1])
     rho = float(sigma[0, 1] / (sd_pos * sd_neg))
     xi = simultaneous_scale(rho, alpha)
-    est_pos = theta_hat.beta1 + theta_hat.gamma
-    est_neg = theta_hat.beta1
+    est_pos, est_neg = _SUBGROUP_ROWS @ theta_hat.as_array()
     return SimultaneousReport(
         est_pos=est_pos,
         est_neg=est_neg,
@@ -774,9 +754,9 @@ def simultaneous_cis(
 
 # the four latent-status pairings (positive-positive, negative-negative
 # and the two mixed ones) of concordance_prob: each pairing's expit
-# argument as a row of coefficients on (beta1, beta2, gamma)
-_CONCORDANCE_ARGS = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 0.0],
-                              [1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+# argument as a row of coefficients on (beta1, beta2, gamma); the first
+# two are the subgroup effects
+_CONCORDANCE_ARGS = np.vstack([_SUBGROUP_ROWS, [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]]])
 
 
 def _concordance_terms(theta_arr: np.ndarray, pi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -990,26 +970,21 @@ def overall_concordance_report(
     normal with that covariance's correlation, a root of the deterministic
     box probability to 1e-10 by Newton's method with its closed-form slope
     (see ``_equicoordinate_scale_mvn``).
-    ``information`` short-circuits the profile information when the caller
-    already computed it.
+    ``information`` is that profile information when the caller already
+    holds it; otherwise it is computed here.
     """
-    info = information
-    if info is None:
-        info = fd_profile_information(
-            data, diag, ("beta1", "beta2", "gamma"), fit_result=fit_result,
-        )
-    cov_theta = np.linalg.inv(info)
+    if information is None:
+        information = fd_profile_information(data, diag, fit_result=fit_result)
+    cov_theta = np.linalg.inv(information)
     center = fit_result.theta_hat.as_array()
     pi = fit_result.pi_hat
-    b = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 0.0],
-                  _log_concordance_odds_grad(center, pi)])
+    b = np.vstack([_SUBGROUP_ROWS, _log_concordance_odds_grad(center, pi)])
     sigma3 = b @ cov_theta @ b.T
     sigma3 = 0.5 * (sigma3 + sigma3.T)
     sds = np.sqrt(np.diag(sigma3))
     corr = sigma3 / np.outer(sds, sds)
     xi = _equicoordinate_scale_mvn(corr, config.alpha)
-    est_pos = center[0] + center[2]
-    est_neg = center[0]
+    est_pos, est_neg = _SUBGROUP_ROWS @ center
     est_all = _log_concordance_odds(center, pi)
     return SimultaneousReport(
         est_pos=est_pos,

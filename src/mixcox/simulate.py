@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,9 @@ WEIBULL_SCALE = 10.0
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One cell of the simulation study."""
+    """One cell of the simulation study.  Construction builds the
+    diagnostic model its replications fit with, so that model's checks
+    also validate the cell before any replication runs."""
 
     theta_true: EffectParams
     pi_true: float
@@ -51,12 +53,19 @@ class ScenarioConfig:
     prevalence_known: bool = False
     censor_low: float = 5.0
     censor_high: float = 25.0
+    diag: DiagnosticModel = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.n_per_arm < 1:
+            raise ValueError("n_per_arm must be at least 1")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if not 0 < self.alpha < 1:
+            raise ValueError("alpha must be in (0, 1)")
         if not 0 < self.censor_low < self.censor_high:
             raise ValueError("need 0 < censor_low < censor_high")
+        object.__setattr__(self, "diag", DiagnosticModel(
+            self.sens, self.spec, self.pi_true, prevalence_known=self.prevalence_known))
 
 
 @dataclass
@@ -137,23 +146,17 @@ def generate_trial(config: ScenarioConfig, stream: RngStream) -> Dataset:
 
 def _replicate(config: ScenarioConfig, rep: int):
     """Run one replication; returns (theta_hat(3), covered, reject, ok)."""
-    diag = DiagnosticModel(
-        config.sens, config.spec, config.pi_true,
-        prevalence_known=config.prevalence_known,
-    )
     try:
         data = generate_trial(config, RngStream(config.base_seed, rep))
-        res = em.fit(data, diag)
-        info = inference.fd_profile_information(
-            data, diag, ("beta1", "gamma"), fit_result=res
-        )
+        res = em.fit(data, config.diag)
+        info = inference.fd_profile_information(data, config.diag, fit_result=res)
         report = inference.simultaneous_cis(
             res.theta_hat, inference.subgroup_cov(info), config.alpha
         )
         truth = config.theta_true
         covered = report.interval_pos.contains(truth.beta1 + truth.gamma) \
             and report.interval_neg.contains(truth.beta1)
-        lam, _ = inference.lr_test(data, diag, "gamma", 0.0, fit_result=res)
+        lam, _ = inference.lr_test(data, config.diag, "gamma", 0.0, fit_result=res)
         reject = lam > inference._chi2_quantile(1.0 - config.alpha)
         return res.theta_hat.as_array(), covered, reject, True
     except (MixcoxError, DatasetError):

@@ -366,6 +366,22 @@ class TestSimulateCommand:
                      "--reps", "2"]) == 0
         assert ",2," in (out / "summary.csv").read_text().splitlines()[1]
 
+    @pytest.mark.parametrize("scenario, key, value",
+                             [(0, "n_per_arm", 0), (1, "pi", 1.3), (0, "alpha", 1.5)],
+                             ids=["n_per_arm", "pi_of_second", "alpha"])
+    def test_invalid_scenario_fails_before_any_runs(self, tmp_path, capsys,
+                                                    scenario, key, value):
+        entries = [dict(entry) for entry in self.CONFIG]
+        entries[scenario][key] = value
+        cfg = tmp_path / "scenarios.json"
+        cfg.write_text(json.dumps(entries))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid scenario entry")
+        assert "scenario 1/" not in captured.out
+        assert not out.exists()
+
     def test_invalid_json_is_validation_error(self, tmp_path, capsys):
         cfg = write(tmp_path, "{not json", name="bad.json")
         assert main(["simulate", "--config", str(cfg), "--out-dir",

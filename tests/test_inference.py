@@ -208,9 +208,7 @@ class TestProfileCi:
     def test_individual_within_simultaneous(self, fitted):
         data, diag, res = fitted
         ci_b1 = profile_ci(data, diag, "beta1", fit_result=res)
-        info = fd_profile_information(
-            data, diag, ("beta1", "gamma"), fit_result=res
-        )
+        info = fd_profile_information(data, diag, fit_result=res)
         report = simultaneous_cis(res.theta_hat, subgroup_cov(info))
         assert report.interval_neg.low <= ci_b1.low
         assert report.interval_neg.high >= ci_b1.high
@@ -233,12 +231,6 @@ class TestProfileCi:
         with pytest.raises(ConvergenceError, match=r"did not converge within 3 .*"
                            r", in the profile refit at gamma = 0\.0$"):
             lr_test(data, diag, "gamma", 0.0, fit_result=res, em_config=capped)
-
-    def test_nonpositive_se_rejected(self, fitted):
-        data, diag, res = fitted
-        for se in (0.0, -0.1, math.inf):
-            with pytest.raises(ValueError, match="se must be"):
-                profile_ci(data, diag, "pi", fit_result=res, se=se)
 
 
 def _fake_value(res, lam, dlam, distance):
@@ -274,6 +266,15 @@ def _fake_profile(monkeypatch, res, param, lam_of_distance, slope_of_distance):
     return mle, calls
 
 
+def _coefficient_ci(data, diag, res, param, se):
+    """:func:`profile_ci` of a coefficient with its search started from the
+    Wald scale ``se``: every coefficient's standard error in the profile
+    information the searches are given."""
+    intervals, _ = inference._profile(data, diag, [param], fit_result=res,
+                                      em_config=em.EmConfig(), information=np.eye(3) / se**2)
+    return intervals[param]
+
+
 # an LR statistic that rises towards 1, never reaching the chi-square(1)
 # quantile, and its derivative
 FLAT = (lambda d: 1.0 - math.exp(-abs(d)), lambda d: math.copysign(math.exp(-abs(d)), d))
@@ -286,14 +287,14 @@ class TestProfileCiOpenEndpoints:
         mle, _ = _fake_profile(monkeypatch, res, "gamma", *FLAT)
         # 2048 standard errors out, when that is within +-50
         se = 0.01
-        ci = profile_ci(data, diag, "gamma", fit_result=res, se=se)
+        ci = _coefficient_ci(data, diag, res, "gamma", se)
         assert ci.open_low and ci.open_high
         reach = 4.0 * 2**9 * se
         assert abs(mle) + reach < cox.SEPARATION_BOUND
         assert ci.low == pytest.approx(mle - reach, rel=1e-12)
         assert ci.high == pytest.approx(mle + reach, rel=1e-12)
         # +-50 on the coefficient scale, when that is nearer
-        ci = profile_ci(data, diag, "gamma", fit_result=res, se=0.2)
+        ci = _coefficient_ci(data, diag, res, "gamma", 0.2)
         assert ci.open_low and ci.open_high
         assert (ci.low, ci.high) == (-cox.SEPARATION_BOUND, cox.SEPARATION_BOUND)
 
@@ -311,7 +312,7 @@ class TestProfileCiOpenEndpoints:
                                    lambda d: 2.0 * d / sd**2)
         # a standard error three times too large puts the first trial
         # points inside the separation region
-        ci = profile_ci(data, diag, "gamma", fit_result=res, se=3 * sd)
+        ci = _coefficient_ci(data, diag, res, "gamma", 3 * sd)
         assert not (ci.open_low or ci.open_high)
         assert any(abs(v - mle) > 2.5 * sd for v in calls)
         half = math.sqrt(target) * sd
@@ -344,7 +345,9 @@ FAKE_PROFILES = {
     "pi": (lambda d: (d / 0.05) ** 2 * (1.0 - 2.0 * d),
            lambda d: 2.0 * d / 0.05**2 * (1.0 - 2.0 * d) - 2.0 * (d / 0.05) ** 2),
 }
-FAKE_SES = {"beta1": 0.3, "beta2": 0.1, "gamma": 1.0, "pi": None}
+# the profile information behind the fake profiles' Wald scales: standard
+# errors 0.3, 0.1 and 1.0 for beta1, beta2 and gamma
+FAKE_INFORMATION = np.diag([1 / 0.3**2, 1 / 0.1**2, 1.0])
 
 
 def _raise(exc):
@@ -352,7 +355,8 @@ def _raise(exc):
 
 
 def _fake_profiles(monkeypatch, res, rounds):
-    """Replace the evaluation seam by FAKE_PROFILES; each call appends its
+    """Replace the evaluation seam by FAKE_PROFILES, and the profile
+    information by FAKE_INFORMATION; each call of the seam appends its
     list of pinned values to ``rounds``."""
     def fake(data, diag, pins, **kwargs):
         rounds.append([dict(fixed) for fixed in pins])
@@ -364,6 +368,8 @@ def _fake_profiles(monkeypatch, res, rounds):
         return values
 
     monkeypatch.setattr(inference, "_profile_logliks", fake)
+    monkeypatch.setattr(inference, "fd_profile_information",
+                        lambda data, diag, *, fit_result: FAKE_INFORMATION)
 
 
 def _logged(search, points):
@@ -389,8 +395,8 @@ class TestLockstepSearches:
 
         def searches():
             out = []
-            for param, se in FAKE_SES.items():
-                out += inference._interval_searches(data, diag, param, cfg, res, se)
+            for param in FAKE_PROFILES:
+                out += inference._interval_searches(data, diag, [param], cfg, res, None)
                 if param != "pi":
                     out.append(inference._lr_null(res, param, 0.0))
             return out
@@ -413,19 +419,41 @@ class TestLockstepSearches:
         for k, pins in enumerate(rounds):
             assert pins == [log[k] for log in together if len(log) > k]
         # the separating refits are bracketed and the flat side stays open
-        nulls = {param: 0.0 for param in FAKE_SES if param != "pi"}
+        nulls = {param: 0.0 for param in FAKE_PROFILES if param != "pi"}
         intervals, tests = inference._profile(
-            data, diag, FAKE_SES, cfg, fit_result=res, em_config=em.EmConfig(),
+            data, diag, list(FAKE_PROFILES), cfg, fit_result=res, em_config=em.EmConfig(),
             tests=nulls)
         assert intervals["beta2"].open_low and intervals["beta2"].open_high
         assert not (intervals["gamma"].open_low or intervals["gamma"].open_high)
         # and the combined run gives each interval and test alone
-        for param, se in FAKE_SES.items():
-            assert intervals[param] == profile_ci(data, diag, param, cfg,
-                                                  fit_result=res, se=se)
+        for param in FAKE_PROFILES:
+            assert intervals[param] == profile_ci(data, diag, param, cfg, fit_result=res)
         for param, value in nulls.items():
             assert tests[param] == lr_test(data, diag, param, value, fit_result=res)
         assert len(results) == len(alone)
+
+    def test_one_information_per_run(self, fitted, monkeypatch):
+        # the coefficients' searches take their Wald scales from one profile
+        # information, computed only when a coefficient interval is asked
+        # for and not given
+        data, diag, res = fitted
+        _fake_profiles(monkeypatch, res, [])
+        calls = []
+
+        def counting(data, diag, *, fit_result):
+            calls.append(fit_result)
+            return FAKE_INFORMATION
+
+        monkeypatch.setattr(inference, "fd_profile_information", counting)
+        config = em.EmConfig()
+        inference._profile(data, diag, ["beta1", "beta2", "gamma"], fit_result=res,
+                           em_config=config)
+        assert calls == [res]
+        inference._profile(data, diag, ["pi"], fit_result=res, em_config=config,
+                           tests={"gamma": 0.0})
+        inference._profile(data, diag, ["beta1", "gamma"], fit_result=res,
+                           em_config=config, information=FAKE_INFORMATION)
+        assert calls == [res]
 
 
 def _lr_at(data, diag, res, param, value):
@@ -482,10 +510,6 @@ class TestProfileCiSolve:
         data = parse_dataset(Path(__file__).parent / "data" / "golden_trial.csv")
         diag = DiagnosticModel(0.9, 0.85, 0.5, prevalence_known=False)
         res = fit(data, diag)
-        info = fd_profile_information(
-            data, diag, ("beta1", "beta2", "gamma"), fit_result=res
-        )
-        ses = np.sqrt(np.diag(np.linalg.inv(info)))
         calls = []
         evaluate = inference._profile_logliks
 
@@ -494,11 +518,8 @@ class TestProfileCiSolve:
             return evaluate(data, diag, pins, **kwargs)
 
         monkeypatch.setattr(inference, "_profile_logliks", counting)
-        cis = {
-            name: profile_ci(data, diag, name, fit_result=res, se=float(ses[i]))
-            for i, name in enumerate(("beta1", "beta2", "gamma"))
-        }
-        cis["pi"] = profile_ci(data, diag, "pi", fit_result=res)
+        cis = {name: profile_ci(data, diag, name, fit_result=res)
+               for name in ("beta1", "beta2", "gamma", "pi")}
         monkeypatch.undo()
         assert len(calls) <= 5 * 2 * len(cis)
         for name, ci in cis.items():
@@ -568,29 +589,25 @@ class TestFdInformation:
             assert res.pi_hat == 1.0 - em.PREVALENCE_FLOOR
         if case == "perfect_test":
             assert np.any(res.weights == 0.0)
-        info = fd_profile_information(data, diag, ("beta1", "beta2", "gamma"),
-                                      fit_result=res)
+        info = fd_profile_information(data, diag, fit_result=res)
         ref = dense_profile_information(data, diag, res, free_pi)
         assert np.abs(info - ref).max() <= 1e-5 * np.abs(ref).max()
 
-    def test_subset_inverts_the_sub_block(self, monkeypatch):
+    def test_subgroup_cov_profiles_out_beta2(self, monkeypatch):
+        # the subgroup covariance from the 3x3 information is the delta
+        # method on the complement with beta2 profiled out as well
         data, diag, free_pi = _information_case("golden")
         monkeypatch.setattr(em, "TOL_LOGLIK", 1e-13)
         res = fit(data, diag)
-        full = fd_profile_information(data, diag, ("beta1", "beta2", "gamma"),
-                                      fit_result=res)
-        sub = fd_profile_information(data, diag, ("beta1", "gamma"), fit_result=res)
-        want = np.linalg.inv(np.linalg.inv(full)[np.ix_([0, 2], [0, 2])])
-        assert np.allclose(sub, want, rtol=1e-12, atol=0.0)
-        # the same complement, with beta2 profiled out as well
+        sigma = subgroup_cov(fd_profile_information(data, diag, fit_result=res))
         ref = dense_profile_information(data, diag, res, free_pi, keep=(0, 2))
-        assert np.abs(sub - ref).max() <= 1e-5 * np.abs(ref).max()
+        a = np.array([[1.0, 1.0], [1.0, 0.0]])
+        want = a @ np.linalg.inv(ref) @ a.T
+        assert np.abs(sigma - want).max() <= 1e-5 * np.abs(want).max()
 
     def test_profile_information_positive_definite(self, fitted):
         data, diag, res = fitted
-        info = fd_profile_information(
-            data, diag, ("beta1", "beta2", "gamma"), fit_result=res
-        )
+        info = fd_profile_information(data, diag, fit_result=res)
         assert np.allclose(info, info.T)
         assert np.all(np.linalg.eigvalsh(info) > 0)
 
@@ -605,18 +622,19 @@ class TestFdInformation:
 
 class TestSubgroupCov:
     def test_identity_information(self):
-        sigma = subgroup_cov(np.eye(2))
+        sigma = subgroup_cov(np.eye(3))
         assert np.allclose(sigma, [[2.0, 1.0], [1.0, 1.0]])
 
     def test_diagonal_information(self):
+        # beta2's information does not enter the subgroup effects
         a, b = 4.0, 2.5
-        sigma = subgroup_cov(np.diag([a, b]))
+        sigma = subgroup_cov(np.diag([a, 7.0, b]))
         assert np.allclose(sigma, [[1 / a + 1 / b, 1 / a], [1 / a, 1 / a]])
 
     def test_positive_definite(self):
         rng = np.random.default_rng(5)
-        m = rng.normal(size=(2, 2))
-        info = m @ m.T + np.eye(2)
+        m = rng.normal(size=(3, 3))
+        info = m @ m.T + np.eye(3)
         sigma = subgroup_cov(info)
         assert np.all(np.linalg.eigvalsh(sigma) > 0)
 

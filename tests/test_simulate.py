@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate, stats
 
 from mixcox import (
+    DiagnosticModel,
     EffectParams,
     RngStream,
     ScenarioConfig,
@@ -24,6 +25,20 @@ def scenario(**kw):
     )
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+class TestScenarioConfig:
+    @pytest.mark.parametrize("kw", [dict(n_per_arm=0), dict(alpha=0.0), dict(alpha=1.5),
+                                    dict(pi_true=1.3), dict(sens=0.5, spec=0.5)],
+                             ids=["n_per_arm", "alpha_zero", "alpha_above_one", "pi",
+                                  "uninformative_test"])
+    def test_invalid_cell_rejected(self, kw):
+        with pytest.raises(ValueError):
+            scenario(**kw)
+
+    def test_builds_the_fitted_diagnostic_model(self):
+        cfg = scenario(prevalence_known=True)
+        assert cfg.diag == DiagnosticModel(0.8, 0.8, 0.3, prevalence_known=True)
 
 
 class TestDrawSurvivalTime:
