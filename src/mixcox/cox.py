@@ -181,14 +181,17 @@ def _risk_terms(sums: RiskSums, theta):
 
 def _loglik_parts(sums: RiskSums, theta, order: int = 2):
     """Partial loglik of the expansion weighted as in ``sums`` at the full
-    coefficient vector ``theta``, with its gradient and Hessian; ``order``
-    0 skips the derivatives (returned as None).  The value is NaN in a lane
-    whose risk set containing an event has zero total weight."""
+    coefficient vector ``theta``, with its gradient and Hessian.  ``order``
+    0 skips the derivatives and returns, in place of the gradient, the
+    total risk-set sums s0 of :func:`_risk_terms` (the Breslow
+    denominators at ``theta``), and None for the Hessian.  The value is
+    NaN in a lane whose risk set containing an event has zero total
+    weight."""
     counts = sums.rs.event_counts
     t, s0 = _risk_terms(sums, theta)
     value = np.vecdot(sums.events, theta) - np.vecdot(np.log(s0), counts)
     if order == 0:
-        return value, None, None
+        return value, s0, None
     # risk-set means of the columns x, z and x*z at each event time
     means = t.copy()
     means[..., :2, :] += t[..., 2:, :]
@@ -212,6 +215,9 @@ class CoxFit:
     converged: bool
     # the failure of each failed lane, by its flat lane index
     errors: dict[int, MixcoxError] = field(default_factory=dict)
+    # the total risk-set sums of :func:`_risk_terms` at ``beta``, from
+    # which the Breslow increments there follow (:func:`_breslow`)
+    s0: np.ndarray | None = None
 
 
 def _record(errors: dict, mask, error: MixcoxError) -> None:
@@ -266,7 +272,9 @@ def fit_weighted_cox(sums: RiskSums, theta, free) -> CoxFit:
     Returns
     -------
     CoxFit
-        ``beta`` (the full vectors) and ``loglik`` after the step.  A lane
+        ``beta`` (the full vectors), ``loglik`` and the risk-set totals
+        ``s0`` after the step; ``s0`` is that of the last trial point,
+        which is the returned one in every lane that stepped.  A lane
         whose ascent failed -- the gradient was not below GRAD_TOL, yet no
         trial point kept the loglik from falling -- keeps ``theta`` and
         makes ``converged`` False.  ``errors`` maps each failed lane to
@@ -300,14 +308,14 @@ def fit_weighted_cox(sums: RiskSums, theta, free) -> CoxFit:
         if theta.ndim == 1 and errors:
             raise errors[0]
         if not stepping.any():
-            return CoxFit(theta, ll, 0, True, errors)
+            return CoxFit(theta, ll, 0, True, errors, _risk_terms(sums, theta)[1])
     moves = free & stepping[..., None]
     system = np.where(moves[..., :, None] & moves[..., None, :], hess, _EYE)
     new = theta + _solve(system, np.where(moves, -grad, 0.0), errors)
     # a step far out along a separating direction can overflow the
     # relative risks; its loglik is then -inf or NaN, a failed step to halve
     with np.errstate(over="ignore", invalid="ignore"):
-        ll_new = _loglik_parts(sums, new, order=0)[0]
+        ll_new, s0, _ = _loglik_parts(sums, new, order=0)
         # a first trial within rounding of ll (or above it) is not an
         # overshoot; NaN is
         up = ll - ll_new <= LOGLIK_RTOL * (1.0 + np.abs(ll))
@@ -316,7 +324,9 @@ def fit_weighted_cox(sums: RiskSums, theta, free) -> CoxFit:
         halvings = 0
         while not all_settled and halvings < MAX_HALVINGS:
             new = np.where(settled[..., None], new, (theta + new) / 2.0)
-            trial = _loglik_parts(sums, new, order=0)[0]
+            # a settled lane's point does not move, so s0 is always that
+            # of the current points
+            trial, s0, _ = _loglik_parts(sums, new, order=0)
             ll_new = np.where(settled, ll_new, trial)
             up |= ~settled & (trial >= ll)
             settled = up | ~stepping
@@ -338,8 +348,9 @@ def fit_weighted_cox(sums: RiskSums, theta, free) -> CoxFit:
     if not all_stepped:
         new = np.where(stepped[..., None], new, theta)
         ll_new = np.where(stepped, ll_new, ll)
+        s0 = np.where(stepped[..., None], s0, _risk_terms(sums, theta)[1])
     steps = stepped.size if all_stepped else int(np.count_nonzero(stepped))
-    return CoxFit(new, ll_new, steps, all_settled, errors)
+    return CoxFit(new, ll_new, steps, all_settled, errors, s0)
 
 
 def check_separation(beta) -> None:
@@ -363,5 +374,10 @@ def breslow_baseline(sums: RiskSums, theta) -> np.ndarray:
     weighted relative-risk sum over the risk set; the piecewise-constant
     hazard is ``BaselineHazard(sums.rs.ets, increments)``.
     """
-    rs = sums.rs
-    return rs.event_counts / (rs.widths * _risk_terms(sums, theta)[1])
+    return _breslow(sums.rs, _risk_terms(sums, theta)[1])
+
+
+def _breslow(rs: RiskSets, s0) -> np.ndarray:
+    """The Breslow increments from the total risk-set sums ``s0`` (see
+    :func:`breslow_baseline`)."""
+    return rs.event_counts / (rs.widths * s0)

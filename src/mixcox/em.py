@@ -284,15 +284,15 @@ def _m_step(ws, w, theta, free):
     selected by the boolean mask ``free`` (:func:`cox.fit_weighted_cox`:
     the step is halved until the partial log-likelihood does not fall);
     the others keep their values.  The Breslow baseline then maximizes
-    the expected complete-data log-likelihood at the new coefficients, so
+    the expected complete-data log-likelihood at the new coefficients
+    (from the risk-set totals the step computed there), so
     the pair never lowers it.  Repeating the step from its own output
     converges to the exact M-step.  Returns the new coefficient vectors,
     the hazard increments and the failed lanes' exceptions (see
     ``cox.CoxFit.errors``).
     """
-    sums = cox.RiskSums(ws.risk_sets, w)
-    step = cox.fit_weighted_cox(sums, theta, free)
-    return step.beta, cox.breslow_baseline(sums, step.beta), step.errors
+    step = cox.fit_weighted_cox(cox.RiskSums(ws.risk_sets, w), theta, free)
+    return step.beta, cox._breslow(ws.risk_sets, step.s0), step.errors
 
 
 def _initial_state(ws, diag, fixed):
@@ -338,7 +338,7 @@ def _em_map(ws, diag, free, held, state, w):
         failed = _lane_mask(errors, theta.shape[0])[:, None]
         beta = np.where(failed, theta, beta)
         inc_new = np.where(failed, inc, inc_new)
-    new = (beta, inc_new, np.where(held, pi, _update_prevalence(w)))
+    new = (beta, inc_new, pi if held.all() else np.where(held, pi, _update_prevalence(w)))
     ll, w_new = _e_pass(ws, new, diag)
     return new, w_new, ll, errors
 
