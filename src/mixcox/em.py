@@ -92,7 +92,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, logit
 
 from . import cox
 from .errors import ConvergenceError, DatasetError, SeparationError
@@ -266,6 +265,20 @@ def _e_pass(ws, state, diag):
     return ll, np.where(diff >= 0, 1.0, e) / (1.0 + e)
 
 
+def _expit(x):
+    """The logistic function 1 / (1 + exp(-x)), elementwise, as e / (1 + e)
+    with e = exp(-|x|) in [0, 1] where x < 0, so it never overflows."""
+    x = np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _logit(p):
+    """log(p / (1 - p)), elementwise: the inverse of :func:`_expit`."""
+    p = np.asarray(p, dtype=float)
+    return np.log(p / (1.0 - p))
+
+
 def _update_prevalence(w: np.ndarray):
     """Mean posterior weight of each lane, clipped away from the boundary."""
     mean = np.add.reduce(w, axis=-1) / w.shape[-1]
@@ -308,7 +321,7 @@ def _initial_state(ws, diag, fixed):
         pi = float(np.clip((v_bar + sp - 1) / (se + sp - 1),
                            PREVALENCE_FLOOR, 1.0 - PREVALENCE_FLOOR))
     log_prior = _log_priors(diag, pi)
-    prior = expit(log_prior[0] - log_prior[1])[ws.group]
+    prior = _expit(log_prior[0] - log_prior[1])[ws.group]
     # null start: free coefficients at zero, fixed ones at their values
     theta0 = np.array([fixed.get(name, 0.0) for name in PARAM_NAMES], dtype=float)
     inc = cox.breslow_baseline(cox.RiskSums(ws.risk_sets, prior), theta0)
@@ -350,14 +363,14 @@ def _pack(state) -> np.ndarray:
     x = np.empty(inc.shape[:-1] + (inc.shape[-1] + 4,))
     x[..., :3] = theta
     np.log(inc, out=x[..., 3:-1])
-    x[..., -1] = logit(pi)
+    x[..., -1] = _logit(pi)
     return x
 
 
 def _unpack(x, held, pi):
     """Inverse of :func:`_pack`; in the lanes where ``held`` is set the
     prevalence is taken from ``pi``, not round-tripped through its logit."""
-    return x[..., :3], np.exp(x[..., 3:-1]), np.where(held, pi, expit(x[..., -1]))
+    return x[..., :3], np.exp(x[..., 3:-1]), np.where(held, pi, _expit(x[..., -1]))
 
 
 def _sqs3_point(x0, x1, x2):

@@ -11,7 +11,6 @@ results are bitwise reproducible regardless of how many workers run them.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,6 +173,10 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioSummary:
     """
     reps = range(config.replications)
     if workers > 1:
+        # imported here: a workers=1 run, and the package import, skip its
+        # ~13 ms import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate, [config] * config.replications, reps,
                                     chunksize=max(1, config.replications // (8 * workers))))

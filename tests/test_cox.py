@@ -259,6 +259,31 @@ class TestFit:
             assert not fit.converged and fit.iterations == 0
             assert np.array_equal(fit.beta, theta)
 
+    def test_risk_set_totals_are_those_of_the_returned_point(self, monkeypatch):
+        # the step returns the risk-set totals s0 of each lane's returned
+        # coefficients, from which the EM takes its Breslow increments: a
+        # lane that steps, one that holds every coefficient and one whose
+        # every trial point falls and so keeps its start
+        rng = np.random.default_rng(15)
+        rs, w1 = random_case(rng, n=40)
+        w = np.stack([w1, rng.uniform(0.1, 0.9, w1.size), rng.uniform(0.1, 0.9, w1.size)])
+        theta = np.array([[0.2, -0.1, 0.3], [0.5, 0.5, 0.5], [0.1, 0.2, -0.4]])
+        free = np.array([[True] * 3, [False] * 3, [True] * 3])
+        kernel = cox._loglik_parts
+
+        def third_lane_falls(sums, beta, order=2):
+            value, second, third = kernel(sums, beta, order)
+            if order == 0:
+                value = value - np.array([0.0, 0.0, 1.0])
+            return value, second, third
+
+        monkeypatch.setattr(cox, "_loglik_parts", third_lane_falls)
+        sums = RiskSums(rs, w)
+        fit = fit_weighted_cox(sums, theta, free)
+        assert not np.array_equal(fit.beta[0], theta[0])
+        assert np.array_equal(fit.beta[1:], theta[1:])
+        assert np.array_equal(fit.s0, cox._risk_terms(sums, fit.beta)[1])
+
     def test_converged_gradient_small(self):
         rng = np.random.default_rng(12)
         rs, w = random_case(rng, n=50)

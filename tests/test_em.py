@@ -151,6 +151,45 @@ class TestMStep:
         assert theta.beta2 == 0.0 and theta.gamma == 0.0
 
 
+class TestMStepBaseline:
+    def test_increments_are_the_breslow_baseline_at_the_step(self):
+        # the M-step takes the Breslow increments from the risk-set totals
+        # of the Cox step's last trial point; they must be the baseline at
+        # the coefficients it returns, bit for bit, also in a lane that
+        # holds every coefficient (no step) and one at its stationary point
+        data = sim_dataset(7, n_per_arm=60, sens=0.85, spec=0.8)
+        ws = em._Workspace(data)
+        rng = np.random.default_rng(7)
+        w = rng.uniform(0.05, 0.95, (4, len(data)))
+        theta = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.5], [0.1, 0.1, 0.1], [0.0, 0.0, 0.0]])
+        free = np.array([[True] * 3, [True, False, True], [False] * 3, [True] * 3])
+        # lane 3 starts at its own partial-likelihood maximum
+        for _ in range(30):
+            theta[3] = cox.fit_weighted_cox(cox.RiskSums(ws.risk_sets, w[3]), theta[3],
+                                            free[3]).beta
+        beta, inc, errors = em._m_step(ws, w, theta, free)
+        assert not errors
+        assert np.array_equal(beta[2], theta[2])
+        want = cox.breslow_baseline(cox.RiskSums(ws.risk_sets, w), beta)
+        assert np.array_equal(inc, want)
+        for k in range(4):
+            beta_k, inc_k, _ = em._m_step(ws, w[k], theta[k], free[k])
+            assert np.array_equal(beta_k, beta[k]) and np.array_equal(inc_k, inc[k])
+
+
+class TestLogistic:
+    def test_expit_and_logit_match_scipy(self):
+        from scipy.special import expit, logit
+
+        x = np.concatenate([np.linspace(-700.0, 700.0, 14_001), [-1e308, 1e308, 0.0]])
+        got = em._expit(x)
+        assert np.all(np.abs(got - expit(x)) <= 1e-15 * expit(x))
+        p = np.linspace(1e-6, 1.0 - 1e-6, 10_001)
+        assert np.abs(em._logit(p) - logit(p)).max() <= 1e-14
+        assert np.abs(em._expit(em._logit(p)) / p - 1.0).max() <= 1e-15
+        assert em._expit(-np.inf) == 0.0 and em._expit(np.inf) == 1.0
+
+
 class TestGeneralizedMStep:
     def test_kernel_calls_per_em_iteration(self, monkeypatch):
         # one derivative evaluation and one value evaluation per M-step

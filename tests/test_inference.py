@@ -12,8 +12,8 @@ from helpers import (
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
-from scipy.special import expit, logit
+from scipy import integrate, linalg, stats
+from scipy.special import expit, logit, ndtr
 
 from mixcox import (
     ConditioningError,
@@ -618,6 +618,109 @@ class TestFdInformation:
         with pytest.raises(ConditioningError, match="not positive definite") as err:
             _require_positive_definite(info)
         assert "fd_step" not in str(err.value)
+
+
+def _negative_definite_tridiagonal(rng, m):
+    """Diagonal and off-diagonal of a random negative definite symmetric
+    tridiagonal m x m matrix (strictly diagonally dominant, some rows
+    nearly not), scaled over several orders of magnitude."""
+    off = rng.uniform(0.1, 1.0, m - 1) * 10.0 ** rng.uniform(-3, 3, m - 1)
+    margin = rng.uniform(1e-3, 1.0, m) * np.where(rng.random(m) < 0.2, 1e-6, 1.0)
+    diag = -(np.append(off, 0.0) + np.append(0.0, off) + 1e-3) * (1.0 + margin)
+    return diag, off
+
+
+class TestTridiagonalForm:
+    @pytest.mark.parametrize("m", [1, 2, 3, 77, 731, 2048])
+    def test_matches_banded_solve(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(3):
+            diag, off = _negative_definite_tridiagonal(rng, m)
+            v = rng.normal(size=(m, 5))
+            bands = np.array([np.append(0.0, off), diag, np.append(off, 0.0)])
+            want = v.T @ linalg.solve_banded((1, 1), bands, v)
+            got = inference._tridiagonal_form(diag, off, v)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("diag, off", [
+        ([0.0], []),
+        ([-1.0, -1.0], [1.0]),
+        ([-2.0, 0.0, -3.0], [0.0, 0.0]),
+        ([-1.0, -2.0, -2.0, -2.0, -1.0], [1.0, 1.0, 1.0, 1.0]),
+        ([-1.0, np.nan, -1.0], [0.5, 0.5]),
+        ([-1.0, -np.inf], [0.5]),
+    ])
+    def test_singular_system_raises(self, diag, off):
+        # a zero row, singular second differences and non-finite entries
+        v = np.ones((len(diag), 2))
+        with pytest.raises(ConditioningError, match="singular"):
+            inference._tridiagonal_form(np.array(diag), np.array(off), v)
+
+
+class TestNormalCdf:
+    def test_matches_scipy_on_dense_grid(self):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 400_001), [-0.0, 5e-324, -5e-324]])
+        assert np.abs(inference._ndtr(x) - ndtr(x)).max() <= 1e-15
+
+    def test_lower_tail_relative_error(self):
+        # the tail keeps its relative accuracy down to the cut, where it
+        # is below 6e-30, and keeps falling beyond it
+        x = np.linspace(-11.3, 0.0, 20_001)
+        assert np.abs(inference._ndtr(x) / ndtr(x) - 1.0).max() <= 1e-13
+        deep = inference._ndtr(np.array([-11.4, -20.0, -30.0, -38.0, -39.0]))
+        assert np.all(deep[:4] > 0) and deep[-1] == 0.0 and np.all(np.diff(deep) <= 0)
+        assert np.all(deep < 6e-30)
+
+    def test_special_values_and_shapes(self):
+        got = inference._ndtr(np.array([-np.inf, np.inf, np.nan, 0.0]))
+        assert got[0] == 0.0 and got[1] == 1.0 and np.isnan(got[2]) and got[3] == 0.5
+        scalar = inference._ndtr(np.array(1.3))
+        assert scalar.shape == () and abs(float(scalar) - ndtr(1.3)) <= 1e-16
+        assert inference._ndtr(np.empty((0, 3))).shape == (0, 3)
+        block = np.linspace(-3.0, 3.0, 24).reshape(2, 3, 4)
+        assert np.array_equal(inference._ndtr(block), inference._ndtr(block.ravel()).reshape(2, 3, 4))
+
+    @settings(max_examples=200)
+    @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=40))
+    def test_agrees_with_scipy_and_is_symmetric(self, values):
+        x = np.array(values)
+        got = inference._ndtr(x)
+        assert np.abs(got - ndtr(x)).max() <= 1e-15
+        assert np.abs(got + inference._ndtr(-x) - 1.0).max() <= 2.3e-16
+
+    def test_scalar_cdf(self):
+        x = np.linspace(-38.0, 38.0, 7_601)
+        got = np.array([inference._norm_cdf(v) for v in x])
+        assert np.abs(got - ndtr(x)).max() <= 1e-15
+
+
+class TestChiSquareAndQuantiles:
+    # scipy.stats.chi2 is itself up to 3.1e-14 (sf) and 2.2e-14 (ppf)
+    # from 40-digit values here, so it is matched to 5e-14; the normal
+    # forms of the same quantities are matched to 1e-14
+    def test_chi2_sf(self):
+        x = np.concatenate([np.linspace(0.0, 60.0, 6_001), np.geomspace(1e-12, 1.0, 200)])
+        got = np.array([inference._chi2_sf(v) for v in x])
+        assert np.abs(got / stats.chi2.sf(x, 1) - 1.0).max() <= 5e-14
+        near = x <= 40.0
+        assert np.abs(got[near] / (2.0 * stats.norm.sf(np.sqrt(x[near]))) - 1.0).max() <= 1e-14
+        assert inference._chi2_sf(0.0) == 1.0 and inference._chi2_sf(math.inf) == 0.0
+
+    def test_chi2_quantile(self):
+        p = np.concatenate([np.linspace(0.01, 1.0 - 1e-12, 10_001), 1.0 - np.geomspace(1e-15, 0.5, 300)])
+        got = np.array([inference._chi2_quantile(v) for v in p])
+        assert np.abs(got / stats.chi2.ppf(p, 1) - 1.0).max() <= 5e-14
+        assert np.abs(got / stats.norm.isf((1.0 - p) / 2.0) ** 2 - 1.0).max() <= 1e-14
+        assert inference._chi2_quantile(0.0) == 0.0
+        assert inference._chi2_quantile(0.95) == pytest.approx(3.841458820694124, rel=1e-15)
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_scale_bracket_normal_quantiles(self, dims):
+        for alpha in (1e-6, 0.01, 0.05, 0.1, 0.5, 0.9):
+            lo, hi = inference._scale_bracket(alpha, dims)
+            assert lo + 1e-9 == pytest.approx(stats.norm.ppf(1 - alpha / 2), rel=1e-14)
+            sidak = stats.norm.ppf(0.5 * (1.0 + (1.0 - alpha) ** (1.0 / dims)))
+            assert hi - 1e-6 == pytest.approx(sidak, rel=1e-14)
 
 
 class TestSubgroupCov:
