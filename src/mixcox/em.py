@@ -266,8 +266,9 @@ def _e_pass(ws, state, diag):
 
 
 def _expit(x):
-    """The logistic function 1 / (1 + exp(-x)), elementwise, as e / (1 + e)
-    with e = exp(-|x|) in [0, 1] where x < 0, so it never overflows."""
+    """The logistic function 1 / (1 + exp(-x)), elementwise: 1 / (1 + e)
+    for x >= 0 and e / (1 + e) for x < 0, with e = exp(-|x|) <= 1, so it
+    never overflows (the posterior of :func:`_e_pass` is the same form)."""
     x = np.asarray(x, dtype=float)
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)

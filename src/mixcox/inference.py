@@ -137,19 +137,33 @@ def _ndtr(x) -> np.ndarray:
     0, and NaN gives NaN.
     """
     x = np.asarray(x, dtype=float)
+    # one dimension, so that every step below can work in place on the
+    # few arrays it allocates
+    flat = x.reshape(-1)
     # Phi(-40) is below the smallest double, and z^2 stays finite
-    z = np.minimum(np.abs(x), 40.0) * _SQRT_HALF
+    z = np.abs(flat)
+    np.minimum(z, 40.0, out=z)
+    z *= _SQRT_HALF
     v = np.minimum(z, _ERFC_CUT)
-    v = v / (v + 2.0)
-    s = v * _ERFC_S_SCALE - 1.0
-    half_erfcx = np.full_like(s, _ERFCX_POLYNOMIAL[0])
-    for c in _ERFCX_POLYNOMIAL[1:]:
-        half_erfcx *= s
+    s = v + 2.0
+    np.divide(v, s, out=v)
+    np.multiply(v, _ERFC_S_SCALE, out=s)
+    s -= 1.0
+    half_erfcx = s * _ERFCX_POLYNOMIAL[0]
+    for c in _ERFCX_POLYNOMIAL[1:-1]:
         half_erfcx += c
+        half_erfcx *= s
+    half_erfcx += _ERFCX_POLYNOMIAL[-1]
     half_erfcx *= v
     half_erfcx += 0.5
-    tail = np.exp(-(z * z)) * half_erfcx
-    return np.where(x < 0, tail, 1.0 - tail)
+    # the tail exp(-z^2) (1/2 + v G(s)), then Phi in z's memory
+    np.multiply(z, z, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    half_erfcx *= z
+    np.subtract(1.0, half_erfcx, out=z)
+    np.copyto(z, half_erfcx, where=flat < 0)
+    return z.reshape(x.shape)
 
 
 def _norm_cdf(x: float) -> float:

@@ -173,8 +173,8 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioSummary:
     """
     reps = range(config.replications)
     if workers > 1:
-        # imported here: a workers=1 run, and the package import, skip its
-        # ~13 ms import
+        # imported here, so that neither the package import nor a
+        # workers=1 run pays for importing the process pool
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
