@@ -10,7 +10,7 @@ confidence intervals, summarizes overall efficacy as concordance odds,
 and regenerates the accompanying simulation study at desk scale.
 """
 
-from .em import EmConfig, FitResult, fit
+from .em import FitResult, fit
 from .errors import (
     ConditioningError,
     ConvergenceError,
@@ -20,7 +20,6 @@ from .errors import (
     SeparationError,
 )
 from .inference import (
-    InferenceConfig,
     Interval,
     SimultaneousReport,
     bvn_rect_prob,
@@ -56,7 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BaselineHazard", "ConditioningError", "ConvergenceError", "Dataset",
     "DatasetError", "DegenerateDataError", "DiagnosticModel", "EffectParams",
-    "EmConfig", "FitResult", "InferenceConfig", "Interval", "MixcoxError",
+    "FitResult", "Interval", "MixcoxError",
     "RenderedTable", "RngStream", "ScenarioConfig",
     "ScenarioSummary", "SeparationError", "SimultaneousReport",
     "bvn_rect_prob", "concordance_prob",

@@ -47,9 +47,9 @@ DATASET_COLUMNS = ("time", "event", "treatment", "biomarker_test")
 class AnalysisRequest:
     """Validated inputs of the ``fit`` subcommand.
 
-    Construction builds the diagnostic model and the EM and inference
-    configurations from the inputs, so their own checks validate the
-    request before the dataset is read.
+    Construction builds the diagnostic model from the inputs and checks
+    the level and the iteration cap, so the request is validated before
+    the dataset is read.
     """
 
     dataset_path: str
@@ -58,10 +58,8 @@ class AnalysisRequest:
     prevalence: float | None = None  # None: estimate from the data
     alpha: float = 0.05
     output_format: str = "text"
-    em_max_iter: int = 2000
+    em_max_iter: int = em.MAX_ITER
     diag: DiagnosticModel = field(init=False, repr=False)
-    em_config: em.EmConfig = field(init=False, repr=False)
-    inference_config: inference.InferenceConfig = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.output_format not in ("text", "structured"):
@@ -71,9 +69,8 @@ class AnalysisRequest:
                                0.5 if estimated else self.prevalence,
                                prevalence_known=not estimated)
         object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "em_config", em.EmConfig(max_iter=self.em_max_iter))
-        object.__setattr__(self, "inference_config",
-                           inference.InferenceConfig(alpha=self.alpha))
+        em._check_max_iter(self.em_max_iter)
+        inference._check_alpha(self.alpha)
 
 
 @dataclass
@@ -265,9 +262,9 @@ def _parse_test(token, path, line_no) -> int:
 def run_fit(request: AnalysisRequest) -> AnalysisReport:
     """Fit, build all intervals and tests, and assemble the report."""
     data = parse_dataset(request.dataset_path)
-    diag, em_cfg, icfg = request.diag, request.em_config, request.inference_config
+    diag = request.diag
     estimated = not diag.prevalence_known
-    res = em.fit(data, diag, em_cfg)
+    res = em.fit(data, diag, max_iter=request.em_max_iter)
     info = inference.fd_profile_information(data, diag, fit_result=res)
     labels = {
         "beta1": "treatment (beta1)",
@@ -276,10 +273,10 @@ def run_fit(request: AnalysisRequest) -> AnalysisReport:
     }
     # every interval and likelihood-ratio test of the report in one
     # lockstep run of their profile searches
-    names = ("beta1", "beta2", "gamma")
+    names = em.PARAM_NAMES
     intervals, tests = inference._profile(
-        data, diag, [*names, "pi"] if estimated else names, icfg, fit_result=res,
-        em_config=em_cfg, information=info, tests=dict.fromkeys(names, 0.0),
+        data, diag, [*names, "pi"] if estimated else names, request.alpha, fit_result=res,
+        max_iter=request.em_max_iter, information=info, tests=dict.fromkeys(names, 0.0),
     )
     theta = res.theta_hat.as_array()
     rows = [ParamRow(name, labels[name], float(theta[i]), intervals[name], tests[name][1])
@@ -287,7 +284,7 @@ def run_fit(request: AnalysisRequest) -> AnalysisReport:
     if estimated:
         rows.append(ParamRow("pi", "prevalence (pi)", res.pi_hat, intervals["pi"], None))
     subgroups = inference.overall_concordance_report(
-        data, diag, res, icfg, information=info
+        data, diag, res, request.alpha, information=info
     )
     return AnalysisReport(
         parameters=rows,
@@ -378,7 +375,7 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--alpha", type=float, default=0.05)
     p_fit.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_fit.add_argument("--format", choices=("text", "structured"), default="text")
-    p_fit.add_argument("--max-em-iter", type=int, default=2000)
+    p_fit.add_argument("--max-em-iter", type=int, default=em.MAX_ITER)
 
     p_sim = sub.add_parser("simulate", help="run a simulation study")
     p_sim.add_argument("--config", required=True, help="JSON scenario config")

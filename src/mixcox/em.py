@@ -81,7 +81,7 @@ under half the maps (see the README's numerical notes).
 A single step cannot tell a coefficient that has stabilized far out from
 one still moving, so the quasi-separation check
 (:func:`cox.check_separation`) is applied to the free coefficients at the
-end of :func:`fit`; a runaway (beyond ``cox.SEPARATION_BOUND``) is caught
+end of each lane; a runaway (beyond ``cox.SEPARATION_BOUND``) is caught
 inside the step.
 """
 
@@ -103,13 +103,15 @@ from .model import (
     TEST_MISSING,
 )
 
-__all__ = ["EmConfig", "FitResult", "fit"]
+__all__ = ["FitResult", "fit"]
 
 PARAM_NAMES = ("beta1", "beta2", "gamma")
 # estimated prevalences are clipped to [floor, 1 - floor]
 PREVALENCE_FLOOR = 0.01
 # the loop stops once the observed log-likelihood changes by less than this
 TOL_LOGLIK = 1e-8
+# the default cap on a fit's EM maps
+MAX_ITER = 2000
 # event indicator values, for the per-class tables of :func:`_e_pass`
 _EVENT = np.array([0.0, 1.0])
 # the linear predictors by latent status (positive, negative) and arm, as
@@ -117,17 +119,12 @@ _EVENT = np.array([0.0, 1.0])
 _ETA = np.array([[1, 2], [3, 0]])
 
 
-@dataclass(frozen=True)
-class EmConfig:
-    """EM control knob: the iteration cap.  It is at least 2, since
-    convergence compares the log-likelihoods of two maps."""
-
-    max_iter: int = 2000
-
-    def __post_init__(self):
-        if self.max_iter < 2:
-            raise DatasetError("max_iter must be at least 2: convergence compares "
-                               "the log-likelihoods of two EM maps")
+def _check_max_iter(max_iter: int) -> None:
+    """An iteration cap is at least 2, since convergence compares the
+    log-likelihoods of two maps."""
+    if max_iter < 2:
+        raise DatasetError("max_iter must be at least 2: convergence compares "
+                           "the log-likelihoods of two EM maps")
 
 
 @dataclass
@@ -429,21 +426,32 @@ def _jump(ws, diag, free, held, state, w, cycle, ll_prev):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _fit_lanes(data: Dataset, diag: DiagnosticModel, pins,
-               config: EmConfig = EmConfig(), warm: FitResult | None = None) -> list:
-    """Fit one lane per ``fixed`` mapping of ``pins`` in lockstep on
+def _fit_lanes(data: Dataset, diag: DiagnosticModel, pins, max_iter: int = MAX_ITER,
+               warm: FitResult | None = None) -> list:
+    """Fit one lane per mapping ``fixed`` of ``pins`` in lockstep on
     ``data``, all under the diagnostic model ``diag``.
 
-    Each lane is the fit ``fit(data, diag, config, fixed=fixed,
-    warm=warm)`` would return, and runs the same maps: SQUAREM cycles of
-    two EM maps, a jump and one map from it (see :func:`fit`).  A lane
-    whose ``fixed`` names "pi" holds the prevalence at that value, in the
-    same joint likelihood the estimated prevalence maximizes: its
-    log-likelihood is the profile log-likelihood at that prevalence.
+    A lane holds the parameters ``fixed`` names ("beta1", "beta2",
+    "gamma", and "pi" when the prevalence is estimated) at the given
+    values while the M-step moves the others.  A lane that holds the
+    prevalence holds it in the same joint likelihood the estimated
+    prevalence maximizes: its log-likelihood is the profile
+    log-likelihood at that prevalence.  Every lane starts from the state
+    of the fit ``warm``, with its pins applied, or without ``warm`` from
+    the null start of a cold fit: free coefficients at zero, pinned ones
+    at their values (the lane of :func:`fit` pins nothing).  When
+    ``data`` is the very Dataset object ``warm`` was fitted to, the lanes
+    reuse that fit's precomputed structures.  From either start a lane
+    runs the SQUAREM cycles the module docstring describes, and converges
+    once two consecutive accepted log-likelihoods differ by less than
+    TOL_LOGLIK.
+
     Returns, per lane, its :class:`_Lane` or the exception that ended it:
     a kernel failure, the ConvergenceError of a lane still moving after
-    ``config.max_iter`` maps, or the SeparationError of a free
-    coefficient that converged beyond ``cox.SEPARATION_FLAG``.
+    ``max_iter`` maps, or the SeparationError of a free coefficient that
+    converged beyond ``cox.SEPARATION_FLAG``.  Raises DatasetError if
+    ``max_iter`` is below 2, and ValueError if a mapping names an unknown
+    parameter, or "pi" while ``diag.prevalence_known`` is set.
 
     Floating-point overflow, invalid-operation and divide warnings are off
     in the loop.  A state far out along a separating direction -- a warm
@@ -454,6 +462,7 @@ def _fit_lanes(data: Dataset, diag: DiagnosticModel, pins,
     increment that is not positive fails it in the map and a non-finite
     jump is rejected.
     """
+    _check_max_iter(max_iter)
     fixed = [dict(f) for f in pins]
     unknown = set().union(*fixed) - set(PARAM_NAMES) - {"pi"}
     if unknown:
@@ -508,7 +517,7 @@ def _fit_lanes(data: Dataset, diag: DiagnosticModel, pins,
                 traces[ids[k]].append(value)
                 converged = abs(value - ll_prev[k]) < TOL_LOGLIK
                 ll_prev[k] = value
-            if converged or it >= config.max_iter or k in errors:
+            if converged or it >= max_iter or k in errors:
                 done.append(k)
                 results[ids[k]] = errors.get(k) or _lane_end(
                     ws, state, w, k, free[k], traces[ids[k]], it, converged)
@@ -541,40 +550,20 @@ def _lane_end(ws, state, w, k, free, trace, iterations, converged):
     return _Lane(theta[k], inc[k], float(pi[k]), w[k], trace, iterations, ws)
 
 
-def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
-        *, fixed: dict[str, float] | None = None,
-        warm: FitResult | None = None) -> FitResult:
+def fit(data: Dataset, diag: DiagnosticModel, *, max_iter: int = MAX_ITER) -> FitResult:
     """Run the EM loop to convergence of the observed log-likelihood.
 
-    This is the stack of one lane (:func:`_fit_lanes`).
+    This is the stack of one lane with nothing pinned, from the null
+    start (:func:`_fit_lanes`, which describes the loop).
 
     Parameters
     ----------
     data, diag : the trial and the diagnostic-test model.  When
-        ``diag.prevalence_known`` is False the prevalence is estimated.
-    config : EmConfig
-        Iteration cap.  The loop stops once the observed log-likelihood
-        changes by less than TOL_LOGLIK.  An estimated prevalence is
+        ``diag.prevalence_known`` is False the prevalence is estimated,
         clipped to [PREVALENCE_FLOOR, 1 - PREVALENCE_FLOOR].
-    fixed : mapping, optional
-        Parameters to hold fixed by name ("beta1", "beta2", "gamma", and
-        "pi" when the prevalence is estimated): they keep the given
-        values while the M-step moves the others.  A held prevalence
-        stays in the likelihood the estimated one maximizes, so
-        ``obs_loglik`` is the profile log-likelihood at that value.
-        This is the profiling hook used by the confidence-interval
-        machinery.
-    warm : FitResult, optional
-        Start from a previous fit's state instead of the default
-        deterministic initialization (useful when profiling near the MLE).
-        When ``data`` is the very Dataset object ``warm`` was fitted to,
-        the refit reuses that fit's precomputed structures.  It chooses
-        only the start: from either start the loop runs SQUAREM cycles of
-        two EM maps, a jump to the SqS3 extrapolation (step length
-        -|r|/|v|, clamped to at most -1) and one EM map from there.  That
-        map is kept only if its observed log-likelihood is finite and at
-        least the one two maps before; otherwise, or if it separates,
-        degenerates or overflows, the loop continues from the second map.
+    max_iter : int
+        The cap on EM maps, at least 2.  The loop stops once the observed
+        log-likelihood changes by less than TOL_LOGLIK.
 
     Returns
     -------
@@ -588,16 +577,15 @@ def fit(data: Dataset, diag: DiagnosticModel, config: EmConfig = EmConfig(),
     Raises
     ------
     ConvergenceError
-        If the loop has not converged after ``config.max_iter`` maps.
+        If the loop has not converged after ``max_iter`` maps.
     SeparationError
         If a free coefficient runs away during a step (|beta| > 50), or
         ends the fit beyond 15 in absolute value: the likelihood appears
         monotone (infinite MLE).
-    ValueError
-        If ``fixed`` names an unknown parameter, or "pi" while
-        ``diag.prevalence_known`` is set.
+    DatasetError
+        If ``max_iter`` is below 2.
     """
-    (lane,) = _fit_lanes(data, diag, [fixed or {}], config, warm)
+    (lane,) = _fit_lanes(data, diag, [{}], max_iter)
     if isinstance(lane, Exception):
         raise lane
     return FitResult(

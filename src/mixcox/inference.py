@@ -42,7 +42,6 @@ from .errors import ConditioningError, DatasetError, DegenerateDataError, Separa
 from .model import Dataset, DiagnosticModel, EffectParams
 
 __all__ = [
-    "InferenceConfig",
     "Interval",
     "SimultaneousReport",
     "profile_loglik",
@@ -57,7 +56,7 @@ __all__ = [
     "overall_concordance_report",
 ]
 
-_PARAM_INDEX = {"beta1": 0, "beta2": 1, "gamma": 2}
+_PARAM_INDEX = {name: i for i, name in enumerate(em.PARAM_NAMES)}
 # the subgroup treatment effects (beta1 + gamma, beta1) as rows of
 # coefficients on (beta1, beta2, gamma)
 _SUBGROUP_ROWS = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
@@ -180,15 +179,10 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 _GAUSS_LEGENDRE = {n: _gauss_legendre(n) for n in (_TVN_COARSE_NODES, _TVN_NODES)}
 
 
-@dataclass(frozen=True)
-class InferenceConfig:
-    """Knob for interval construction: the nominal level ``alpha``."""
-
-    alpha: float = 0.05
-
-    def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise DatasetError("alpha must be in (0, 1)")
+def _check_alpha(alpha: float) -> None:
+    """The nominal level of an interval or test must lie in (0, 1)."""
+    if not 0 < alpha < 1:
+        raise DatasetError("alpha must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -214,7 +208,6 @@ class SimultaneousReport:
     interval_pos: Interval
     interval_neg: Interval
     xi_alpha: float
-    sigma: np.ndarray
     rho: float
     est_overall: float | None = None
     interval_overall: Interval | None = None
@@ -239,7 +232,7 @@ def _profile_logliks(
     diag: DiagnosticModel,
     pins: Sequence[Mapping[str, float]],
     *,
-    em_config: em.EmConfig,
+    max_iter: int,
     warm: em.FitResult | None,
     slopes: bool = False,
 ) -> list:
@@ -256,7 +249,7 @@ def _profile_logliks(
     state (:func:`_pinned_scores`); otherwise the slope is None.  This is
     the one place the profile searches evaluate the likelihood.
     """
-    lanes = em._fit_lanes(data, diag, pins, em_config, warm)
+    lanes = em._fit_lanes(data, diag, pins, max_iter, warm)
     done = [k for k, lane in enumerate(lanes) if not isinstance(lane, Exception)]
     scores = dict.fromkeys(done)
     if slopes and done:
@@ -295,7 +288,7 @@ def profile_loglik(
     diag: DiagnosticModel,
     fixed: Mapping[str, float],
     *,
-    em_config: em.EmConfig = em.EmConfig(),
+    max_iter: int = em.MAX_ITER,
     warm: em.FitResult | None = None,
 ) -> float:
     """Observed log-likelihood maximized with some parameters held fixed.
@@ -303,20 +296,22 @@ def profile_loglik(
     ``fixed`` maps names among "beta1", "beta2", "gamma" (and "pi" when
     the prevalence is being estimated) to the values they are pinned at;
     everything else, including the baseline hazard, is profiled out by
-    rerunning the EM with the fixed parameters held there (``em.fit``
-    with ``fixed``).  A held prevalence stays in the joint likelihood of
-    the unconstrained fit, so every value is directly comparable with its
-    ``FitResult.obs_loglik``.
+    rerunning the EM with the fixed parameters held there: one lane of
+    ``em._fit_lanes``, started from the fit ``warm`` when given, else from
+    the null start, and capped at ``max_iter`` maps.  A held prevalence
+    stays in the joint likelihood of the unconstrained fit, so every value
+    is directly comparable with its ``FitResult.obs_loglik``.  The lane's
+    exception, such as the ConvergenceError of a refit at the cap, is
+    raised.
     """
-    (value,) = _profile_logliks(data, diag, [fixed], em_config=em_config, warm=warm)
+    (value,) = _profile_logliks(data, diag, [fixed], max_iter=max_iter, warm=warm)
     if isinstance(value, Exception):
         raise value
     return value[0]
 
 
 def _run_searches(data: Dataset, diag: DiagnosticModel, searches, *,
-                  fit_result: em.FitResult, em_config: em.EmConfig,
-                  slopes: bool) -> list:
+                  fit_result: em.FitResult, max_iter: int, slopes: bool) -> list:
     """Run the profile searches ``searches`` in lockstep; returns each
     one's result, in order.
 
@@ -335,7 +330,7 @@ def _run_searches(data: Dataset, diag: DiagnosticModel, searches, *,
     while pending:
         keys = list(pending)
         values = _profile_logliks(data, diag, [pending[k] for k in keys],
-                                  em_config=em_config, warm=fit_result, slopes=slopes)
+                                  max_iter=max_iter, warm=fit_result, slopes=slopes)
         for k, value in zip(keys, values):
             try:
                 pending[k] = searches[k].send(value)
@@ -368,15 +363,18 @@ def lr_test(
     null_value: float,
     *,
     fit_result: em.FitResult,
-    em_config: em.EmConfig = em.EmConfig(),
+    max_iter: int = em.MAX_ITER,
 ) -> tuple[float, float]:
     """Likelihood-ratio test of ``param == null_value``.
 
     Returns the statistic (twice the profile log-likelihood drop from the
     unconstrained ``fit_result``, clipped at zero) and its chi-square(1)
-    p-value.
+    p-value.  The constrained refit starts from ``fit_result``; one that
+    does not converge within ``max_iter`` maps raises its
+    ConvergenceError, with the parameter and the null value in its
+    message.
     """
-    _, tests = _profile(data, diag, [], fit_result=fit_result, em_config=em_config,
+    _, tests = _profile(data, diag, [], fit_result=fit_result, max_iter=max_iter,
                         tests={param: null_value})
     return tests[param]
 
@@ -455,10 +453,12 @@ def _endpoint_search(param: str, direction: int, mle: float, se: float,
 
 
 def _interval_searches(data: Dataset, diag: DiagnosticModel, params: Sequence[str],
-                       config: InferenceConfig, fit_result: em.FitResult,
+                       alpha: float, fit_result: em.FitResult,
                        information: np.ndarray | None) -> list:
     """The upper and lower endpoint searches of :func:`profile_ci` for each
-    of ``params``, in order, with the Wald scales :func:`_profile` sets."""
+    of ``params``, in order, at level ``alpha``, with the Wald scales
+    :func:`_profile` sets."""
+    _check_alpha(alpha)
     for param in params:
         if param not in ("beta1", "beta2", "gamma", "pi"):
             raise ValueError(f"unknown parameter: {param}")
@@ -466,7 +466,7 @@ def _interval_searches(data: Dataset, diag: DiagnosticModel, params: Sequence[st
         if information is None:
             information = fd_profile_information(data, diag, fit_result=fit_result)
         variances = np.diag(np.linalg.inv(information))
-    target = _chi2_quantile(1.0 - config.alpha)
+    target = _chi2_quantile(1.0 - alpha)
     searches = []
     for param in params:
         mle = _param_estimate(fit_result, param)
@@ -483,21 +483,21 @@ def profile_ci(
     data: Dataset,
     diag: DiagnosticModel,
     param: str,
-    config: InferenceConfig = InferenceConfig(),
+    alpha: float = 0.05,
     *,
     fit_result: em.FitResult,
-    em_config: em.EmConfig = em.EmConfig(),
+    max_iter: int = em.MAX_ITER,
 ) -> Interval:
     """Profile likelihood-ratio confidence interval for one parameter,
-    around the unconstrained ``fit_result``.
+    around the unconstrained ``fit_result``, at level 1 - ``alpha``.
 
     Each endpoint solves g(x) = sqrt(lambda(estimate +- x)) - sqrt(q) = 0,
-    where lambda is the LR statistic, q the chi-square(1) quantile and x
-    the distance from the estimate, by a safeguarded Newton iteration.
-    The slope of g needs no extra refit: by the envelope theorem the
-    profile log-likelihood's slope at a pinned value is the pinned
-    parameter's score at the refit's own state, so g' = -(+-score) /
-    sqrt(lambda).  The search starts from the Wald point x = sqrt(q) * se
+    where lambda is the LR statistic, q the chi-square(1) quantile at 1 -
+    alpha and x the distance from the estimate, by a safeguarded Newton
+    iteration.  The slope of g needs no extra refit: by the envelope
+    theorem the profile log-likelihood's slope at a pinned value is the
+    pinned parameter's score at the refit's own state, so g' = -(+-score)
+    / sqrt(lambda).  The search starts from the Wald point x = sqrt(q) * se
     and takes the Newton step wherever lambda > 0 and g' > 0.  Until g
     changes sign each step grows the distance by at most a factor of 2,
     and without a usable slope it doubles; afterwards the sign change is
@@ -509,19 +509,18 @@ def profile_ci(
     than 1e-4 on the parameter scale, and returns its midpoint.  On the
     golden trial every endpoint then has lambda within 1e-9 of q, after
     2-3 refits.  A constrained fit that separates or degenerates counts as
-    lambda = infinity; one that does not converge within
-    ``em_config.max_iter`` maps raises its ConvergenceError, with the
-    parameter and the pinned value in its message.  An endpoint not
-    bracketed within 2048 profile standard errors or +-50
-    (``cox.SEPARATION_BOUND``), whichever is nearer -- or, for the
-    prevalence, within the admissible range -- is returned at that limit
-    with its open flag set.
+    lambda = infinity; one that does not converge within ``max_iter``
+    maps raises its ConvergenceError, with the parameter and the pinned
+    value in its message.  An endpoint not bracketed within 2048 profile
+    standard errors or +-50 (``cox.SEPARATION_BOUND``), whichever is
+    nearer -- or, for the prevalence, within the admissible range -- is
+    returned at that limit with its open flag set.
 
     The two endpoint searches run in lockstep (:func:`_run_searches`): each
     round refits both of their next points as two lanes of one stacked EM.
     """
-    intervals, _ = _profile(data, diag, [param], config, fit_result=fit_result,
-                            em_config=em_config)
+    intervals, _ = _profile(data, diag, [param], alpha, fit_result=fit_result,
+                            max_iter=max_iter)
     return intervals[param]
 
 
@@ -529,10 +528,10 @@ def _profile(
     data: Dataset,
     diag: DiagnosticModel,
     params: Sequence[str],
-    config: InferenceConfig = InferenceConfig(),
+    alpha: float = 0.05,
     *,
     fit_result: em.FitResult,
-    em_config: em.EmConfig,
+    max_iter: int,
     information: np.ndarray | None = None,
     tests: Mapping[str, float] | None = None,
 ) -> tuple[dict[str, Interval], dict[str, tuple[float, float]]]:
@@ -551,10 +550,10 @@ def _profile(
     after another.
     """
     tests = tests or {}
-    searches = _interval_searches(data, diag, params, config, fit_result, information)
+    searches = _interval_searches(data, diag, params, alpha, fit_result, information)
     searches += [_lr_null(fit_result, param, value) for param, value in tests.items()]
     results = _run_searches(data, diag, searches, fit_result=fit_result,
-                            em_config=em_config, slopes=bool(params))
+                            max_iter=max_iter, slopes=bool(params))
     intervals = {}
     for k, param in enumerate(params):
         (high, open_high), (low, open_low) = results[2 * k:2 * k + 2]
@@ -850,8 +849,7 @@ def simultaneous_scale(rho: float, alpha: float) -> float:
     with a coverage error below 1e-11.  The result always lies in the
     bracket.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
+    _check_alpha(alpha)
     lo, hi = _scale_bracket(alpha, 2)
     return _newton_scale(lambda xi: bvn_rect_prob(xi, rho),
                          lambda xi: _bvn_rect_slope(xi, rho), 1.0 - alpha, lo, hi, lo)
@@ -874,7 +872,6 @@ def simultaneous_cis(
         interval_pos=Interval(est_pos - xi * sd_pos, est_pos + xi * sd_pos),
         interval_neg=Interval(est_neg - xi * sd_neg, est_neg + xi * sd_neg),
         xi_alpha=xi,
-        sigma=sigma,
         rho=rho,
     )
 
@@ -1082,7 +1079,7 @@ def overall_concordance_report(
     data: Dataset,
     diag: DiagnosticModel,
     fit_result: em.FitResult,
-    config: InferenceConfig = InferenceConfig(),
+    alpha: float = 0.05,
     *,
     information: np.ndarray | None = None,
 ) -> SimultaneousReport:
@@ -1097,10 +1094,11 @@ def overall_concordance_report(
     scale ``xi_alpha`` is the equicoordinate quantile of the trivariate
     normal with that covariance's correlation, a root of the deterministic
     box probability to 1e-10 by Newton's method with its closed-form slope
-    (see ``_equicoordinate_scale_mvn``).
+    (see ``_equicoordinate_scale_mvn``), at joint coverage 1 - ``alpha``.
     ``information`` is that profile information when the caller already
     holds it; otherwise it is computed here.
     """
+    _check_alpha(alpha)
     if information is None:
         information = fd_profile_information(data, diag, fit_result=fit_result)
     cov_theta = np.linalg.inv(information)
@@ -1111,7 +1109,7 @@ def overall_concordance_report(
     sigma3 = 0.5 * (sigma3 + sigma3.T)
     sds = np.sqrt(np.diag(sigma3))
     corr = sigma3 / np.outer(sds, sds)
-    xi = _equicoordinate_scale_mvn(corr, config.alpha)
+    xi = _equicoordinate_scale_mvn(corr, alpha)
     est_pos, est_neg = _SUBGROUP_ROWS @ center
     est_all = _log_concordance_odds(center, pi)
     return SimultaneousReport(
@@ -1120,7 +1118,6 @@ def overall_concordance_report(
         interval_pos=Interval(est_pos - xi * sds[0], est_pos + xi * sds[0]),
         interval_neg=Interval(est_neg - xi * sds[1], est_neg + xi * sds[1]),
         xi_alpha=xi,
-        sigma=sigma3[:2, :2],
         rho=float(corr[0, 1]),
         est_overall=est_all,
         interval_overall=Interval(est_all - xi * sds[2], est_all + xi * sds[2]),

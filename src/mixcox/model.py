@@ -16,7 +16,7 @@ everything here is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,8 +159,6 @@ class BaselineHazard:
 
     event_times: np.ndarray
     increments: np.ndarray
-    # cumulative hazard at each event time; derived, cached at construction
-    _cum_at_events: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         ets = np.array(self.event_times, dtype=float)
@@ -177,10 +175,6 @@ class BaselineHazard:
         inc.flags.writeable = False
         object.__setattr__(self, "event_times", ets)
         object.__setattr__(self, "increments", inc)
-        widths = np.diff(np.concatenate(([0.0], ets)))
-        cum = np.concatenate(([0.0], np.cumsum(inc * widths)))
-        cum.flags.writeable = False
-        object.__setattr__(self, "_cum_at_events", cum)
 
     def cumulative(self, t):
         """Cumulative hazard at ``t``: piecewise linear, flat past the end."""
@@ -191,8 +185,10 @@ class BaselineHazard:
         idx = np.searchsorted(self.event_times, t, side="left")
         left = np.where(idx > 0, self.event_times[np.minimum(idx, m) - 1], 0.0)
         part = np.where(idx < m, t - left, 0.0)
+        widths = np.diff(np.concatenate(([0.0], self.event_times)))
+        cum_at_events = np.concatenate(([0.0], np.cumsum(self.increments * widths)))
         padded = np.concatenate((self.increments, [0.0]))
-        out = self._cum_at_events[idx] + padded[idx] * part
+        out = cum_at_events[idx] + padded[idx] * part
         return out if out.ndim else float(out)
 
 

@@ -59,8 +59,7 @@ class ScenarioConfig:
             raise ValueError("n_per_arm must be at least 1")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must be in (0, 1)")
+        inference._check_alpha(self.alpha)
         if not 0 < self.censor_low < self.censor_high:
             raise ValueError("need 0 < censor_low < censor_high")
         object.__setattr__(self, "diag", DiagnosticModel(

@@ -100,6 +100,24 @@ def write_dataset(data: Dataset, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def lane_fit(data, diag, fixed=None, warm=None, max_iter=em.MAX_ITER) -> em.FitResult:
+    """The one lane of ``em._fit_lanes`` as a FitResult, built as
+    ``em.fit`` builds its own: the fit with the parameters of ``fixed``
+    held at their values, started from the state of the fit ``warm`` when
+    given, else from the null start.  Raises the exception that ended the
+    lane."""
+    (lane,) = em._fit_lanes(data, diag, [fixed or {}], max_iter, warm)
+    if isinstance(lane, Exception):
+        raise lane
+    return em.FitResult(
+        theta_hat=EffectParams.from_array(lane.theta),
+        baseline=BaselineHazard(lane.workspace.risk_sets.ets, lane.increments),
+        pi_hat=lane.pi, weights=lane.weights, obs_loglik=lane.loglik_trace[-1],
+        iterations=lane.iterations, loglik_trace=np.array(lane.loglik_trace),
+        _workspace=lane.workspace,
+    )
+
+
 def one_em_map(data, diag, warm=None) -> em.FitResult:
     """The state after a single EM map (``em._em_map``), every coefficient
     free, as a FitResult: from the state of the fit ``warm``, or from the
@@ -153,7 +171,7 @@ def conditional_profile_loglik(data, diag, pi0, warm=None):
     EM maps are the conditional ones."""
     se, sp = diag.sensitivity, diag.specificity
     known = DiagnosticModel(se, sp, pi0, prevalence_known=True)
-    res = em.fit(data, known, warm=warm)
+    res = lane_fit(data, known, warm=warm)
     n_pos = int(np.sum(data.test == 1))
     n_neg = int(np.sum(data.test == 0))
     return (res.obs_loglik + n_pos * math.log(pi0 * se + (1 - pi0) * (1 - sp))

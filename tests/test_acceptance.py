@@ -18,7 +18,6 @@ from scipy import stats
 from mixcox import (
     DiagnosticModel,
     EffectParams,
-    EmConfig,
     ScenarioConfig,
     concordance_prob,
     fit,

@@ -9,13 +9,14 @@ import pytest
 from helpers import (
     accuracies,
     hazard_level,
+    lane_fit,
     one_em_map,
     oracle_cox,
     sim_dataset,
     small_trials,
     step_cumulative,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixcox import (
@@ -26,7 +27,6 @@ from mixcox import (
     DegenerateDataError,
     DiagnosticModel,
     EffectParams,
-    EmConfig,
     SeparationError,
     cox,
     em,
@@ -235,7 +235,7 @@ def plain_em(data, d, state, free):
     _, w = em._e_pass(ws, state, d)
     trace = []
     ll_prev = -np.inf
-    for _ in range(EmConfig().max_iter):
+    for _ in range(em.MAX_ITER):
         theta, inc, _ = em._m_step(ws, w, theta, free)
         if not d.prevalence_known:
             pi = em._update_prevalence(w)
@@ -300,10 +300,10 @@ class TestAcceleratedRefit:
 
     def test_ascent_accuracy_and_pins(self, monkeypatch):
         for data, d, base, fixed in fit_cases():
-            res = fit(data, d, fixed=fixed, warm=base)
+            res = lane_fit(data, d, fixed, base)
             with monkeypatch.context() as m:
                 m.setattr(em, "TOL_LOGLIK", 1e-13)
-                tight = fit(data, d, fixed=fixed)
+                tight = lane_fit(data, d, fixed)
             # ascent up to rounding, as in criterion 2
             assert np.diff(res.loglik_trace).min(initial=0.0) > -1e-9
             assert abs(res.obs_loglik - tight.obs_loglik) < 1e-8
@@ -352,7 +352,7 @@ class TestAcceleratedRefit:
             monkeypatch.setattr(em, "_sqs3_point", underflowing_point)
         for data, d, base, fixed in fit_cases():
             jumps.clear()
-            res = fit(data, d, fixed=fixed, warm=base)
+            res = lane_fit(data, d, fixed, base)
             free = np.array([name not in fixed for name in em.PARAM_NAMES])
             theta, trace = plain_em(data, d, start_state(data, d, base, fixed),
                                     free)
@@ -470,34 +470,35 @@ class TestFit:
             theta_hat=EffectParams(*(seed_state.theta_hat.as_array()
                                      + np.array([0.05, -0.04, 0.03]))),
         )
-        res_b = fit(data, d, warm=perturbed)
+        res_b = lane_fit(data, d, warm=perturbed)
         assert np.max(np.abs(res_a.theta_hat.as_array()
                              - res_b.theta_hat.as_array())) < 1e-4
 
     def test_all_missing_unsupervised_mixture_runs(self):
         base = sim_dataset(18, n_per_arm=50, sens=0.9, spec=0.9)
         data = Dataset(base.time, base.event, base.treatment, np.full(len(base), -1))
-        res = fit(data, diag(0.9, 0.9, known=False), EmConfig(max_iter=5000))
+        res = fit(data, diag(0.9, 0.9, known=False), max_iter=5000)
         assert 0.01 <= res.pi_hat <= 0.99
 
     def test_max_iter_reported(self):
         data = sim_dataset(19, n_per_arm=50, sens=0.8, spec=0.8)
         with pytest.raises(ConvergenceError, match="did not converge within 2 iterations"):
-            fit(data, diag(known=False), EmConfig(max_iter=2))
+            fit(data, diag(known=False), max_iter=2)
 
     def test_cap_below_two_rejected(self):
         # convergence compares two maps' log-likelihoods, so a cap of 1
         # could only ever fail
+        data = sim_dataset(19, n_per_arm=50, sens=0.8, spec=0.8)
         for cap in (0, 1):
             with pytest.raises(DatasetError, match="at least 2"):
-                EmConfig(max_iter=cap)
+                fit(data, diag(known=False), max_iter=cap)
 
     def test_weights_are_the_posterior_at_the_fit(self):
         # cold fits, pinned ones and warm refits: the weights are the
         # E-step at the returned state, not the one that fed the last
         # M-step (up to ~1e-5 apart), and the log-likelihood is its value
         for data, d, warm, fixed in fit_cases():
-            res = fit(data, d, fixed=fixed, warm=warm)
+            res = lane_fit(data, d, fixed, warm)
             ll, w = em._e_pass(res._workspace,
                                state_of(res.theta_hat, res.baseline, res.pi_hat), d)
             assert np.array_equal(res.weights, w)
@@ -505,7 +506,7 @@ class TestFit:
 
     def test_fixed_parameters_stay_fixed(self):
         data = sim_dataset(20, n_per_arm=60, sens=0.9, spec=0.9)
-        res = fit(data, diag(0.9, 0.9), fixed={"gamma": 0.25})
+        res = lane_fit(data, diag(0.9, 0.9), {"gamma": 0.25})
         assert res.theta_hat.gamma == 0.25
         full = fit(data, diag(0.9, 0.9))
         assert res.obs_loglik <= full.obs_loglik + 1e-9
@@ -526,13 +527,13 @@ class TestWorkspaceCache:
         d = diag(0.85, 0.8, known=False)
         base = fit(data, d)
         fixed = {"gamma": 0.0}
-        reused = fit(data, d, fixed=fixed, warm=base)
+        reused = lane_fit(data, d, fixed, base)
         assert reused._workspace is base._workspace
         # an equal but distinct Dataset object gets its own workspace
-        own = fit(twin, d, fixed=fixed, warm=base)
+        own = lane_fit(twin, d, fixed, base)
         assert own._workspace is not base._workspace
         assert own._workspace.data is twin
-        fresh = fit(data, d, fixed=fixed, warm=replace(base, _workspace=None))
+        fresh = lane_fit(data, d, fixed, replace(base, _workspace=None))
         assert fresh._workspace is not base._workspace
         for res in (own, fresh):
             assert res.iterations == reused.iterations
@@ -560,9 +561,12 @@ class TestWorkspaceCache:
 class TestProperties:
     @settings(max_examples=60)
     @given(small_trials(), accuracies, accuracies, st.floats(0.1, 0.9), st.booleans())
+    # five tied subjects whose fit crawls along a ridge for 379 maps
+    @example(Dataset([1.0] * 5, [1, 0, 0, 0, 1], [0, 0, 0, 1, 1], [-1, 0, 1, 1, 1]),
+             1.0, 0.75, 0.5, False)
     def test_posteriors_in_unit_interval_and_ascent(self, data, sens, spec, pi, known):
         try:
-            res = fit(data, diag(sens, spec, pi, known), EmConfig(max_iter=300))
+            res = fit(data, diag(sens, spec, pi, known))
         except (SeparationError, DegenerateDataError):
             return
         w = res.weights
@@ -651,8 +655,8 @@ class TestLockstepLanes:
         # a lane that holds the prevalence holds it exactly: it is never
         # round-tripped through its logit
         assert stacked[2].pi == 0.3
-        # fit() is the stack of one lane
-        assert_same_lanes([fit(data, d, fixed=lanes[2], warm=base)], [stacked[2]])
+        # fit() is the stack of one lane that pins nothing
+        assert_same_lanes([fit(data, d)], em._fit_lanes(data, d, [{}]))
 
     @settings(max_examples=40, deadline=None)
     @given(small_trials(), accuracies, accuracies, st.floats(0.1, 0.9), st.booleans())

@@ -7,6 +7,7 @@ from helpers import (
     accuracies,
     conditional_profile_loglik,
     dense_profile_information,
+    lane_fit,
     sim_dataset,
     small_trials,
 )
@@ -19,10 +20,12 @@ from mixcox import (
     ConditioningError,
     ConvergenceError,
     Dataset,
+    DatasetError,
     DegenerateDataError,
     DiagnosticModel,
     EffectParams,
     MixcoxError,
+    ScenarioConfig,
     SeparationError,
     bvn_rect_prob,
     concordance_prob,
@@ -133,9 +136,9 @@ class TestHeldPrevalence:
             ref_cold = conditional_profile_loglik(data, diag, v)
         except (SeparationError, DegenerateDataError) as exc:
             with pytest.raises(type(exc)):
-                fit(data, diag, fixed={"pi": v})
+                lane_fit(data, diag, {"pi": v})
         else:
-            cold = fit(data, diag, fixed={"pi": v})
+            cold = lane_fit(data, diag, {"pi": v})
             assert cold.pi_hat == v
             assert abs(cold.obs_loglik - ref_cold) <= 1e-9
 
@@ -163,7 +166,7 @@ class TestHeldPrevalence:
         res = fit(data, known)
         match = "the prevalence is already known"
         with pytest.raises(ValueError, match=match):
-            fit(data, known, fixed={"pi": 0.4})
+            lane_fit(data, known, {"pi": 0.4})
         with pytest.raises(ValueError, match=match):
             profile_loglik(data, known, {"pi": 0.4}, warm=res)
         with pytest.raises(ValueError, match=match):
@@ -223,14 +226,49 @@ class TestProfileCi:
         # a refit stopped by the iteration cap has too low a likelihood;
         # it must fail the interval and the test, not narrow or inflate them
         data, diag, res, _ = golden
-        capped = em.EmConfig(max_iter=3)
         # the message names the refit: the parameter and its pinned value
         with pytest.raises(ConvergenceError, match=r"did not converge within 3 .*"
                            r", in the profile refit at gamma = -?[0-9.]+$"):
-            profile_ci(data, diag, "gamma", fit_result=res, em_config=capped)
+            profile_ci(data, diag, "gamma", fit_result=res, max_iter=3)
         with pytest.raises(ConvergenceError, match=r"did not converge within 3 .*"
                            r", in the profile refit at gamma = 0\.0$"):
-            lr_test(data, diag, "gamma", 0.0, fit_result=res, em_config=capped)
+            lr_test(data, diag, "gamma", 0.0, fit_result=res, max_iter=3)
+
+
+class TestOneCheckPerSetting:
+    """Each setting is checked in one place, so every entry point that
+    takes it rejects a bad value with the same error and message."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, math.nan])
+    def test_alpha(self, fitted, alpha):
+        data, diag, res = fitted
+        calls = [
+            lambda: profile_ci(data, diag, "gamma", alpha, fit_result=res),
+            lambda: overall_concordance_report(data, diag, res, alpha),
+            lambda: simultaneous_cis(res.theta_hat, np.array([[1.0, 0.5], [0.5, 1.0]]),
+                                     alpha),
+            lambda: simultaneous_scale(0.5, alpha),
+            lambda: ScenarioConfig(theta_true=res.theta_hat, pi_true=0.3, sens=0.9,
+                                   spec=0.85, n_per_arm=10, replications=1, base_seed=1,
+                                   alpha=alpha),
+            lambda: AnalysisRequest("never-read.csv", 0.9, 0.85, alpha=alpha),
+        ]
+        for call in calls:
+            with pytest.raises(DatasetError, match=r"^alpha must be in \(0, 1\)$"):
+                call()
+
+    def test_max_iter(self, fitted):
+        data, diag, res = fitted
+        calls = [
+            lambda: fit(data, diag, max_iter=1),
+            lambda: profile_loglik(data, diag, {"gamma": 0.0}, max_iter=1, warm=res),
+            lambda: profile_ci(data, diag, "gamma", fit_result=res, max_iter=1),
+            lambda: lr_test(data, diag, "gamma", 0.0, fit_result=res, max_iter=1),
+            lambda: AnalysisRequest("never-read.csv", 0.9, 0.85, em_max_iter=1),
+        ]
+        for call in calls:
+            with pytest.raises(DatasetError, match=r"^max_iter must be at least 2: "):
+                call()
 
 
 def _fake_value(res, lam, dlam, distance):
@@ -271,7 +309,7 @@ def _coefficient_ci(data, diag, res, param, se):
     Wald scale ``se``: every coefficient's standard error in the profile
     information the searches are given."""
     intervals, _ = inference._profile(data, diag, [param], fit_result=res,
-                                      em_config=em.EmConfig(), information=np.eye(3) / se**2)
+                                      max_iter=em.MAX_ITER, information=np.eye(3) / se**2)
     return intervals[param]
 
 
@@ -389,14 +427,13 @@ class TestLockstepSearches:
         # evaluates alone, one point per round, all of a round's points in
         # one evaluation
         data, diag, res = fitted
-        cfg = inference.InferenceConfig()
         rounds = []
         _fake_profiles(monkeypatch, res, rounds)
 
         def searches():
             out = []
             for param in FAKE_PROFILES:
-                out += inference._interval_searches(data, diag, [param], cfg, res, None)
+                out += inference._interval_searches(data, diag, [param], 0.05, res, None)
                 if param != "pi":
                     out.append(inference._lr_null(res, param, 0.0))
             return out
@@ -405,12 +442,12 @@ class TestLockstepSearches:
         for search in searches():
             alone.append([])
             inference._run_searches(data, diag, [_logged(search, alone[-1])],
-                                    fit_result=res, em_config=em.EmConfig(), slopes=True)
+                                    fit_result=res, max_iter=em.MAX_ITER, slopes=True)
         rounds.clear()
         together = [[] for _ in alone]
         results = inference._run_searches(
             data, diag, [_logged(search, log) for search, log in zip(searches(), together)],
-            fit_result=res, em_config=em.EmConfig(), slopes=True)
+            fit_result=res, max_iter=em.MAX_ITER, slopes=True)
         assert together == alone
         gamma_hat = res.theta_hat.gamma
         assert any(abs(point["gamma"] - gamma_hat) > 1.5
@@ -421,13 +458,13 @@ class TestLockstepSearches:
         # the separating refits are bracketed and the flat side stays open
         nulls = {param: 0.0 for param in FAKE_PROFILES if param != "pi"}
         intervals, tests = inference._profile(
-            data, diag, list(FAKE_PROFILES), cfg, fit_result=res, em_config=em.EmConfig(),
+            data, diag, list(FAKE_PROFILES), fit_result=res, max_iter=em.MAX_ITER,
             tests=nulls)
         assert intervals["beta2"].open_low and intervals["beta2"].open_high
         assert not (intervals["gamma"].open_low or intervals["gamma"].open_high)
         # and the combined run gives each interval and test alone
         for param in FAKE_PROFILES:
-            assert intervals[param] == profile_ci(data, diag, param, cfg, fit_result=res)
+            assert intervals[param] == profile_ci(data, diag, param, fit_result=res)
         for param, value in nulls.items():
             assert tests[param] == lr_test(data, diag, param, value, fit_result=res)
         assert len(results) == len(alone)
@@ -445,14 +482,13 @@ class TestLockstepSearches:
             return FAKE_INFORMATION
 
         monkeypatch.setattr(inference, "fd_profile_information", counting)
-        config = em.EmConfig()
         inference._profile(data, diag, ["beta1", "beta2", "gamma"], fit_result=res,
-                           em_config=config)
+                           max_iter=em.MAX_ITER)
         assert calls == [res]
-        inference._profile(data, diag, ["pi"], fit_result=res, em_config=config,
+        inference._profile(data, diag, ["pi"], fit_result=res, max_iter=em.MAX_ITER,
                            tests={"gamma": 0.0})
         inference._profile(data, diag, ["beta1", "gamma"], fit_result=res,
-                           em_config=config, information=FAKE_INFORMATION)
+                           max_iter=em.MAX_ITER, information=FAKE_INFORMATION)
         assert calls == [res]
 
 
@@ -491,7 +527,7 @@ class TestProfileCiSolve:
         monkeypatch.setattr(em, "TOL_LOGLIK", 1e-12)
         value = inference._param_estimate(res, param) + offset
         ((ll, slope),) = inference._profile_logliks(
-            data, diag, [{param: value}], em_config=em.EmConfig(), warm=res, slopes=True)
+            data, diag, [{param: value}], max_iter=em.MAX_ITER, warm=res, slopes=True)
         assert ll == profile_loglik(data, diag, {param: value}, warm=res)
         h = 1e-4
         diff = (profile_loglik(data, diag, {param: value + h}, warm=res)
@@ -502,7 +538,7 @@ class TestProfileCiSolve:
     def test_slopes_only_when_asked(self, golden):
         data, diag, res, _ = golden
         pins = [{"gamma": 0.0}, {"pi": 0.3}]
-        values = inference._profile_logliks(data, diag, pins, em_config=em.EmConfig(),
+        values = inference._profile_logliks(data, diag, pins, max_iter=em.MAX_ITER,
                                             warm=res)
         assert [slope for _, slope in values] == [None, None]
 

@@ -88,6 +88,9 @@ class TestTypes:
             BaselineHazard(np.array([2.0, 1.0]), np.array([0.5, 0.25]))
         with pytest.raises(DatasetError):
             BaselineHazard(np.array([1.0]), np.array([0.0]))
+        # the cumulative hazard is derived from the two arrays, never given
+        with pytest.raises(TypeError):
+            BaselineHazard(np.array([1.0]), np.array([0.5]), np.array([0.0, 0.5]))
 
 
 class TestPredictiveValues:
