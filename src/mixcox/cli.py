@@ -56,7 +56,7 @@ class AnalysisRequest:
     sensitivity: float
     specificity: float
     prevalence: float | None = None  # None: estimate from the data
-    alpha: float = 0.05
+    alpha: float = inference.ALPHA
     output_format: str = "text"
     em_max_iter: int = em.MAX_ITER
     diag: DiagnosticModel = field(init=False, repr=False)
@@ -308,7 +308,7 @@ def _scenario_from_dict(entry: dict, reps_override, seed_override) -> simulate.S
             n_per_arm=int(entry["n_per_arm"]),
             replications=int(reps_override if reps_override is not None else entry["reps"]),
             base_seed=int(seed_override if seed_override is not None else entry["seed"]),
-            alpha=float(entry.get("alpha", 0.05)),
+            alpha=float(entry.get("alpha", inference.ALPHA)),
             prevalence_known=bool(entry.get("prevalence_known", False)),
             censor_low=float(entry.get("censor_low", 5.0)),
             censor_high=float(entry.get("censor_high", 25.0)),
@@ -372,7 +372,7 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--spec", type=float, required=True, help="test specificity")
     p_fit.add_argument("--prev", type=float, default=None,
                        help="known prevalence (omit to estimate)")
-    p_fit.add_argument("--alpha", type=float, default=0.05)
+    p_fit.add_argument("--alpha", type=float, default=inference.ALPHA)
     p_fit.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_fit.add_argument("--format", choices=("text", "structured"), default="text")
     p_fit.add_argument("--max-em-iter", type=int, default=em.MAX_ITER)

@@ -586,6 +586,12 @@ def fit(data: Dataset, diag: DiagnosticModel, *, max_iter: int = MAX_ITER) -> Fi
         If ``max_iter`` is below 2.
     """
     (lane,) = _fit_lanes(data, diag, [{}], max_iter)
+    return _fit_result(lane)
+
+
+def _fit_result(lane) -> FitResult:
+    """The FitResult of one :func:`_fit_lanes` result; raises the
+    exception that ended the lane."""
     if isinstance(lane, Exception):
         raise lane
     return FitResult(

@@ -56,6 +56,8 @@ __all__ = [
     "overall_concordance_report",
 ]
 
+# the default nominal level of an interval
+ALPHA = 0.05
 _PARAM_INDEX = {name: i for i, name in enumerate(em.PARAM_NAMES)}
 # the subgroup treatment effects (beta1 + gamma, beta1) as rows of
 # coefficients on (beta1, beta2, gamma)
@@ -374,7 +376,8 @@ def lr_test(
     ConvergenceError, with the parameter and the null value in its
     message.
     """
-    _, tests = _profile(data, diag, [], fit_result=fit_result, max_iter=max_iter,
+    # no interval is searched, so the level goes unused
+    _, tests = _profile(data, diag, [], ALPHA, fit_result=fit_result, max_iter=max_iter,
                         tests={param: null_value})
     return tests[param]
 
@@ -483,7 +486,7 @@ def profile_ci(
     data: Dataset,
     diag: DiagnosticModel,
     param: str,
-    alpha: float = 0.05,
+    alpha: float = ALPHA,
     *,
     fit_result: em.FitResult,
     max_iter: int = em.MAX_ITER,
@@ -528,7 +531,7 @@ def _profile(
     data: Dataset,
     diag: DiagnosticModel,
     params: Sequence[str],
-    alpha: float = 0.05,
+    alpha: float,
     *,
     fit_result: em.FitResult,
     max_iter: int,
@@ -856,7 +859,7 @@ def simultaneous_scale(rho: float, alpha: float) -> float:
 
 
 def simultaneous_cis(
-    theta_hat: EffectParams, sigma: np.ndarray, alpha: float = 0.05
+    theta_hat: EffectParams, sigma: np.ndarray, alpha: float = ALPHA
 ) -> SimultaneousReport:
     """Equicoordinate intervals for the treatment effect in the
     biomarker-positive (beta1 + gamma) and -negative (beta1) groups."""
@@ -1079,7 +1082,7 @@ def overall_concordance_report(
     data: Dataset,
     diag: DiagnosticModel,
     fit_result: em.FitResult,
-    alpha: float = 0.05,
+    alpha: float = ALPHA,
     *,
     information: np.ndarray | None = None,
 ) -> SimultaneousReport:

@@ -48,7 +48,7 @@ class ScenarioConfig:
     n_per_arm: int
     replications: int
     base_seed: int
-    alpha: float = 0.05
+    alpha: float = inference.ALPHA
     prevalence_known: bool = False
     censor_low: float = 5.0
     censor_high: float = 25.0

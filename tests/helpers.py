@@ -100,22 +100,13 @@ def write_dataset(data: Dataset, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def lane_fit(data, diag, fixed=None, warm=None, max_iter=em.MAX_ITER) -> em.FitResult:
-    """The one lane of ``em._fit_lanes`` as a FitResult, built as
-    ``em.fit`` builds its own: the fit with the parameters of ``fixed``
-    held at their values, started from the state of the fit ``warm`` when
-    given, else from the null start.  Raises the exception that ended the
-    lane."""
-    (lane,) = em._fit_lanes(data, diag, [fixed or {}], max_iter, warm)
-    if isinstance(lane, Exception):
-        raise lane
-    return em.FitResult(
-        theta_hat=EffectParams.from_array(lane.theta),
-        baseline=BaselineHazard(lane.workspace.risk_sets.ets, lane.increments),
-        pi_hat=lane.pi, weights=lane.weights, obs_loglik=lane.loglik_trace[-1],
-        iterations=lane.iterations, loglik_trace=np.array(lane.loglik_trace),
-        _workspace=lane.workspace,
-    )
+def lane_fit(data, diag, fixed=None, warm=None) -> em.FitResult:
+    """The one lane of ``em._fit_lanes`` as a FitResult: the fit with the
+    parameters of ``fixed`` held at their values, started from the state
+    of the fit ``warm`` when given, else from the null start.  Raises the
+    exception that ended the lane."""
+    (lane,) = em._fit_lanes(data, diag, [fixed or {}], warm=warm)
+    return em._fit_result(lane)
 
 
 def one_em_map(data, diag, warm=None) -> em.FitResult:

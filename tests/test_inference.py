@@ -308,7 +308,7 @@ def _coefficient_ci(data, diag, res, param, se):
     """:func:`profile_ci` of a coefficient with its search started from the
     Wald scale ``se``: every coefficient's standard error in the profile
     information the searches are given."""
-    intervals, _ = inference._profile(data, diag, [param], fit_result=res,
+    intervals, _ = inference._profile(data, diag, [param], inference.ALPHA, fit_result=res,
                                       max_iter=em.MAX_ITER, information=np.eye(3) / se**2)
     return intervals[param]
 
@@ -458,8 +458,8 @@ class TestLockstepSearches:
         # the separating refits are bracketed and the flat side stays open
         nulls = {param: 0.0 for param in FAKE_PROFILES if param != "pi"}
         intervals, tests = inference._profile(
-            data, diag, list(FAKE_PROFILES), fit_result=res, max_iter=em.MAX_ITER,
-            tests=nulls)
+            data, diag, list(FAKE_PROFILES), inference.ALPHA, fit_result=res,
+            max_iter=em.MAX_ITER, tests=nulls)
         assert intervals["beta2"].open_low and intervals["beta2"].open_high
         assert not (intervals["gamma"].open_low or intervals["gamma"].open_high)
         # and the combined run gives each interval and test alone
@@ -482,12 +482,12 @@ class TestLockstepSearches:
             return FAKE_INFORMATION
 
         monkeypatch.setattr(inference, "fd_profile_information", counting)
-        inference._profile(data, diag, ["beta1", "beta2", "gamma"], fit_result=res,
-                           max_iter=em.MAX_ITER)
+        inference._profile(data, diag, ["beta1", "beta2", "gamma"], inference.ALPHA,
+                           fit_result=res, max_iter=em.MAX_ITER)
         assert calls == [res]
-        inference._profile(data, diag, ["pi"], fit_result=res, max_iter=em.MAX_ITER,
-                           tests={"gamma": 0.0})
-        inference._profile(data, diag, ["beta1", "gamma"], fit_result=res,
+        inference._profile(data, diag, ["pi"], inference.ALPHA, fit_result=res,
+                           max_iter=em.MAX_ITER, tests={"gamma": 0.0})
+        inference._profile(data, diag, ["beta1", "gamma"], inference.ALPHA, fit_result=res,
                            max_iter=em.MAX_ITER, information=FAKE_INFORMATION)
         assert calls == [res]
 
