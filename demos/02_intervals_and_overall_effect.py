@@ -37,12 +37,13 @@ diag = DiagnosticModel(0.9, 0.9, 0.3, prevalence_known=False)
 res = fit(data, diag)
 print(f"estimates: {res.theta_hat}, pi_hat {res.pi_hat:.3f}")
 
-# individual profile intervals and LR tests
+# individual profile intervals and LR tests; each analysis takes the fit
+# alone, which records the data and the diagnostic model it was fitted to
 for name in ("beta1", "beta2", "gamma", "pi"):
-    ci = profile_ci(data, diag, name, fit_result=res)
+    ci = profile_ci(res, name)
     line = f"  {name:>6}: ({ci.low: .3f}, {ci.high: .3f})"
     if name != "pi":
-        lam, p = lr_test(data, diag, name, 0.0, fit_result=res)
+        lam, p = lr_test(res, name, 0.0)
         line += f"   LR vs 0: {lam:6.2f}  p = {p:.3f}"
     print(line)
 
@@ -50,7 +51,7 @@ for name in ("beta1", "beta2", "gamma", "pi"):
 # factor inflates the normal quantile according to the correlation.  One
 # profile information of (beta1, beta2, gamma) gives every standard error
 # and covariance of the analysis
-info = fd_profile_information(data, diag, fit_result=res)
+info = fd_profile_information(res)
 sigma = subgroup_cov(info)
 rep2 = simultaneous_cis(res.theta_hat, sigma, alpha=0.05)
 print(f"\ncorrelation of the subgroup estimates: {rep2.rho:.3f}")
@@ -62,7 +63,7 @@ print(f"  positive group log HR: {rep2.est_pos: .3f} "
       f"({rep2.interval_pos.low: .3f}, {rep2.interval_pos.high: .3f})")
 
 # the three-way report adds the overall log concordance odds
-rep3 = overall_concordance_report(data, diag, res, information=info)
+rep3 = overall_concordance_report(res, information=info)
 print(f"\nthree-way simultaneous intervals (xi = {rep3.xi_alpha:.4f}):")
 for label, est, ival in (
     ("negative", rep3.est_neg, rep3.interval_neg),

@@ -22,13 +22,10 @@ from .errors import (
 from .inference import (
     Interval,
     SimultaneousReport,
-    bvn_rect_prob,
-    concordance_prob,
     fd_profile_information,
     lr_test,
     overall_concordance_report,
     profile_ci,
-    profile_loglik,
     simultaneous_cis,
     simultaneous_scale,
     subgroup_cov,
@@ -58,10 +55,9 @@ __all__ = [
     "FitResult", "Interval", "MixcoxError",
     "RenderedTable", "RngStream", "ScenarioConfig",
     "ScenarioSummary", "SeparationError", "SimultaneousReport",
-    "bvn_rect_prob", "concordance_prob",
     "emit_table",
     "fd_profile_information", "fit", "generate_trial",
     "lr_test", "mixture_survival",
-    "overall_concordance_report", "profile_ci", "profile_loglik",
+    "overall_concordance_report", "profile_ci",
     "run_scenario", "simultaneous_cis", "simultaneous_scale", "subgroup_cov",
 ]

@@ -57,13 +57,10 @@ class AnalysisRequest:
     specificity: float
     prevalence: float | None = None  # None: estimate from the data
     alpha: float = inference.ALPHA
-    output_format: str = "text"
     em_max_iter: int = em.MAX_ITER
     diag: DiagnosticModel = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.output_format not in ("text", "structured"):
-            raise DatasetError("format must be 'text' or 'structured'")
         estimated = self.prevalence is None
         diag = DiagnosticModel(self.sensitivity, self.specificity,
                                0.5 if estimated else self.prevalence,
@@ -261,11 +258,10 @@ def _parse_test(token, path, line_no) -> int:
 
 def run_fit(request: AnalysisRequest) -> AnalysisReport:
     """Fit, build all intervals and tests, and assemble the report."""
-    data = parse_dataset(request.dataset_path)
-    diag = request.diag
-    estimated = not diag.prevalence_known
-    res = em.fit(data, diag, max_iter=request.em_max_iter)
-    info = inference.fd_profile_information(data, diag, fit_result=res)
+    res = em.fit(parse_dataset(request.dataset_path), request.diag,
+                 max_iter=request.em_max_iter)
+    estimated = not res.diag.prevalence_known
+    info = inference.fd_profile_information(res)
     labels = {
         "beta1": "treatment (beta1)",
         "beta2": "biomarker positive (beta2)",
@@ -275,7 +271,7 @@ def run_fit(request: AnalysisRequest) -> AnalysisReport:
     # lockstep run of their profile searches
     names = em.PARAM_NAMES
     intervals, tests = inference._profile(
-        data, diag, [*names, "pi"] if estimated else names, request.alpha, fit_result=res,
+        res, [*names, "pi"] if estimated else names, request.alpha,
         max_iter=request.em_max_iter, information=info, tests=dict.fromkeys(names, 0.0),
     )
     theta = res.theta_hat.as_array()
@@ -283,9 +279,7 @@ def run_fit(request: AnalysisRequest) -> AnalysisReport:
             for i, name in enumerate(names)]
     if estimated:
         rows.append(ParamRow("pi", "prevalence (pi)", res.pi_hat, intervals["pi"], None))
-    subgroups = inference.overall_concordance_report(
-        data, diag, res, request.alpha, information=info
-    )
+    subgroups = inference.overall_concordance_report(res, request.alpha, information=info)
     return AnalysisReport(
         parameters=rows,
         subgroups=subgroups,
@@ -396,11 +390,10 @@ def main(argv=None) -> int:
                 specificity=args.spec,
                 prevalence=args.prev,
                 alpha=args.alpha,
-                output_format=args.format,
                 em_max_iter=args.max_em_iter,
             )
             report = run_fit(request)
-            structured = request.output_format == "structured"
+            structured = args.format == "structured"
             rendered = report.to_json() if structured else report.to_text()
             if args.out:
                 Path(args.out).write_text(rendered)

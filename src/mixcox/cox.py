@@ -35,9 +35,9 @@ Every kernel is stacked: weights may carry leading *lane* axes (shape
 problem on the same subjects.  Every reduction runs along the last axis
 or inside one lane's own matrix product, so a lane's result does not
 depend on the other lanes in its stack; a single problem is simply one
-with no lane axes.  A failure is a property of its lane: the stacked
-Newton step (:func:`fit_weighted_cox`) reports it per lane in
-``CoxFit.errors`` and raises it only for an unstacked call.
+with no lane axes.  A failure is a property of its lane: the Newton step
+(:func:`fit_weighted_cox`) reports it per lane in ``CoxFit.errors`` and
+raises nothing.
 """
 
 from __future__ import annotations
@@ -278,8 +278,7 @@ def fit_weighted_cox(sums: RiskSums, theta, free) -> CoxFit:
         whose ascent failed -- the gradient was not below GRAD_TOL, yet no
         trial point kept the loglik from falling -- keeps ``theta`` and
         makes ``converged`` False.  ``errors`` maps each failed lane to
-        its exception, and a failed lane keeps ``theta``; for an unstacked
-        ``theta`` the exception is raised instead.
+        its exception, and a failed lane keeps ``theta``.
 
     Failures (per lane)
     -------------------
@@ -305,8 +304,6 @@ def fit_weighted_cox(sums: RiskSums, theta, free) -> CoxFit:
     if not all_stepping:
         _record(errors, np.isnan(ll), DegenerateDataError(
             "a risk set containing an event has zero total weight"))
-        if theta.ndim == 1 and errors:
-            raise errors[0]
         if not stepping.any():
             return CoxFit(theta, ll, 0, True, errors, _risk_terms(sums, theta)[1])
     moves = free & stepping[..., None]
@@ -343,8 +340,6 @@ def fit_weighted_cox(sums: RiskSums, theta, free) -> CoxFit:
             "the partial likelihood appears monotone (infinite MLE)"))
         stepped &= ~runaway
         all_stepped = all_stepped and not runaway.any()
-    if theta.ndim == 1 and errors:
-        raise errors[0]
     if not all_stepped:
         new = np.where(stepped[..., None], new, theta)
         ll_new = np.where(stepped, ll_new, ll)

@@ -34,11 +34,11 @@ and the posterior weights of the next E-step.  Per-subject linear
 predictors, relative risks and prior log-weights are lookups into small
 tables by arm, test group and event indicator.  The loop carries the
 state as (theta, hazard increments, pi) arrays and builds the
-:class:`BaselineHazard` once, for the result.  The precomputed
-structures of a dataset (:class:`_Workspace`) travel with the
-:class:`FitResult`, and a warm refit or the profile information
-(:func:`inference.fd_profile_information`) on the same Dataset object
-reuses them.
+:class:`BaselineHazard` once, for the result.  The :class:`FitResult`
+records the Dataset and the diagnostic model it was fitted to, with the
+precomputed structures of that Dataset (:class:`_Workspace`); the
+profile information (:func:`inference.fd_profile_information`) and a
+warm refit on the same Dataset object reuse them.
 
 The loop runs a stack of independent fits in lockstep (:func:`_fit_lanes`):
 K *lanes* on the same subjects under one diagnostic model, each with its
@@ -139,9 +139,13 @@ class FitResult:
     weights: np.ndarray
     obs_loglik: float
     iterations: int
+    # the trial and the diagnostic model of the fit: every analysis of it
+    # (:mod:`inference`) reads them here
+    data: Dataset = field(repr=False)
+    diag: DiagnosticModel
     loglik_trace: np.ndarray = field(default=None, repr=False)
-    # the fit's precomputed structures; a warm refit on the same Dataset
-    # object reuses them.  Not part of the result's value.
+    # the precomputed structures of ``data``; a warm refit on the same
+    # Dataset object reuses them.  Not part of the result's value.
     _workspace: "_Workspace | None" = field(default=None, repr=False,
                                             compare=False)
 
@@ -166,7 +170,6 @@ class _Workspace:
     fit and by the warm refits started from it on the same object."""
 
     def __init__(self, data: Dataset):
-        self.data = data
         self.v = data.test
         self.arm = data.treatment.astype(np.intp)
         # test group per subject: 0 positive, 1 negative, 2 missing
@@ -184,7 +187,7 @@ def _workspace(data: Dataset, res: "FitResult | None") -> _Workspace:
     """The workspace of fit ``res`` when ``data`` is the Dataset object it
     was fitted to, else a new one."""
     ws = getattr(res, "_workspace", None)
-    return ws if ws is not None and ws.data is data else _Workspace(data)
+    return ws if ws is not None and res.data is data else _Workspace(data)
 
 
 @functools.lru_cache(maxsize=16)
@@ -572,7 +575,9 @@ def fit(data: Dataset, diag: DiagnosticModel, *, max_iter: int = MAX_ITER) -> Fi
         by less than TOL_LOGLIK.  ``iterations`` counts every EM map,
         those from rejected jumps included; ``loglik_trace`` holds the
         observed log-likelihood of each accepted map, so it never
-        decreases; ``weights`` is the posterior at the returned state.
+        decreases; ``weights`` is the posterior at the returned state;
+        ``data`` and ``diag`` are the arguments, which every analysis of
+        the fit reads.
 
     Raises
     ------
@@ -586,12 +591,12 @@ def fit(data: Dataset, diag: DiagnosticModel, *, max_iter: int = MAX_ITER) -> Fi
         If ``max_iter`` is below 2.
     """
     (lane,) = _fit_lanes(data, diag, [{}], max_iter)
-    return _fit_result(lane)
+    return _fit_result(lane, data, diag)
 
 
-def _fit_result(lane) -> FitResult:
-    """The FitResult of one :func:`_fit_lanes` result; raises the
-    exception that ended the lane."""
+def _fit_result(lane, data: Dataset, diag: DiagnosticModel) -> FitResult:
+    """The FitResult of one :func:`_fit_lanes` result on ``data`` under
+    ``diag``; raises the exception that ended the lane."""
     if isinstance(lane, Exception):
         raise lane
     return FitResult(
@@ -601,6 +606,8 @@ def _fit_result(lane) -> FitResult:
         weights=lane.weights,
         obs_loglik=lane.loglik_trace[-1],
         iterations=lane.iterations,
+        data=data,
+        diag=diag,
         loglik_trace=np.array(lane.loglik_trace),
         _workspace=lane.workspace,
     )

@@ -230,16 +230,15 @@ def _chi2_quantile(p: float) -> float:
 
 
 def _profile_logliks(
-    data: Dataset,
-    diag: DiagnosticModel,
+    fit_result: em.FitResult,
     pins: Sequence[Mapping[str, float]],
     *,
     max_iter: int,
-    warm: em.FitResult | None,
     slopes: bool = False,
 ) -> list:
     """The profile log-likelihood at each of ``pins`` (each a ``fixed`` of
-    :func:`profile_loglik`), from one stacked refit of all of them
+    :func:`profile_loglik`), from one stacked refit of all of them on the
+    fit's data under its diagnostic model, warm-started from the fit
     (``em._fit_lanes``): a lane per pin, with its own pinned coefficients
     and, for a pinned prevalence, the prevalence held at that value.
     Each entry is the pair (value, slope), or the exception that ended
@@ -251,7 +250,7 @@ def _profile_logliks(
     state (:func:`_pinned_scores`); otherwise the slope is None.  This is
     the one place the profile searches evaluate the likelihood.
     """
-    lanes = em._fit_lanes(data, diag, pins, max_iter, warm)
+    lanes = em._fit_lanes(fit_result.data, fit_result.diag, pins, max_iter, fit_result)
     done = [k for k, lane in enumerate(lanes) if not isinstance(lane, Exception)]
     scores = dict.fromkeys(done)
     if slopes and done:
@@ -304,16 +303,20 @@ def profile_loglik(
     stays in the joint likelihood of the unconstrained fit, so every value
     is directly comparable with its ``FitResult.obs_loglik``.  The lane's
     exception, such as the ConvergenceError of a refit at the cap, is
-    raised.
+    raised.  ``warm`` must have been fitted under ``diag``, else a
+    ValueError is raised; ``data`` need not be the Dataset object it was
+    fitted to.
     """
-    (value,) = _profile_logliks(data, diag, [fixed], max_iter=max_iter, warm=warm)
-    if isinstance(value, Exception):
-        raise value
-    return value[0]
+    if warm is not None and warm.diag != diag:
+        raise ValueError(f"diag {diag} differs from the warm fit's {warm.diag}")
+    (lane,) = em._fit_lanes(data, diag, [fixed], max_iter, warm)
+    if isinstance(lane, Exception):
+        raise lane
+    return lane.loglik_trace[-1]
 
 
-def _run_searches(data: Dataset, diag: DiagnosticModel, searches, *,
-                  fit_result: em.FitResult, max_iter: int, slopes: bool) -> list:
+def _run_searches(fit_result: em.FitResult, searches, *, max_iter: int,
+                  slopes: bool) -> list:
     """Run the profile searches ``searches`` in lockstep; returns each
     one's result, in order.
 
@@ -331,8 +334,8 @@ def _run_searches(data: Dataset, diag: DiagnosticModel, searches, *,
     pending = {k: next(search) for k, search in enumerate(searches)}
     while pending:
         keys = list(pending)
-        values = _profile_logliks(data, diag, [pending[k] for k in keys],
-                                  max_iter=max_iter, warm=fit_result, slopes=slopes)
+        values = _profile_logliks(fit_result, [pending[k] for k in keys],
+                                  max_iter=max_iter, slopes=slopes)
         for k, value in zip(keys, values):
             try:
                 pending[k] = searches[k].send(value)
@@ -359,26 +362,23 @@ def _lr_null(fit_result: em.FitResult, param: str, null_value: float):
 
 
 def lr_test(
-    data: Dataset,
-    diag: DiagnosticModel,
+    fit_result: em.FitResult,
     param: str,
     null_value: float,
     *,
-    fit_result: em.FitResult,
     max_iter: int = em.MAX_ITER,
 ) -> tuple[float, float]:
     """Likelihood-ratio test of ``param == null_value``.
 
     Returns the statistic (twice the profile log-likelihood drop from the
     unconstrained ``fit_result``, clipped at zero) and its chi-square(1)
-    p-value.  The constrained refit starts from ``fit_result``; one that
-    does not converge within ``max_iter`` maps raises its
-    ConvergenceError, with the parameter and the null value in its
-    message.
+    p-value.  The constrained refit, on the fit's own data under its
+    diagnostic model, starts from ``fit_result``; one that does not
+    converge within ``max_iter`` maps raises its ConvergenceError, with
+    the parameter and the null value in its message.
     """
     # no interval is searched, so the level goes unused
-    _, tests = _profile(data, diag, [], ALPHA, fit_result=fit_result, max_iter=max_iter,
-                        tests={param: null_value})
+    _, tests = _profile(fit_result, [], ALPHA, max_iter=max_iter, tests={param: null_value})
     return tests[param]
 
 
@@ -455,8 +455,7 @@ def _endpoint_search(param: str, direction: int, mle: float, se: float,
         x = x_new
 
 
-def _interval_searches(data: Dataset, diag: DiagnosticModel, params: Sequence[str],
-                       alpha: float, fit_result: em.FitResult,
+def _interval_searches(fit_result: em.FitResult, params: Sequence[str], alpha: float,
                        information: np.ndarray | None) -> list:
     """The upper and lower endpoint searches of :func:`profile_ci` for each
     of ``params``, in order, at level ``alpha``, with the Wald scales
@@ -467,14 +466,14 @@ def _interval_searches(data: Dataset, diag: DiagnosticModel, params: Sequence[st
             raise ValueError(f"unknown parameter: {param}")
     if any(param != "pi" for param in params):
         if information is None:
-            information = fd_profile_information(data, diag, fit_result=fit_result)
+            information = fd_profile_information(fit_result)
         variances = np.diag(np.linalg.inv(information))
     target = _chi2_quantile(1.0 - alpha)
     searches = []
     for param in params:
         mle = _param_estimate(fit_result, param)
         if param == "pi":
-            se = math.sqrt(max(mle * (1 - mle), 1e-4) / len(data))
+            se = math.sqrt(max(mle * (1 - mle), 1e-4) / len(fit_result.data))
         else:
             se = math.sqrt(variances[_PARAM_INDEX[param]])
         searches += [_endpoint_search(param, direction, mle, se, target, fit_result.obs_loglik)
@@ -483,16 +482,15 @@ def _interval_searches(data: Dataset, diag: DiagnosticModel, params: Sequence[st
 
 
 def profile_ci(
-    data: Dataset,
-    diag: DiagnosticModel,
+    fit_result: em.FitResult,
     param: str,
     alpha: float = ALPHA,
     *,
-    fit_result: em.FitResult,
     max_iter: int = em.MAX_ITER,
 ) -> Interval:
     """Profile likelihood-ratio confidence interval for one parameter,
-    around the unconstrained ``fit_result``, at level 1 - ``alpha``.
+    around the unconstrained ``fit_result``, at level 1 - ``alpha``; every
+    refit is on the fit's own data under its diagnostic model.
 
     Each endpoint solves g(x) = sqrt(lambda(estimate +- x)) - sqrt(q) = 0,
     where lambda is the LR statistic, q the chi-square(1) quantile at 1 -
@@ -522,18 +520,15 @@ def profile_ci(
     The two endpoint searches run in lockstep (:func:`_run_searches`): each
     round refits both of their next points as two lanes of one stacked EM.
     """
-    intervals, _ = _profile(data, diag, [param], alpha, fit_result=fit_result,
-                            max_iter=max_iter)
+    intervals, _ = _profile(fit_result, [param], alpha, max_iter=max_iter)
     return intervals[param]
 
 
 def _profile(
-    data: Dataset,
-    diag: DiagnosticModel,
+    fit_result: em.FitResult,
     params: Sequence[str],
     alpha: float,
     *,
-    fit_result: em.FitResult,
     max_iter: int,
     information: np.ndarray | None = None,
     tests: Mapping[str, float] | None = None,
@@ -553,10 +548,9 @@ def _profile(
     after another.
     """
     tests = tests or {}
-    searches = _interval_searches(data, diag, params, alpha, fit_result, information)
+    searches = _interval_searches(fit_result, params, alpha, information)
     searches += [_lr_null(fit_result, param, value) for param, value in tests.items()]
-    results = _run_searches(data, diag, searches, fit_result=fit_result,
-                            max_iter=max_iter, slopes=bool(params))
+    results = _run_searches(fit_result, searches, max_iter=max_iter, slopes=bool(params))
     intervals = {}
     for k, param in enumerate(params):
         (high, open_high), (low, open_low) = results[2 * k:2 * k + 2]
@@ -564,12 +558,7 @@ def _profile(
     return intervals, dict(zip(tests, results[2 * len(params):]))
 
 
-def fd_profile_information(
-    data: Dataset,
-    diag: DiagnosticModel,
-    *,
-    fit_result: em.FitResult,
-) -> np.ndarray:
+def fd_profile_information(fit_result: em.FitResult) -> np.ndarray:
     """Profile information of (beta1, beta2, gamma), exact at the fit: the
     3x3 matrix every standard error and covariance of an analysis is
     derived from.
@@ -615,10 +604,11 @@ def fd_profile_information(
         complement is not positive definite: the fit is not a strict local
         maximum of the likelihood.
     """
+    data = fit_result.data
     ws = em._workspace(data, fit_result)
     rs = ws.risk_sets
     inc, pi = fit_result.baseline.increments, fit_result.pi_hat
-    free_pi = (not diag.prevalence_known
+    free_pi = (not fit_result.diag.prevalence_known
                and em.PREVALENCE_FLOOR < pi < 1.0 - em.PREVALENCE_FLOOR)
     n_psi = 4 if free_pi else 3
     p = fit_result.weights
@@ -662,9 +652,9 @@ def fd_profile_information(
     return info
 
 
-def _tridiagonal_form(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _tridiagonal_form(diagonal: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
     """v^T A^-1 v for the symmetric tridiagonal m x m matrix A with
-    diagonal ``diag`` and off-diagonal ``off`` (length m - 1), and v of
+    diagonal ``diagonal`` and off-diagonal ``off`` (length m - 1), and v of
     shape (m, k), by odd-even cyclic reduction.
 
     The even rows of a tridiagonal system are coupled only to the odd
@@ -686,10 +676,10 @@ def _tridiagonal_form(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.nd
     ConditioningError
         If a pivot is zero or not finite: A is singular.
     """
-    m = diag.size
+    m = diagonal.size
     size = (1 << m.bit_length()) - 1
     d = np.ones(size)
-    d[:m] = diag
+    d[:m] = diagonal
     # the negated off-diagonal, which saves a negation per level
     f = np.zeros(size - 1)
     f[:m - 1] = -off
@@ -1079,8 +1069,6 @@ def _equicoordinate_scale_mvn(corr: np.ndarray, alpha: float) -> float:
 
 
 def overall_concordance_report(
-    data: Dataset,
-    diag: DiagnosticModel,
     fit_result: em.FitResult,
     alpha: float = ALPHA,
     *,
@@ -1103,7 +1091,7 @@ def overall_concordance_report(
     """
     _check_alpha(alpha)
     if information is None:
-        information = fd_profile_information(data, diag, fit_result=fit_result)
+        information = fd_profile_information(fit_result)
     cov_theta = np.linalg.inv(information)
     center = fit_result.theta_hat.as_array()
     pi = fit_result.pi_hat

@@ -147,14 +147,14 @@ def _replicate(config: ScenarioConfig, rep: int):
     try:
         data = generate_trial(config, RngStream(config.base_seed, rep))
         res = em.fit(data, config.diag)
-        info = inference.fd_profile_information(data, config.diag, fit_result=res)
+        info = inference.fd_profile_information(res)
         report = inference.simultaneous_cis(
             res.theta_hat, inference.subgroup_cov(info), config.alpha
         )
         truth = config.theta_true
         covered = report.interval_pos.contains(truth.beta1 + truth.gamma) \
             and report.interval_neg.contains(truth.beta1)
-        lam, _ = inference.lr_test(data, config.diag, "gamma", 0.0, fit_result=res)
+        lam, _ = inference.lr_test(res, "gamma", 0.0)
         reject = lam > inference._chi2_quantile(1.0 - config.alpha)
         return res.theta_hat.as_array(), covered, reject, True
     except (MixcoxError, DatasetError):

@@ -19,15 +19,14 @@ from mixcox import (
     DiagnosticModel,
     EffectParams,
     ScenarioConfig,
-    concordance_prob,
     fit,
     profile_ci,
-    profile_loglik,
     run_scenario,
     simultaneous_scale,
 )
 from mixcox.cli import main as cli_main
 from mixcox.cox import RiskSets, RiskSums, _loglik_parts
+from mixcox.inference import concordance_prob, profile_loglik
 
 DATA_DIR = Path(__file__).parent / "data"
 CHI2_95 = float(stats.chi2.ppf(0.95, 1))
@@ -148,7 +147,7 @@ def test_criterion_06_profile_ci_defining_property():
                            theta=(-0.4, 0.2, 0.4), sens=sens, spec=spec)
         diag = DiagnosticModel(sens, spec, 0.3, prevalence_known=False)
         res = fit(data, diag)
-        ci = profile_ci(data, diag, "gamma", fit_result=res)
+        ci = profile_ci(res, "gamma")
         assert ci.low < res.theta_hat.gamma < ci.high
         for endpoint in (ci.low, ci.high):
             ll = profile_loglik(data, diag, {"gamma": endpoint}, warm=res)

@@ -200,6 +200,17 @@ class TestGoldenReport:
         ref = json.loads((DATA_DIR / "golden_report.json").read_text())
         assert got == ref
 
+    def test_known_prevalence_text_layout(self, tmp_path):
+        # the prevalence held at 0.3: no prevalence interval, and no
+        # prevalence in the profile information
+        out = tmp_path / "report.txt"
+        rc = main([
+            "fit", str(DATA_DIR / "golden_trial.csv"),
+            "--sens", "0.9", "--spec", "0.85", "--prev", "0.3", "--out", str(out),
+        ])
+        assert rc == 0
+        assert out.read_bytes() == (DATA_DIR / "golden_report_prev.txt").read_bytes()
+
 
 class TestExitCodes:
     def test_success(self, tmp_path, capsys):
@@ -222,7 +233,7 @@ class TestExitCodes:
         assert main(["fit", str(p), "--sens", "1", "--spec", "1",
                      "--max-em-iter", "0"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
-        for flag, value in (("--alpha", "1.5"), ("--prev", "1.0")):
+        for flag, value in (("--alpha", "1.5"), ("--prev", "1.0"), ("--format", "xml")):
             assert main(["fit", str(p), "--sens", "1", "--spec", "1",
                          flag, value]) == 1
             assert capsys.readouterr().err.startswith("error: ")

@@ -33,8 +33,12 @@ def loglik(rs, w, theta):
 
 
 def step(rs, w, theta, free):
-    """One safeguarded Newton step on weights ``w``."""
-    return fit_weighted_cox(RiskSums(rs, w), theta, free)
+    """One safeguarded Newton step on weights ``w``; raises the failure
+    of a failed step."""
+    fit = fit_weighted_cox(RiskSums(rs, w), theta, free)
+    if fit.errors:
+        raise fit.errors[0]
+    return fit
 
 
 def baseline(rs, w, theta):

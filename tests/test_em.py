@@ -532,7 +532,7 @@ class TestWorkspaceCache:
         # an equal but distinct Dataset object gets its own workspace
         own = lane_fit(twin, d, fixed, base)
         assert own._workspace is not base._workspace
-        assert own._workspace.data is twin
+        assert own.data is twin
         fresh = lane_fit(data, d, fixed, replace(base, _workspace=None))
         assert fresh._workspace is not base._workspace
         for res in (own, fresh):
@@ -545,6 +545,17 @@ class TestWorkspaceCache:
                 (res.loglik_trace, reused.loglik_trace),
             ):
                 assert np.array_equal(got, want)
+
+    def test_result_records_its_data_and_model(self):
+        # every analysis of a fit reads the trial and the diagnostic model
+        # from it; the Dataset is left out of the repr
+        data = sim_dataset(22, n_per_arm=30, sens=0.9, spec=0.9)
+        d = diag(0.9, 0.9)
+        res = fit(data, d)
+        assert res.data is data
+        assert res.diag is d
+        assert "Dataset" not in repr(res)
+        assert repr(d) in repr(res)
 
     def test_workspace_is_not_part_of_the_result(self):
         data = sim_dataset(22, n_per_arm=30, sens=0.9, spec=0.9)

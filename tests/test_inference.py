@@ -27,8 +27,6 @@ from mixcox import (
     MixcoxError,
     ScenarioConfig,
     SeparationError,
-    bvn_rect_prob,
-    concordance_prob,
     cox,
     em,
     fd_profile_information,
@@ -37,12 +35,12 @@ from mixcox import (
     lr_test,
     overall_concordance_report,
     profile_ci,
-    profile_loglik,
     simultaneous_cis,
     simultaneous_scale,
     subgroup_cov,
 )
 from mixcox.cli import AnalysisRequest, parse_dataset, run_fit
+from mixcox.inference import bvn_rect_prob, concordance_prob, profile_loglik
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +56,7 @@ def golden():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inference, "_equicoordinate_scale_mvn",
                    lambda corr, alpha: seen.append(corr) or scale(corr, alpha))
-        overall_concordance_report(data, diag, res)
+        overall_concordance_report(res)
     (corr,) = seen
     return data, diag, res, corr
 
@@ -70,9 +68,9 @@ def golden_analysis():
     rounds = []
     evaluate = inference._profile_logliks
 
-    def logged(data, diag, pins, **kwargs):
+    def logged(fit_result, pins, **kwargs):
         rounds.append(list(pins))
-        return evaluate(data, diag, pins, **kwargs)
+        return evaluate(fit_result, pins, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inference, "_profile_logliks", logged)
@@ -170,7 +168,19 @@ class TestHeldPrevalence:
         with pytest.raises(ValueError, match=match):
             profile_loglik(data, known, {"pi": 0.4}, warm=res)
         with pytest.raises(ValueError, match=match):
-            profile_ci(data, known, "pi", fit_result=res)
+            profile_ci(res, "pi")
+
+    def test_warm_fit_must_share_the_model(self, fitted):
+        # a warm fit under another diagnostic model would give a profile
+        # not comparable with its log-likelihood; a twin Dataset is fine
+        data, diag, res = fitted
+        for other in (DiagnosticModel(0.8, 0.8, 0.5, prevalence_known=False),
+                      DiagnosticModel(0.9, 0.85, 0.3)):
+            with pytest.raises(ValueError, match="differs from the warm fit's"):
+                profile_loglik(data, other, {"gamma": 0.0}, warm=res)
+        twin = Dataset(data.time, data.event, data.treatment, data.test)
+        assert (profile_loglik(twin, diag, {"gamma": 0.0}, warm=res)
+                == profile_loglik(data, diag, {"gamma": 0.0}, warm=res))
 
     def test_held_value_must_be_a_prevalence(self, fitted):
         data, diag, res = fitted
@@ -181,8 +191,8 @@ class TestHeldPrevalence:
 
 class TestLrTest:
     def test_null_at_mle(self, fitted):
-        data, diag, res = fitted
-        lam, p = lr_test(data, diag, "gamma", res.theta_hat.gamma, fit_result=res)
+        *_, res = fitted
+        lam, p = lr_test(res, "gamma", res.theta_hat.gamma)
         assert lam == pytest.approx(0.0, abs=1e-6)
         assert p == pytest.approx(1.0, abs=1e-3)
 
@@ -190,9 +200,9 @@ class TestLrTest:
         assert stats.chi2.sf(3.8415, 1) == pytest.approx(0.05, abs=1e-4)
 
     def test_nonnegative_statistic(self, fitted):
-        data, diag, res = fitted
+        *_, res = fitted
         for null in (0.0, 0.3, -0.2):
-            lam, p = lr_test(data, diag, "gamma", null, fit_result=res)
+            lam, p = lr_test(res, "gamma", null)
             assert lam >= 0.0
             assert 0.0 <= p <= 1.0
 
@@ -201,7 +211,7 @@ class TestProfileCi:
     def test_endpoints_solve_lr_equation(self, fitted):
         data, diag, res = fitted
         target = stats.chi2.ppf(0.95, 1)
-        ci = profile_ci(data, diag, "gamma", fit_result=res)
+        ci = profile_ci(res, "gamma")
         assert ci.low < res.theta_hat.gamma < ci.high
         for endpoint in (ci.low, ci.high):
             ll = profile_loglik(data, diag, {"gamma": endpoint}, warm=res)
@@ -209,30 +219,30 @@ class TestProfileCi:
             assert lam == pytest.approx(target, abs=0.02)
 
     def test_individual_within_simultaneous(self, fitted):
-        data, diag, res = fitted
-        ci_b1 = profile_ci(data, diag, "beta1", fit_result=res)
-        info = fd_profile_information(data, diag, fit_result=res)
+        *_, res = fitted
+        ci_b1 = profile_ci(res, "beta1")
+        info = fd_profile_information(res)
         report = simultaneous_cis(res.theta_hat, subgroup_cov(info))
         assert report.interval_neg.low <= ci_b1.low
         assert report.interval_neg.high >= ci_b1.high
 
     def test_pi_interval(self, fitted):
-        data, diag, res = fitted
-        ci = profile_ci(data, diag, "pi", fit_result=res)
+        *_, res = fitted
+        ci = profile_ci(res, "pi")
         assert ci.low < res.pi_hat < ci.high
         assert 0.01 <= ci.low and ci.high <= 0.99
 
     def test_refit_at_the_cap_fails_the_search(self, golden):
         # a refit stopped by the iteration cap has too low a likelihood;
         # it must fail the interval and the test, not narrow or inflate them
-        data, diag, res, _ = golden
+        _, _, res, _ = golden
         # the message names the refit: the parameter and its pinned value
         with pytest.raises(ConvergenceError, match=r"did not converge within 3 .*"
                            r", in the profile refit at gamma = -?[0-9.]+$"):
-            profile_ci(data, diag, "gamma", fit_result=res, max_iter=3)
+            profile_ci(res, "gamma", max_iter=3)
         with pytest.raises(ConvergenceError, match=r"did not converge within 3 .*"
                            r", in the profile refit at gamma = 0\.0$"):
-            lr_test(data, diag, "gamma", 0.0, fit_result=res, max_iter=3)
+            lr_test(res, "gamma", 0.0, max_iter=3)
 
 
 class TestOneCheckPerSetting:
@@ -241,10 +251,10 @@ class TestOneCheckPerSetting:
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, math.nan])
     def test_alpha(self, fitted, alpha):
-        data, diag, res = fitted
+        *_, res = fitted
         calls = [
-            lambda: profile_ci(data, diag, "gamma", alpha, fit_result=res),
-            lambda: overall_concordance_report(data, diag, res, alpha),
+            lambda: profile_ci(res, "gamma", alpha),
+            lambda: overall_concordance_report(res, alpha),
             lambda: simultaneous_cis(res.theta_hat, np.array([[1.0, 0.5], [0.5, 1.0]]),
                                      alpha),
             lambda: simultaneous_scale(0.5, alpha),
@@ -262,8 +272,8 @@ class TestOneCheckPerSetting:
         calls = [
             lambda: fit(data, diag, max_iter=1),
             lambda: profile_loglik(data, diag, {"gamma": 0.0}, max_iter=1, warm=res),
-            lambda: profile_ci(data, diag, "gamma", fit_result=res, max_iter=1),
-            lambda: lr_test(data, diag, "gamma", 0.0, fit_result=res, max_iter=1),
+            lambda: profile_ci(res, "gamma", max_iter=1),
+            lambda: lr_test(res, "gamma", 0.0, max_iter=1),
             lambda: AnalysisRequest("never-read.csv", 0.9, 0.85, em_max_iter=1),
         ]
         for call in calls:
@@ -291,7 +301,7 @@ def _fake_profile(monkeypatch, res, param, lam_of_distance, slope_of_distance):
     mle = res.pi_hat if param == "pi" else getattr(res.theta_hat, param)
     calls = []
 
-    def fake(data, diag, pins, **kwargs):
+    def fake(fit_result, pins, **kwargs):
         values = []
         for fixed in pins:
             (value,) = fixed.values()
@@ -304,12 +314,12 @@ def _fake_profile(monkeypatch, res, param, lam_of_distance, slope_of_distance):
     return mle, calls
 
 
-def _coefficient_ci(data, diag, res, param, se):
+def _coefficient_ci(res, param, se):
     """:func:`profile_ci` of a coefficient with its search started from the
     Wald scale ``se``: every coefficient's standard error in the profile
     information the searches are given."""
-    intervals, _ = inference._profile(data, diag, [param], inference.ALPHA, fit_result=res,
-                                      max_iter=em.MAX_ITER, information=np.eye(3) / se**2)
+    intervals, _ = inference._profile(res, [param], inference.ALPHA, max_iter=em.MAX_ITER,
+                                      information=np.eye(3) / se**2)
     return intervals[param]
 
 
@@ -320,24 +330,24 @@ FLAT = (lambda d: 1.0 - math.exp(-abs(d)), lambda d: math.copysign(math.exp(-abs
 
 class TestProfileCiOpenEndpoints:
     def test_flat_profile_is_open_at_maximum_reach(self, fitted, monkeypatch):
-        data, diag, res = fitted
+        *_, res = fitted
         # rises towards 1, never reaching the chi-square(1) quantile
         mle, _ = _fake_profile(monkeypatch, res, "gamma", *FLAT)
         # 2048 standard errors out, when that is within +-50
         se = 0.01
-        ci = _coefficient_ci(data, diag, res, "gamma", se)
+        ci = _coefficient_ci(res, "gamma", se)
         assert ci.open_low and ci.open_high
         reach = 4.0 * 2**9 * se
         assert abs(mle) + reach < cox.SEPARATION_BOUND
         assert ci.low == pytest.approx(mle - reach, rel=1e-12)
         assert ci.high == pytest.approx(mle + reach, rel=1e-12)
         # +-50 on the coefficient scale, when that is nearer
-        ci = _coefficient_ci(data, diag, res, "gamma", 0.2)
+        ci = _coefficient_ci(res, "gamma", 0.2)
         assert ci.open_low and ci.open_high
         assert (ci.low, ci.high) == (-cox.SEPARATION_BOUND, cox.SEPARATION_BOUND)
 
     def test_separation_region_is_bracketed_and_closed(self, fitted, monkeypatch):
-        data, diag, res = fitted
+        *_, res = fitted
         sd = 0.2
         target = stats.chi2.ppf(0.95, 1)
 
@@ -350,7 +360,7 @@ class TestProfileCiOpenEndpoints:
                                    lambda d: 2.0 * d / sd**2)
         # a standard error three times too large puts the first trial
         # points inside the separation region
-        ci = _coefficient_ci(data, diag, res, "gamma", 3 * sd)
+        ci = _coefficient_ci(res, "gamma", 3 * sd)
         assert not (ci.open_low or ci.open_high)
         assert any(abs(v - mle) > 2.5 * sd for v in calls)
         half = math.sqrt(target) * sd
@@ -358,9 +368,9 @@ class TestProfileCiOpenEndpoints:
         assert ci.high == pytest.approx(mle + half, abs=2e-4)
 
     def test_pi_open_at_admissible_range(self, fitted, monkeypatch):
-        data, diag, res = fitted
+        *_, res = fitted
         _fake_profile(monkeypatch, res, "pi", *FLAT)
-        ci = profile_ci(data, diag, "pi", fit_result=res)
+        ci = profile_ci(res, "pi")
         assert ci.open_low and ci.open_high
         assert ci.low == em.PREVALENCE_FLOOR
         assert ci.high == 1.0 - em.PREVALENCE_FLOOR
@@ -396,7 +406,7 @@ def _fake_profiles(monkeypatch, res, rounds):
     """Replace the evaluation seam by FAKE_PROFILES, and the profile
     information by FAKE_INFORMATION; each call of the seam appends its
     list of pinned values to ``rounds``."""
-    def fake(data, diag, pins, **kwargs):
+    def fake(fit_result, pins, **kwargs):
         rounds.append([dict(fixed) for fixed in pins])
         values = []
         for fixed in pins:
@@ -407,7 +417,7 @@ def _fake_profiles(monkeypatch, res, rounds):
 
     monkeypatch.setattr(inference, "_profile_logliks", fake)
     monkeypatch.setattr(inference, "fd_profile_information",
-                        lambda data, diag, *, fit_result: FAKE_INFORMATION)
+                        lambda fit_result: FAKE_INFORMATION)
 
 
 def _logged(search, points):
@@ -426,14 +436,14 @@ class TestLockstepSearches:
         # every search of a lockstep run evaluates exactly the values it
         # evaluates alone, one point per round, all of a round's points in
         # one evaluation
-        data, diag, res = fitted
+        *_, res = fitted
         rounds = []
         _fake_profiles(monkeypatch, res, rounds)
 
         def searches():
             out = []
             for param in FAKE_PROFILES:
-                out += inference._interval_searches(data, diag, [param], 0.05, res, None)
+                out += inference._interval_searches(res, [param], 0.05, None)
                 if param != "pi":
                     out.append(inference._lr_null(res, param, 0.0))
             return out
@@ -441,13 +451,13 @@ class TestLockstepSearches:
         alone = []
         for search in searches():
             alone.append([])
-            inference._run_searches(data, diag, [_logged(search, alone[-1])],
-                                    fit_result=res, max_iter=em.MAX_ITER, slopes=True)
+            inference._run_searches(res, [_logged(search, alone[-1])],
+                                    max_iter=em.MAX_ITER, slopes=True)
         rounds.clear()
         together = [[] for _ in alone]
         results = inference._run_searches(
-            data, diag, [_logged(search, log) for search, log in zip(searches(), together)],
-            fit_result=res, max_iter=em.MAX_ITER, slopes=True)
+            res, [_logged(search, log) for search, log in zip(searches(), together)],
+            max_iter=em.MAX_ITER, slopes=True)
         assert together == alone
         gamma_hat = res.theta_hat.gamma
         assert any(abs(point["gamma"] - gamma_hat) > 1.5
@@ -457,43 +467,44 @@ class TestLockstepSearches:
             assert pins == [log[k] for log in together if len(log) > k]
         # the separating refits are bracketed and the flat side stays open
         nulls = {param: 0.0 for param in FAKE_PROFILES if param != "pi"}
-        intervals, tests = inference._profile(
-            data, diag, list(FAKE_PROFILES), inference.ALPHA, fit_result=res,
-            max_iter=em.MAX_ITER, tests=nulls)
+        intervals, tests = inference._profile(res, list(FAKE_PROFILES), inference.ALPHA,
+                                              max_iter=em.MAX_ITER, tests=nulls)
         assert intervals["beta2"].open_low and intervals["beta2"].open_high
         assert not (intervals["gamma"].open_low or intervals["gamma"].open_high)
         # and the combined run gives each interval and test alone
         for param in FAKE_PROFILES:
-            assert intervals[param] == profile_ci(data, diag, param, fit_result=res)
+            assert intervals[param] == profile_ci(res, param)
         for param, value in nulls.items():
-            assert tests[param] == lr_test(data, diag, param, value, fit_result=res)
+            assert tests[param] == lr_test(res, param, value)
         assert len(results) == len(alone)
 
     def test_one_information_per_run(self, fitted, monkeypatch):
         # the coefficients' searches take their Wald scales from one profile
         # information, computed only when a coefficient interval is asked
         # for and not given
-        data, diag, res = fitted
+        *_, res = fitted
         _fake_profiles(monkeypatch, res, [])
         calls = []
 
-        def counting(data, diag, *, fit_result):
+        def counting(fit_result):
             calls.append(fit_result)
             return FAKE_INFORMATION
 
         monkeypatch.setattr(inference, "fd_profile_information", counting)
-        inference._profile(data, diag, ["beta1", "beta2", "gamma"], inference.ALPHA,
-                           fit_result=res, max_iter=em.MAX_ITER)
+        inference._profile(res, ["beta1", "beta2", "gamma"], inference.ALPHA,
+                           max_iter=em.MAX_ITER)
         assert calls == [res]
-        inference._profile(data, diag, ["pi"], inference.ALPHA, fit_result=res,
-                           max_iter=em.MAX_ITER, tests={"gamma": 0.0})
-        inference._profile(data, diag, ["beta1", "gamma"], inference.ALPHA, fit_result=res,
-                           max_iter=em.MAX_ITER, information=FAKE_INFORMATION)
+        inference._profile(res, ["pi"], inference.ALPHA, max_iter=em.MAX_ITER,
+                           tests={"gamma": 0.0})
+        inference._profile(res, ["beta1", "gamma"], inference.ALPHA, max_iter=em.MAX_ITER,
+                           information=FAKE_INFORMATION)
         assert calls == [res]
 
 
-def _lr_at(data, diag, res, param, value):
-    return 2.0 * (res.obs_loglik - profile_loglik(data, diag, {param: value}, warm=res))
+def _lr_at(res, param, value):
+    """The LR statistic of the fit ``res`` at ``param == value``."""
+    return 2.0 * (res.obs_loglik
+                  - profile_loglik(res.data, res.diag, {param: value}, warm=res))
 
 
 class TestProfileCiSolve:
@@ -506,13 +517,13 @@ class TestProfileCiSolve:
     def test_golden_endpoints_solve_lr_equation(self, golden, golden_analysis):
         # each endpoint is the Newton-corrected point of the last refit,
         # far inside the 1e-4 stopping tolerance on lambda
-        data, diag, res, _ = golden
+        _, _, res, _ = golden
         report, _ = golden_analysis
         for row in report.parameters:
             for value, is_open in ((row.ci.low, row.ci.open_low),
                                    (row.ci.high, row.ci.open_high)):
                 assert not is_open
-                assert abs(_lr_at(data, diag, res, row.name, value) - CHI2_95) <= 1e-8
+                assert abs(_lr_at(res, row.name, value) - CHI2_95) <= 1e-8
 
     @pytest.mark.parametrize("param, offset", [("gamma", 0.6), ("beta2", -0.5),
                                                ("pi", 0.08), ("pi", -0.1)])
@@ -527,7 +538,7 @@ class TestProfileCiSolve:
         monkeypatch.setattr(em, "TOL_LOGLIK", 1e-12)
         value = inference._param_estimate(res, param) + offset
         ((ll, slope),) = inference._profile_logliks(
-            data, diag, [{param: value}], max_iter=em.MAX_ITER, warm=res, slopes=True)
+            res, [{param: value}], max_iter=em.MAX_ITER, slopes=True)
         assert ll == profile_loglik(data, diag, {param: value}, warm=res)
         h = 1e-4
         diff = (profile_loglik(data, diag, {param: value + h}, warm=res)
@@ -536,10 +547,9 @@ class TestProfileCiSolve:
         assert slope == pytest.approx(diff, abs=1e-5)
 
     def test_slopes_only_when_asked(self, golden):
-        data, diag, res, _ = golden
+        _, _, res, _ = golden
         pins = [{"gamma": 0.0}, {"pi": 0.3}]
-        values = inference._profile_logliks(data, diag, pins, max_iter=em.MAX_ITER,
-                                            warm=res)
+        values = inference._profile_logliks(res, pins, max_iter=em.MAX_ITER)
         assert [slope for _, slope in values] == [None, None]
 
     def test_refit_budget_and_accuracy_on_golden_trial(self, monkeypatch):
@@ -549,19 +559,19 @@ class TestProfileCiSolve:
         calls = []
         evaluate = inference._profile_logliks
 
-        def counting(data, diag, pins, **kwargs):
+        def counting(fit_result, pins, **kwargs):
             calls.extend(pins)
-            return evaluate(data, diag, pins, **kwargs)
+            return evaluate(fit_result, pins, **kwargs)
 
         monkeypatch.setattr(inference, "_profile_logliks", counting)
-        cis = {name: profile_ci(data, diag, name, fit_result=res)
+        cis = {name: profile_ci(res, name)
                for name in ("beta1", "beta2", "gamma", "pi")}
         monkeypatch.undo()
         assert len(calls) <= 5 * 2 * len(cis)
         for name, ci in cis.items():
             for value, is_open in ((ci.low, ci.open_low), (ci.high, ci.open_high)):
                 assert not is_open
-                assert abs(_lr_at(data, diag, res, name, value) - CHI2_95) <= 1e-3
+                assert abs(_lr_at(res, name, value) - CHI2_95) <= 1e-3
 
     @settings(max_examples=8)
     @given(st.integers(0, 2**31 - 1), st.integers(20, 60),
@@ -578,12 +588,12 @@ class TestProfileCiSolve:
 
         def lam(param, value):
             try:
-                return _lr_at(data, diag, res, param, value)
+                return _lr_at(res, param, value)
             except (SeparationError, DegenerateDataError):
                 return math.inf
 
         for param, estimate in (("gamma", res.theta_hat.gamma), ("pi", res.pi_hat)):
-            ci = profile_ci(data, diag, param, fit_result=res)
+            ci = profile_ci(res, param)
             assert ci.low < estimate < ci.high
             for value, is_open, out in ((ci.low, ci.open_low, -1), (ci.high, ci.open_high, 1)):
                 if is_open or abs(lam(param, value) - CHI2_95) <= 1e-3:
@@ -625,7 +635,7 @@ class TestFdInformation:
             assert res.pi_hat == 1.0 - em.PREVALENCE_FLOOR
         if case == "perfect_test":
             assert np.any(res.weights == 0.0)
-        info = fd_profile_information(data, diag, fit_result=res)
+        info = fd_profile_information(res)
         ref = dense_profile_information(data, diag, res, free_pi)
         assert np.abs(info - ref).max() <= 1e-5 * np.abs(ref).max()
 
@@ -635,15 +645,15 @@ class TestFdInformation:
         data, diag, free_pi = _information_case("golden")
         monkeypatch.setattr(em, "TOL_LOGLIK", 1e-13)
         res = fit(data, diag)
-        sigma = subgroup_cov(fd_profile_information(data, diag, fit_result=res))
+        sigma = subgroup_cov(fd_profile_information(res))
         ref = dense_profile_information(data, diag, res, free_pi, keep=(0, 2))
         a = np.array([[1.0, 1.0], [1.0, 0.0]])
         want = a @ np.linalg.inv(ref) @ a.T
         assert np.abs(sigma - want).max() <= 1e-5 * np.abs(want).max()
 
     def test_profile_information_positive_definite(self, fitted):
-        data, diag, res = fitted
-        info = fd_profile_information(data, diag, fit_result=res)
+        *_, res = fitted
+        info = fd_profile_information(res)
         assert np.allclose(info, info.T)
         assert np.all(np.linalg.eigvalsh(info) > 0)
 
@@ -1053,8 +1063,8 @@ class TestTrivariateScale:
             _tensor_box_prob(2.3, corr), abs=1e-8)
 
     def test_golden_trial_correlation(self, monkeypatch, golden):
-        data, diag, res, corr = golden
-        rep = overall_concordance_report(data, diag, res)
+        _, _, res, corr = golden
+        rep = overall_concordance_report(res)
         assert rep.xi_alpha == pytest.approx(self.SOBOL_GOLDEN, abs=1e-4)
         box = inference._trivariate_box_prob
         full = inference._TVN_NODES
@@ -1198,8 +1208,8 @@ class TestOverallReport:
             assert np.allclose(got, numeric, rtol=1e-7, atol=1e-8)
 
     def test_three_way_report(self, fitted):
-        data, diag, res = fitted
-        rep = overall_concordance_report(data, diag, res)
+        *_, res = fitted
+        rep = overall_concordance_report(res)
         assert rep.interval_overall is not None
         assert rep.interval_overall.contains(rep.est_overall)
         assert rep.interval_pos.contains(rep.est_pos)
@@ -1213,7 +1223,7 @@ class TestOverallReport:
                            sens=1.0, spec=1.0)
         diag = DiagnosticModel(1.0, 1.0, 0.3, prevalence_known=False)
         res = fit(data, diag)
-        rep = overall_concordance_report(data, diag, res)
+        rep = overall_concordance_report(res)
         theta = res.theta_hat
         assert rep.interval_pos.contains(theta.beta1 + theta.gamma)
         assert rep.interval_neg.contains(theta.beta1)
