@@ -357,7 +357,13 @@ def _lr_null(fit_result: em.FitResult, param: str, null_value: float):
     got = yield {param: null_value}
     if isinstance(got, Exception):
         raise _refit_failure(got, param, null_value) from got
-    lam = max(2.0 * (fit_result.obs_loglik - got[0]), 0.0)
+    return _lr_statistic(fit_result.obs_loglik, got[0])
+
+
+def _lr_statistic(fit_loglik: float, null_loglik: float) -> tuple[float, float]:
+    """The likelihood-ratio statistic 2 (``fit_loglik`` - ``null_loglik``),
+    clipped at zero, and its chi-square(1) p-value."""
+    lam = max(2.0 * (fit_loglik - null_loglik), 0.0)
     return lam, _chi2_sf(lam)
 
 
@@ -375,7 +381,10 @@ def lr_test(
     p-value.  The constrained refit, on the fit's own data under its
     diagnostic model, starts from ``fit_result``; one that does not
     converge within ``max_iter`` maps raises its ConvergenceError, with
-    the parameter and the null value in its message.
+    the parameter and the null value in its message.  (A simulated
+    replication, which fits from scratch anyway, refits its gamma = 0 null
+    from the null start instead, beside the fit in one stacked EM; the
+    statistic is the same, to the EM's tolerance.)
     """
     # no interval is searched, so the level goes unused
     _, tests = _profile(fit_result, [], ALPHA, max_iter=max_iter, tests={param: null_value})

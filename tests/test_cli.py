@@ -393,6 +393,17 @@ class TestSimulateCommand:
         assert "scenario 1/" not in captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_worker_count_below_one_is_validation_error(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "scenarios.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out),
+                     "--workers", workers]) == 1
+        assert capsys.readouterr().err == "error: workers must be at least 1\n"
+        assert not (out / "summary.txt").exists()
+        assert not (out / "summary.csv").exists()
+
     def test_invalid_json_is_validation_error(self, tmp_path, capsys):
         cfg = write(tmp_path, "{not json", name="bad.json")
         assert main(["simulate", "--config", str(cfg), "--out-dir",

@@ -6,15 +6,21 @@ import pytest
 from scipy import integrate, stats
 
 from mixcox import (
+    DatasetError,
     DiagnosticModel,
     EffectParams,
     RngStream,
     ScenarioConfig,
     cox,
+    em,
     emit_table,
     generate_trial,
+    inference,
+    lr_test,
     run_scenario,
+    simulate,
 )
+from mixcox.inference import profile_loglik
 from mixcox.simulate import _draw_survival_time, _draw_trial, _replicate
 
 
@@ -144,6 +150,15 @@ class TestRunScenario:
             assert a.reject_rate == b.reject_rate
             assert a.failures == b.failures
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_rejected_before_any_replication(self, monkeypatch,
+                                                                    workers):
+        ran = []
+        monkeypatch.setattr(simulate, "_replicate", lambda *args: ran.append(args))
+        with pytest.raises(DatasetError, match="^workers must be at least 1$"):
+            run_scenario(scenario(), workers=workers)
+        assert ran == []
+
     def test_single_replication_sd_undefined(self):
         s = run_scenario(scenario(replications=1))
         assert np.all(np.isnan(s.sd))
@@ -153,10 +168,46 @@ class TestRunScenario:
 
 
 class TestReplicate:
+    # pool cell 70001 of the benchmark's sim-cell workload, and a small cell
+    CELLS = [scenario(n_per_arm=500, base_seed=70001), scenario(n_per_arm=40)]
+
+    @pytest.mark.parametrize("cfg", CELLS, ids=["pool_70001", "40_per_arm"])
+    def test_fit_and_null_share_one_stack(self, monkeypatch, cfg):
+        def record(module, name):
+            results = []
+            original = getattr(module, name)
+
+            def logged(*args, **kwargs):
+                results.append(original(*args, **kwargs))
+                return results[-1]
+
+            monkeypatch.setattr(module, name, logged)
+            return results
+
+        stacks = record(em, "_fit_lanes")
+        statistics = record(inference, "_lr_statistic")
+        theta, _, _, ok = _replicate(cfg, 0)
+        assert ok and len(stacks) == 1 and len(statistics) == 1
+        monkeypatch.undo()
+
+        # the fit's lane is em.fit, bit for bit
+        data = generate_trial(cfg, RngStream(cfg.base_seed, 0))
+        res = em.fit(data, cfg.diag)
+        lane = stacks[0][0]
+        assert theta.tobytes() == res.theta_hat.as_array().tobytes()
+        assert lane.loglik_trace[-1] == res.obs_loglik
+        assert lane.iterations == res.iterations
+        # the null's lane is the cold one-lane refit, bit for bit, and
+        # agrees with the warm refit of lr_test to the EM's tolerance
+        lam = statistics[0][0]
+        assert lam == 2.0 * (res.obs_loglik - profile_loglik(data, cfg.diag, {"gamma": 0.0}))
+        assert lam == pytest.approx(lr_test(res, "gamma", 0.0)[0], abs=1e-6)
+
     def test_partial_likelihood_evaluations_are_the_em_steps(self, monkeypatch):
-        # a replication's only refit is the LR null, which needs no profile
-        # slope: every partial-likelihood evaluation is a Newton step or
-        # trial point of the fit's or the null's EM
+        # a replication refits nothing: its fit and the LR null are the two
+        # lanes of one stacked EM, and the null needs no profile slope, so
+        # every partial-likelihood evaluation is a Newton step or trial
+        # point of that EM
         callers = []
         kernel = cox._loglik_parts
 
