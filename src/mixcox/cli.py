@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import em, inference, simulate
@@ -27,7 +27,6 @@ from .errors import DatasetError, IntervalError, MixcoxError
 from .model import Dataset, DiagnosticModel, EffectParams, TEST_MISSING
 
 __all__ = [
-    "AnalysisRequest",
     "AnalysisReport",
     "parse_dataset",
     "run_fit",
@@ -41,33 +40,6 @@ EXIT_CONVERGENCE = 2
 EXIT_IO = 3
 
 DATASET_COLUMNS = ("time", "event", "treatment", "biomarker_test")
-
-
-@dataclass(frozen=True)
-class AnalysisRequest:
-    """Validated inputs of the ``fit`` subcommand.
-
-    Construction builds the diagnostic model from the inputs and checks
-    the level and the iteration cap, so the request is validated before
-    the dataset is read.
-    """
-
-    dataset_path: str
-    sensitivity: float
-    specificity: float
-    prevalence: float | None = None  # None: estimate from the data
-    alpha: float = inference.ALPHA
-    em_max_iter: int = em.MAX_ITER
-    diag: DiagnosticModel = field(init=False, repr=False)
-
-    def __post_init__(self):
-        estimated = self.prevalence is None
-        diag = DiagnosticModel(self.sensitivity, self.specificity,
-                               0.5 if estimated else self.prevalence,
-                               prevalence_known=not estimated)
-        object.__setattr__(self, "diag", diag)
-        em._check_max_iter(self.em_max_iter)
-        inference._check_alpha(self.alpha)
 
 
 @dataclass
@@ -196,9 +168,10 @@ def parse_dataset(path) -> Dataset:
     """Read a delimited dataset with header columns time, event,
     treatment, biomarker_test (biomarker_test: 0, 1, NA or empty).
 
-    The delimiter is the first of comma, semicolon and tab that the header
-    line contains (a comma if it holds none); fields may be quoted."""
-    lines = Path(path).read_text().splitlines()
+    The file is UTF-8, with or without a byte-order mark.  The delimiter
+    is the first of comma, semicolon and tab that the header line contains
+    (a comma if it holds none); fields may be quoted."""
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     header_line = next((line for line in lines if line.strip()), "")
     delimiter = next((d for d in ",;\t" if d in header_line), ",")
     reader = csv.reader(lines, delimiter=delimiter, skipinitialspace=True)
@@ -256,11 +229,19 @@ def _parse_test(token, path, line_no) -> int:
     )
 
 
-def run_fit(request: AnalysisRequest) -> AnalysisReport:
-    """Fit, build all intervals and tests, and assemble the report."""
-    res = em.fit(parse_dataset(request.dataset_path), request.diag,
-                 max_iter=request.em_max_iter)
-    estimated = not res.diag.prevalence_known
+def run_fit(dataset_path, sensitivity: float, specificity: float,
+            prevalence: float | None = None, *, alpha: float = inference.ALPHA,
+            max_iter: int = em.MAX_ITER) -> AnalysisReport:
+    """Fit the dataset, and build all intervals and tests at level 1 -
+    ``alpha`` into the report.  A ``prevalence`` of None is estimated,
+    from the nominal 0.5.  ``max_iter`` caps the EM maps of the fit and of
+    every refit.  All settings are checked before the dataset is read."""
+    estimated = prevalence is None
+    diag = DiagnosticModel(sensitivity, specificity, 0.5 if estimated else prevalence,
+                           prevalence_known=not estimated)
+    em._check_max_iter(max_iter)
+    inference._check_alpha(alpha)
+    res = em.fit(parse_dataset(dataset_path), diag, max_iter=max_iter)
     info = inference.fd_profile_information(res)
     labels = {
         "beta1": "treatment (beta1)",
@@ -271,19 +252,19 @@ def run_fit(request: AnalysisRequest) -> AnalysisReport:
     # lockstep run of their profile searches
     names = em.PARAM_NAMES
     intervals, tests = inference._profile(
-        res, [*names, "pi"] if estimated else names, request.alpha,
-        max_iter=request.em_max_iter, information=info, tests=dict.fromkeys(names, 0.0),
+        res, [*names, "pi"] if estimated else names, alpha,
+        information=info, tests=dict.fromkeys(names, 0.0),
     )
     theta = res.theta_hat.as_array()
     rows = [ParamRow(name, labels[name], float(theta[i]), intervals[name], tests[name][1])
             for i, name in enumerate(names)]
     if estimated:
         rows.append(ParamRow("pi", "prevalence (pi)", res.pi_hat, intervals["pi"], None))
-    subgroups = inference.overall_concordance_report(res, request.alpha, information=info)
+    subgroups = inference.overall_concordance_report(res, alpha, information=info)
     return AnalysisReport(
         parameters=rows,
         subgroups=subgroups,
-        alpha=request.alpha,
+        alpha=alpha,
         prevalence_estimated=estimated,
         pi_hat=res.pi_hat,
         iterations=res.iterations,
@@ -291,25 +272,42 @@ def run_fit(request: AnalysisRequest) -> AnalysisReport:
     )
 
 
+# each key of a scenario object besides theta: the ScenarioConfig field it
+# sets and the JSON type it must have.  A key may be left out when its
+# field has a default.
+_SCENARIO_KEYS = {
+    "pi": ("pi_true", float), "sens": ("sens", float), "spec": ("spec", float),
+    "n_per_arm": ("n_per_arm", int), "reps": ("replications", int),
+    "seed": ("base_seed", int), "alpha": ("alpha", float),
+    "prevalence_known": ("prevalence_known", bool),
+    "censor_low": ("censor_low", float), "censor_high": ("censor_high", float),
+}
+_JSON_TYPES = {float: "a number", int: "an integer", bool: "true or false"}
+
+
+def _json_value(value, name: str, kind: type):
+    """``value`` when JSON gave it as a ``kind`` (float: any number);
+    else ValueError, so that no value is coerced."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ValueError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return kind(value)
+
+
 def _scenario_from_dict(entry: dict, reps_override, seed_override) -> simulate.ScenarioConfig:
+    overrides = {"reps": reps_override, "seed": seed_override}
     try:
-        theta = entry["theta"]
-        cfg = simulate.ScenarioConfig(
-            theta_true=EffectParams(float(theta[0]), float(theta[1]), float(theta[2])),
-            pi_true=float(entry["pi"]),
-            sens=float(entry["sens"]),
-            spec=float(entry["spec"]),
-            n_per_arm=int(entry["n_per_arm"]),
-            replications=int(reps_override if reps_override is not None else entry["reps"]),
-            base_seed=int(seed_override if seed_override is not None else entry["seed"]),
-            alpha=float(entry.get("alpha", inference.ALPHA)),
-            prevalence_known=bool(entry.get("prevalence_known", False)),
-            censor_low=float(entry.get("censor_low", 5.0)),
-            censor_high=float(entry.get("censor_high", 25.0)),
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        values = {**entry, **{k: v for k, v in overrides.items() if v is not None}}
+        theta = values["theta"]
+        if not isinstance(theta, list) or len(theta) != 3:
+            raise ValueError(f"theta must be a list of 3 numbers, got {theta!r}")
+        fields = {field: _json_value(values[key], key, kind)
+                  for key, (field, kind) in _SCENARIO_KEYS.items()
+                  if key in values or not hasattr(simulate.ScenarioConfig, field)}
+        return simulate.ScenarioConfig(
+            theta_true=EffectParams(*(_json_value(v, "theta", float) for v in theta)), **fields)
+    except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"invalid scenario entry {entry!r}: {exc}") from None
-    return cfg
 
 
 def run_simulation(config_path, out_dir, reps_override=None, seed_override=None,
@@ -317,9 +315,11 @@ def run_simulation(config_path, out_dir, reps_override=None, seed_override=None,
     """Run every scenario in a JSON config and write summary tables.
 
     The config is either a list of scenario objects or ``{"scenarios":
-    [...]}``; each object has keys theta (3 numbers), pi, sens, spec,
-    n_per_arm, reps, seed, and optionally alpha, prevalence_known,
-    censor_low, censor_high.  Writes ``summary.txt`` and ``summary.csv``
+    [...]}``; each object has keys theta (a list of 3 numbers), pi, sens,
+    spec, n_per_arm, reps, seed, and optionally alpha, prevalence_known,
+    censor_low, censor_high.  Numbers are JSON numbers, n_per_arm, reps
+    and seed integers and prevalence_known true or false; a value of
+    another type is a DatasetError, never coerced.  Writes ``summary.txt`` and ``summary.csv``
     to ``out_dir``; both are byte-stable for a fixed config and seed.
     """
     raw = Path(config_path).read_text()
@@ -384,15 +384,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "fit":
-            request = AnalysisRequest(
-                dataset_path=args.data,
-                sensitivity=args.sens,
-                specificity=args.spec,
-                prevalence=args.prev,
-                alpha=args.alpha,
-                em_max_iter=args.max_em_iter,
-            )
-            report = run_fit(request)
+            report = run_fit(args.data, args.sens, args.spec, args.prev,
+                             alpha=args.alpha, max_iter=args.max_em_iter)
             structured = args.format == "structured"
             rendered = report.to_json() if structured else report.to_text()
             if args.out:

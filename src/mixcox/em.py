@@ -129,7 +129,9 @@ def _check_max_iter(max_iter: int) -> None:
 
 @dataclass
 class FitResult:
-    """Converged EM state plus diagnostics."""
+    """Converged EM state plus diagnostics, and the fit's trial,
+    diagnostic model and cap on EM maps: every analysis of the fit
+    (:mod:`inference`) reads them here, so its refits share all three."""
 
     theta_hat: EffectParams
     baseline: BaselineHazard
@@ -139,10 +141,9 @@ class FitResult:
     weights: np.ndarray
     obs_loglik: float
     iterations: int
-    # the trial and the diagnostic model of the fit: every analysis of it
-    # (:mod:`inference`) reads them here
     data: Dataset = field(repr=False)
     diag: DiagnosticModel
+    max_iter: int
     loglik_trace: np.ndarray = field(default=None, repr=False)
     # the precomputed structures of ``data``; a warm refit on the same
     # Dataset object reuses them.  Not part of the result's value.
@@ -576,8 +577,8 @@ def fit(data: Dataset, diag: DiagnosticModel, *, max_iter: int = MAX_ITER) -> Fi
         those from rejected jumps included; ``loglik_trace`` holds the
         observed log-likelihood of each accepted map, so it never
         decreases; ``weights`` is the posterior at the returned state;
-        ``data`` and ``diag`` are the arguments, which every analysis of
-        the fit reads.
+        ``data``, ``diag`` and ``max_iter`` are the arguments, which every
+        analysis of the fit reads: its refits run under the same cap.
 
     Raises
     ------
@@ -591,12 +592,12 @@ def fit(data: Dataset, diag: DiagnosticModel, *, max_iter: int = MAX_ITER) -> Fi
         If ``max_iter`` is below 2.
     """
     (lane,) = _fit_lanes(data, diag, [{}], max_iter)
-    return _fit_result(lane, data, diag)
+    return _fit_result(lane, data, diag, max_iter)
 
 
-def _fit_result(lane, data: Dataset, diag: DiagnosticModel) -> FitResult:
+def _fit_result(lane, data: Dataset, diag: DiagnosticModel, max_iter: int) -> FitResult:
     """The FitResult of one :func:`_fit_lanes` result on ``data`` under
-    ``diag``; raises the exception that ended the lane."""
+    ``diag`` and ``max_iter``; raises the exception that ended the lane."""
     if isinstance(lane, Exception):
         raise lane
     return FitResult(
@@ -608,6 +609,7 @@ def _fit_result(lane, data: Dataset, diag: DiagnosticModel) -> FitResult:
         iterations=lane.iterations,
         data=data,
         diag=diag,
+        max_iter=max_iter,
         loglik_trace=np.array(lane.loglik_trace),
         _workspace=lane.workspace,
     )

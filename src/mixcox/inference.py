@@ -229,37 +229,6 @@ def _chi2_quantile(p: float) -> float:
     return _STD_NORMAL.inv_cdf((1.0 - p) / 2.0) ** 2
 
 
-def _profile_logliks(
-    fit_result: em.FitResult,
-    pins: Sequence[Mapping[str, float]],
-    *,
-    max_iter: int,
-    slopes: bool = False,
-) -> list:
-    """The profile log-likelihood at each of ``pins`` (each a ``fixed`` of
-    :func:`profile_loglik`), from one stacked refit of all of them on the
-    fit's data under its diagnostic model, warm-started from the fit
-    (``em._fit_lanes``): a lane per pin, with its own pinned coefficients
-    and, for a pinned prevalence, the prevalence held at that value.
-    Each entry is the pair (value, slope), or the exception that ended
-    its lane.
-
-    With ``slopes`` set, each pin holds one parameter and the slope is the
-    profile log-likelihood's derivative in its pinned value: by the
-    envelope theorem, the score of the pinned parameter at the refit's own
-    state (:func:`_pinned_scores`); otherwise the slope is None.  This is
-    the one place the profile searches evaluate the likelihood.
-    """
-    lanes = em._fit_lanes(fit_result.data, fit_result.diag, pins, max_iter, fit_result)
-    done = [k for k, lane in enumerate(lanes) if not isinstance(lane, Exception)]
-    scores = dict.fromkeys(done)
-    if slopes and done:
-        scores = dict(zip(done, _pinned_scores([pins[k] for k in done],
-                                               [lanes[k] for k in done])))
-    return [(lane.loglik_trace[-1], scores[k]) if k in scores else lane
-            for k, lane in enumerate(lanes)]
-
-
 def _pinned_scores(pins: Sequence[Mapping[str, float]], lanes: Sequence) -> list[float]:
     """The score of each lane's one pinned parameter at its converged state
     (``em._Lane``), all coefficients' from one stacked evaluation.
@@ -315,27 +284,34 @@ def profile_loglik(
     return lane.loglik_trace[-1]
 
 
-def _run_searches(fit_result: em.FitResult, searches, *, max_iter: int,
-                  slopes: bool) -> list:
+def _run_searches(fit_result: em.FitResult, searches) -> list:
     """Run the profile searches ``searches`` in lockstep; returns each
     one's result, in order.
 
     A search is a generator that yields the parameter value to pin (a
     ``fixed`` of :func:`profile_loglik` that holds one parameter), is sent
-    the profile log-likelihood there and its slope, None unless
-    ``slopes`` is set (or the exception its refit ended with), and
-    returns its result.  Each round sends every active search the pair at
-    the point it yielded, all of them from one stacked refit warm-started
-    at ``fit_result`` (:func:`_profile_logliks`).  A search's sequence of
-    points depends only on its own values, so it is the one it would
-    follow alone.
+    the profile log-likelihood there and its slope (or the exception its
+    refit ended with), and returns its result.  Each round refits every
+    active search's point as a lane of one stacked EM warm-started from
+    ``fit_result``, on its data, under its diagnostic model and cap
+    (``em._fit_lanes``); this is the one place the searches evaluate the
+    likelihood.  By the envelope theorem the slope is the pinned
+    parameter's score at the refit's own state (:func:`_pinned_scores`).
+    A search's sequence of points depends only on its own values, so it
+    is the one it would follow alone.
     """
     results = [None] * len(searches)
     pending = {k: next(search) for k, search in enumerate(searches)}
     while pending:
         keys = list(pending)
-        values = _profile_logliks(fit_result, [pending[k] for k in keys],
-                                  max_iter=max_iter, slopes=slopes)
+        pins = [pending[k] for k in keys]
+        values = em._fit_lanes(fit_result.data, fit_result.diag, pins,
+                               fit_result.max_iter, fit_result)
+        done = [i for i, lane in enumerate(values) if not isinstance(lane, Exception)]
+        if done:
+            scores = _pinned_scores([pins[i] for i in done], [values[i] for i in done])
+            for i, score in zip(done, scores):
+                values[i] = (values[i].loglik_trace[-1], score)
         for k, value in zip(keys, values):
             try:
                 pending[k] = searches[k].send(value)
@@ -367,27 +343,21 @@ def _lr_statistic(fit_loglik: float, null_loglik: float) -> tuple[float, float]:
     return lam, _chi2_sf(lam)
 
 
-def lr_test(
-    fit_result: em.FitResult,
-    param: str,
-    null_value: float,
-    *,
-    max_iter: int = em.MAX_ITER,
-) -> tuple[float, float]:
+def lr_test(fit_result: em.FitResult, param: str, null_value: float) -> tuple[float, float]:
     """Likelihood-ratio test of ``param == null_value``.
 
     Returns the statistic (twice the profile log-likelihood drop from the
     unconstrained ``fit_result``, clipped at zero) and its chi-square(1)
     p-value.  The constrained refit, on the fit's own data under its
     diagnostic model, starts from ``fit_result``; one that does not
-    converge within ``max_iter`` maps raises its ConvergenceError, with
-    the parameter and the null value in its message.  (A simulated
-    replication, which fits from scratch anyway, refits its gamma = 0 null
-    from the null start instead, beside the fit in one stacked EM; the
-    statistic is the same, to the EM's tolerance.)
+    converge within the fit's cap (``fit_result.max_iter``) raises its
+    ConvergenceError, with the parameter and the null value in its
+    message.  (A simulated replication, which fits from scratch anyway,
+    refits its gamma = 0 null from the null start instead, beside the fit
+    in one stacked EM; the statistic is the same, to the EM's tolerance.)
     """
     # no interval is searched, so the level goes unused
-    _, tests = _profile(fit_result, [], ALPHA, max_iter=max_iter, tests={param: null_value})
+    _, tests = _profile(fit_result, [], ALPHA, tests={param: null_value})
     return tests[param]
 
 
@@ -490,13 +460,7 @@ def _interval_searches(fit_result: em.FitResult, params: Sequence[str], alpha: f
     return searches
 
 
-def profile_ci(
-    fit_result: em.FitResult,
-    param: str,
-    alpha: float = ALPHA,
-    *,
-    max_iter: int = em.MAX_ITER,
-) -> Interval:
+def profile_ci(fit_result: em.FitResult, param: str, alpha: float = ALPHA) -> Interval:
     """Profile likelihood-ratio confidence interval for one parameter,
     around the unconstrained ``fit_result``, at level 1 - ``alpha``; every
     refit is on the fit's own data under its diagnostic model.
@@ -519,17 +483,18 @@ def profile_ci(
     than 1e-4 on the parameter scale, and returns its midpoint.  On the
     golden trial every endpoint then has lambda within 1e-9 of q, after
     2-3 refits.  A constrained fit that separates or degenerates counts as
-    lambda = infinity; one that does not converge within ``max_iter``
-    maps raises its ConvergenceError, with the parameter and the pinned
-    value in its message.  An endpoint not bracketed within 2048 profile
-    standard errors or +-50 (``cox.SEPARATION_BOUND``), whichever is
-    nearer -- or, for the prevalence, within the admissible range -- is
-    returned at that limit with its open flag set.
+    lambda = infinity; one that does not converge within the fit's cap
+    (``fit_result.max_iter``) raises its ConvergenceError, with the
+    parameter and the pinned value in its message.  An endpoint not
+    bracketed within 2048 profile standard errors or +-50
+    (``cox.SEPARATION_BOUND``), whichever is nearer -- or, for the
+    prevalence, within the admissible range -- is returned at that limit
+    with its open flag set.
 
     The two endpoint searches run in lockstep (:func:`_run_searches`): each
     round refits both of their next points as two lanes of one stacked EM.
     """
-    intervals, _ = _profile(fit_result, [param], alpha, max_iter=max_iter)
+    intervals, _ = _profile(fit_result, [param], alpha)
     return intervals[param]
 
 
@@ -538,7 +503,6 @@ def _profile(
     params: Sequence[str],
     alpha: float,
     *,
-    max_iter: int,
     information: np.ndarray | None = None,
     tests: Mapping[str, float] | None = None,
 ) -> tuple[dict[str, Interval], dict[str, tuple[float, float]]]:
@@ -550,8 +514,7 @@ def _profile(
     ``information`` (:func:`fd_profile_information`, computed once when
     None and a coefficient is asked for), the prevalence's from sqrt(pi (1
     - pi) / n).  All of the searches run in lockstep
-    (:func:`_run_searches`), with the profile slopes computed only when
-    there is an interval to search.  For the report of ``mixcox fit`` on
+    (:func:`_run_searches`).  For the report of ``mixcox fit`` on
     the golden trial -- eight endpoint searches and three tests -- that is
     three stacked refits (39 EM maps) instead of twenty-three refits one
     after another.
@@ -559,7 +522,7 @@ def _profile(
     tests = tests or {}
     searches = _interval_searches(fit_result, params, alpha, information)
     searches += [_lr_null(fit_result, param, value) for param, value in tests.items()]
-    results = _run_searches(fit_result, searches, max_iter=max_iter, slopes=bool(params))
+    results = _run_searches(fit_result, searches)
     intervals = {}
     for k, param in enumerate(params):
         (high, open_high), (low, open_low) = results[2 * k:2 * k + 2]

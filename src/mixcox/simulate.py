@@ -61,6 +61,8 @@ class ScenarioConfig:
             raise ValueError("n_per_arm must be at least 1")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
         inference._check_alpha(self.alpha)
         if not 0 < self.censor_low < self.censor_high:
             raise ValueError("need 0 < censor_low < censor_high")
@@ -157,7 +159,7 @@ def _replicate(config: ScenarioConfig, rep: int):
     try:
         data = generate_trial(config, RngStream(config.base_seed, rep))
         fit_lane, null_lane = em._fit_lanes(data, config.diag, [{}, {"gamma": 0.0}])
-        res = em._fit_result(fit_lane, data, config.diag)
+        res = em._fit_result(fit_lane, data, config.diag, em.MAX_ITER)
         info = inference.fd_profile_information(res)
         report = inference.simultaneous_cis(
             res.theta_hat, inference.subgroup_cov(info), config.alpha

@@ -106,7 +106,7 @@ def lane_fit(data, diag, fixed=None, warm=None) -> em.FitResult:
     of the fit ``warm`` when given, else from the null start.  Raises the
     exception that ended the lane."""
     (lane,) = em._fit_lanes(data, diag, [fixed or {}], warm=warm)
-    return em._fit_result(lane, data, diag)
+    return em._fit_result(lane, data, diag, em.MAX_ITER)
 
 
 def one_em_map(data, diag, warm=None) -> em.FitResult:
@@ -129,7 +129,8 @@ def one_em_map(data, diag, warm=None) -> em.FitResult:
         theta_hat=EffectParams.from_array(theta[0]),
         baseline=BaselineHazard(ws.risk_sets.ets, inc[0]),
         pi_hat=float(pi[0]), weights=w[0], obs_loglik=float(ll[0]), iterations=1,
-        data=data, diag=diag, loglik_trace=ll.copy(), _workspace=ws,
+        data=data, diag=diag, max_iter=em.MAX_ITER, loglik_trace=ll.copy(),
+        _workspace=ws,
     )
 
 

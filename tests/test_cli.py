@@ -11,7 +11,7 @@ import pytest
 from helpers import oracle_cox, sim_dataset, write_dataset
 
 from mixcox import Dataset, DatasetError, DiagnosticModel, fit, inference
-from mixcox.cli import AnalysisRequest, main, parse_dataset, run_fit
+from mixcox.cli import main, parse_dataset, run_fit
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -118,7 +118,7 @@ class TestRunFit:
         data = sim_dataset(32, n_per_arm=80, sens=1.0, spec=1.0)
         p = tmp_path / "d.csv"
         write_dataset(data, p)
-        report = run_fit(AnalysisRequest(str(p), 1.0, 1.0))
+        report = run_fit(str(p), 1.0, 1.0)
         x = data.treatment.astype(float)
         v = data.test.astype(float)
         beta_ref, _ = oracle_cox(data.time, data.event,
@@ -130,17 +130,17 @@ class TestRunFit:
         data = sim_dataset(33, n_per_arm=50, sens=0.9, spec=0.9)
         p = tmp_path / "d.csv"
         write_dataset(data, p)
-        with_pi = run_fit(AnalysisRequest(str(p), 0.9, 0.9))
+        with_pi = run_fit(str(p), 0.9, 0.9)
         names = [row.name for row in with_pi.parameters]
         assert names == ["beta1", "beta2", "gamma", "pi"]
-        without = run_fit(AnalysisRequest(str(p), 0.9, 0.9, prevalence=0.3))
+        without = run_fit(str(p), 0.9, 0.9, prevalence=0.3)
         assert [row.name for row in without.parameters] == ["beta1", "beta2", "gamma"]
 
     def test_intervals_contain_estimates(self, tmp_path):
         data = sim_dataset(34, n_per_arm=50, sens=0.85, spec=0.9)
         p = tmp_path / "d.csv"
         write_dataset(data, p)
-        report = run_fit(AnalysisRequest(str(p), 0.85, 0.9))
+        report = run_fit(str(p), 0.85, 0.9)
         for row in report.parameters:
             assert row.ci.contains(row.estimate)
 
@@ -161,7 +161,7 @@ class TestRunFit:
             f"{t},{d},{x},{v}" for t, d, x, v in rows
         )
         p = write(tmp_path, text, name="tiny.csv")
-        report = run_fit(AnalysisRequest(str(p), 0.9, 0.85))
+        report = run_fit(str(p), 0.9, 0.85)
         for row in report.parameters:
             assert row.ci.contains(row.estimate)
 
@@ -210,6 +210,27 @@ class TestGoldenReport:
         ])
         assert rc == 0
         assert out.read_bytes() == (DATA_DIR / "golden_report_prev.txt").read_bytes()
+
+    def test_known_prevalence_structured_layout(self, tmp_path):
+        out = tmp_path / "report.json"
+        rc = main([
+            "fit", str(DATA_DIR / "golden_trial.csv"),
+            "--sens", "0.9", "--spec", "0.85", "--prev", "0.3", "--format", "structured",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        got = json.loads(out.read_text())
+        ref = json.loads((DATA_DIR / "golden_report_prev.json").read_text())
+        assert got == ref
+
+    def test_byte_order_mark_is_read(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start the file with one
+        bom = tmp_path / "golden_bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (DATA_DIR / "golden_trial.csv").read_bytes())
+        out = tmp_path / "report.txt"
+        rc = main(["fit", str(bom), "--sens", "0.9", "--spec", "0.85", "--out", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == (DATA_DIR / "golden_report.txt").read_bytes()
 
 
 class TestExitCodes:
@@ -390,6 +411,31 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: invalid scenario entry")
+        assert "scenario 1/" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, flags, message", [
+        ("prevalence_known", "false", [], "prevalence_known must be true or false, got 'false'"),
+        ("prevalence_known", 1, [], "prevalence_known must be true or false, got 1"),
+        ("n_per_arm", 20.7, [], "n_per_arm must be an integer, got 20.7"),
+        ("n_per_arm", True, [], "n_per_arm must be an integer, got True"),
+        ("reps", 2.9, [], "reps must be an integer, got 2.9"),
+        ("seed", 1.5, [], "seed must be an integer, got 1.5"),
+        ("seed", -3, [], "base_seed must be non-negative, got -3"),
+        ("seed", 56, ["--seed", "-3"], "base_seed must be non-negative, got -3"),
+        ("theta", [0.0, 0.1, 0.0, 0.2], [], "theta must be a list of 3 numbers, got "),
+    ], ids=["known_str", "known_int", "n_float", "n_bool", "reps_float", "seed_float",
+            "seed_negative", "seed_flag_negative", "theta_four"])
+    def test_values_are_never_coerced(self, tmp_path, capsys, key, value, flags, message):
+        entries = [dict(entry) for entry in self.CONFIG]
+        entries[1][key] = value
+        cfg = tmp_path / "scenarios.json"
+        cfg.write_text(json.dumps(entries))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid scenario entry")
+        assert message in captured.err
         assert "scenario 1/" not in captured.out
         assert not out.exists()
 

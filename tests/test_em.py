@@ -485,6 +485,12 @@ class TestFit:
         with pytest.raises(ConvergenceError, match="did not converge within 2 iterations"):
             fit(data, diag(known=False), max_iter=2)
 
+    def test_fit_records_its_cap(self):
+        # every analysis of the fit refits under the cap it was fitted with
+        data = sim_dataset(19, n_per_arm=50, sens=0.8, spec=0.8)
+        assert fit(data, diag(known=False)).max_iter == em.MAX_ITER
+        assert fit(data, diag(known=False), max_iter=700).max_iter == 700
+
     def test_cap_below_two_rejected(self):
         # convergence compares two maps' log-likelihoods, so a cap of 1
         # could only ever fail

@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ from mixcox import (
     simultaneous_scale,
     subgroup_cov,
 )
-from mixcox.cli import AnalysisRequest, parse_dataset, run_fit
+from mixcox.cli import parse_dataset, run_fit
 from mixcox.inference import bvn_rect_prob, concordance_prob, profile_loglik
 
 
@@ -64,19 +66,28 @@ def golden():
 @pytest.fixture(scope="module")
 def golden_analysis():
     """``mixcox fit``'s analysis of the golden trial (``run_fit``) and the
-    pins of each call of the profile searches' evaluation seam."""
-    rounds = []
-    evaluate = inference._profile_logliks
-
-    def logged(fit_result, pins, **kwargs):
-        rounds.append(list(pins))
-        return evaluate(fit_result, pins, **kwargs)
-
+    pins of each stacked refit of its profile searches."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inference, "_profile_logliks", logged)
+        rounds = _log_refits(mp)
         path = Path(__file__).parent / "data" / "golden_trial.csv"
-        report = run_fit(AnalysisRequest(str(path), 0.9, 0.85))
+        report = run_fit(str(path), 0.9, 0.85)
     return report, rounds
+
+
+def _log_refits(monkeypatch):
+    """Log the pins of each stacked refit of the profile searches: each
+    call of ``em._fit_lanes`` warm-started from a fit.  Returns the list
+    the rounds are appended to."""
+    rounds = []
+    fit_lanes = em._fit_lanes
+
+    def logged(data, diag, pins, max_iter=em.MAX_ITER, warm=None):
+        if warm is not None:
+            rounds.append(list(pins))
+        return fit_lanes(data, diag, pins, max_iter, warm)
+
+    monkeypatch.setattr(em, "_fit_lanes", logged)
+    return rounds
 
 
 @pytest.fixture(scope="module")
@@ -235,14 +246,16 @@ class TestProfileCi:
     def test_refit_at_the_cap_fails_the_search(self, golden):
         # a refit stopped by the iteration cap has too low a likelihood;
         # it must fail the interval and the test, not narrow or inflate them
+        # (every refit runs under the cap the fit records)
         _, _, res, _ = golden
+        capped = replace(res, max_iter=3)
         # the message names the refit: the parameter and its pinned value
         with pytest.raises(ConvergenceError, match=r"did not converge within 3 .*"
                            r", in the profile refit at gamma = -?[0-9.]+$"):
-            profile_ci(res, "gamma", max_iter=3)
+            profile_ci(capped, "gamma")
         with pytest.raises(ConvergenceError, match=r"did not converge within 3 .*"
                            r", in the profile refit at gamma = 0\.0$"):
-            lr_test(res, "gamma", 0.0, max_iter=3)
+            lr_test(capped, "gamma", 0.0)
 
 
 class TestOneCheckPerSetting:
@@ -261,7 +274,7 @@ class TestOneCheckPerSetting:
             lambda: ScenarioConfig(theta_true=res.theta_hat, pi_true=0.3, sens=0.9,
                                    spec=0.85, n_per_arm=10, replications=1, base_seed=1,
                                    alpha=alpha),
-            lambda: AnalysisRequest("never-read.csv", 0.9, 0.85, alpha=alpha),
+            lambda: run_fit("never-read.csv", 0.9, 0.85, alpha=alpha),
         ]
         for call in calls:
             with pytest.raises(DatasetError, match=r"^alpha must be in \(0, 1\)$"):
@@ -272,17 +285,39 @@ class TestOneCheckPerSetting:
         calls = [
             lambda: fit(data, diag, max_iter=1),
             lambda: profile_loglik(data, diag, {"gamma": 0.0}, max_iter=1, warm=res),
-            lambda: profile_ci(res, "gamma", max_iter=1),
-            lambda: lr_test(res, "gamma", 0.0, max_iter=1),
-            lambda: AnalysisRequest("never-read.csv", 0.9, 0.85, em_max_iter=1),
+            lambda: profile_ci(replace(res, max_iter=1), "gamma"),
+            lambda: lr_test(replace(res, max_iter=1), "gamma", 0.0),
+            lambda: run_fit("never-read.csv", 0.9, 0.85, max_iter=1),
         ]
         for call in calls:
             with pytest.raises(DatasetError, match=r"^max_iter must be at least 2: "):
                 call()
 
 
+class _FakeLane(NamedTuple):
+    """What the profile searches read of a fake refit's lane: its
+    log-likelihoods and, instead of its state, the profile's slope."""
+
+    loglik_trace: list
+    slope: float
+
+
+def _fake_refits(monkeypatch, values_at):
+    """Replace the profile searches' stacked refits (``em._fit_lanes``, and
+    the slopes ``inference._pinned_scores`` takes from them) by
+    ``values_at``, which maps a round's pins to their profile
+    log-likelihood and slope, or the exception a refit ends with."""
+    def fake(data, diag, pins, max_iter, warm):
+        return [value if isinstance(value, Exception) else _FakeLane([value[0]], value[1])
+                for value in values_at(pins)]
+
+    monkeypatch.setattr(em, "_fit_lanes", fake)
+    monkeypatch.setattr(inference, "_pinned_scores",
+                        lambda pins, lanes: [lane.slope for lane in lanes])
+
+
 def _fake_value(res, lam, dlam, distance):
-    """The evaluation seam's entry for a profile whose LR statistic is
+    """A fake refit's value for a profile whose LR statistic is
     ``lam(distance)``, with derivative ``dlam``: the profile
     log-likelihood and its slope, or the exception ``lam`` raises."""
     try:
@@ -292,16 +327,15 @@ def _fake_value(res, lam, dlam, distance):
 
 
 def _fake_profile(monkeypatch, res, param, lam_of_distance, slope_of_distance):
-    """Replace the profile searches' evaluation seam
-    (``inference._profile_logliks``) by a profile whose LR statistic is
-    ``lam_of_distance(value - estimate)``, with the derivative
-    ``slope_of_distance``; a lane whose statistic raises ends with that
-    exception.  Returns the estimate and the list of values the profile is
-    evaluated at."""
+    """Replace the profile searches' refits (:func:`_fake_refits`) by a
+    profile whose LR statistic is ``lam_of_distance(value - estimate)``,
+    with the derivative ``slope_of_distance``; a lane whose statistic
+    raises ends with that exception.  Returns the estimate and the list
+    of values the profile is evaluated at."""
     mle = res.pi_hat if param == "pi" else getattr(res.theta_hat, param)
     calls = []
 
-    def fake(fit_result, pins, **kwargs):
+    def fake(pins):
         values = []
         for fixed in pins:
             (value,) = fixed.values()
@@ -310,7 +344,7 @@ def _fake_profile(monkeypatch, res, param, lam_of_distance, slope_of_distance):
                                       value - mle))
         return values
 
-    monkeypatch.setattr(inference, "_profile_logliks", fake)
+    _fake_refits(monkeypatch, fake)
     return mle, calls
 
 
@@ -318,7 +352,7 @@ def _coefficient_ci(res, param, se):
     """:func:`profile_ci` of a coefficient with its search started from the
     Wald scale ``se``: every coefficient's standard error in the profile
     information the searches are given."""
-    intervals, _ = inference._profile(res, [param], inference.ALPHA, max_iter=em.MAX_ITER,
+    intervals, _ = inference._profile(res, [param], inference.ALPHA,
                                       information=np.eye(3) / se**2)
     return intervals[param]
 
@@ -403,10 +437,10 @@ def _raise(exc):
 
 
 def _fake_profiles(monkeypatch, res, rounds):
-    """Replace the evaluation seam by FAKE_PROFILES, and the profile
-    information by FAKE_INFORMATION; each call of the seam appends its
-    list of pinned values to ``rounds``."""
-    def fake(fit_result, pins, **kwargs):
+    """Replace the profile searches' refits (:func:`_fake_refits`) by
+    FAKE_PROFILES, and the profile information by FAKE_INFORMATION; each
+    stacked refit appends its list of pinned values to ``rounds``."""
+    def fake(pins):
         rounds.append([dict(fixed) for fixed in pins])
         values = []
         for fixed in pins:
@@ -415,9 +449,14 @@ def _fake_profiles(monkeypatch, res, rounds):
             values.append(_fake_value(res, *FAKE_PROFILES[param], value - mle))
         return values
 
-    monkeypatch.setattr(inference, "_profile_logliks", fake)
+    _fake_refits(monkeypatch, fake)
     monkeypatch.setattr(inference, "fd_profile_information",
                         lambda fit_result: FAKE_INFORMATION)
+
+
+def _sent(pin):
+    """Search of one point, ``pin``: it returns what it is sent there."""
+    return (yield pin)
 
 
 def _logged(search, points):
@@ -451,13 +490,11 @@ class TestLockstepSearches:
         alone = []
         for search in searches():
             alone.append([])
-            inference._run_searches(res, [_logged(search, alone[-1])],
-                                    max_iter=em.MAX_ITER, slopes=True)
+            inference._run_searches(res, [_logged(search, alone[-1])])
         rounds.clear()
         together = [[] for _ in alone]
         results = inference._run_searches(
-            res, [_logged(search, log) for search, log in zip(searches(), together)],
-            max_iter=em.MAX_ITER, slopes=True)
+            res, [_logged(search, log) for search, log in zip(searches(), together)])
         assert together == alone
         gamma_hat = res.theta_hat.gamma
         assert any(abs(point["gamma"] - gamma_hat) > 1.5
@@ -468,7 +505,7 @@ class TestLockstepSearches:
         # the separating refits are bracketed and the flat side stays open
         nulls = {param: 0.0 for param in FAKE_PROFILES if param != "pi"}
         intervals, tests = inference._profile(res, list(FAKE_PROFILES), inference.ALPHA,
-                                              max_iter=em.MAX_ITER, tests=nulls)
+                                              tests=nulls)
         assert intervals["beta2"].open_low and intervals["beta2"].open_high
         assert not (intervals["gamma"].open_low or intervals["gamma"].open_high)
         # and the combined run gives each interval and test alone
@@ -491,12 +528,10 @@ class TestLockstepSearches:
             return FAKE_INFORMATION
 
         monkeypatch.setattr(inference, "fd_profile_information", counting)
-        inference._profile(res, ["beta1", "beta2", "gamma"], inference.ALPHA,
-                           max_iter=em.MAX_ITER)
+        inference._profile(res, ["beta1", "beta2", "gamma"], inference.ALPHA)
         assert calls == [res]
-        inference._profile(res, ["pi"], inference.ALPHA, max_iter=em.MAX_ITER,
-                           tests={"gamma": 0.0})
-        inference._profile(res, ["beta1", "gamma"], inference.ALPHA, max_iter=em.MAX_ITER,
+        inference._profile(res, ["pi"], inference.ALPHA, tests={"gamma": 0.0})
+        inference._profile(res, ["beta1", "gamma"], inference.ALPHA,
                            information=FAKE_INFORMATION)
         assert calls == [res]
 
@@ -529,16 +564,15 @@ class TestProfileCiSolve:
                                                ("pi", 0.08), ("pi", -0.1)])
     def test_slopes_match_differences_of_the_profile(self, golden, monkeypatch,
                                                      param, offset):
-        # the seam's slope is the pinned parameter's score at the refit's
-        # state.  At the default tolerance that state is ~1e-5 from the
+        # the slope a search is sent is the pinned parameter's score at the
+        # refit's state.  At the default tolerance that state is ~1e-5 from the
         # pinned optimum in score, and so are the refits the differences
         # take; converged tightly, both must agree with the profile's
         # derivative
         data, diag, res, _ = golden
         monkeypatch.setattr(em, "TOL_LOGLIK", 1e-12)
         value = inference._param_estimate(res, param) + offset
-        ((ll, slope),) = inference._profile_logliks(
-            res, [{param: value}], max_iter=em.MAX_ITER, slopes=True)
+        ((ll, slope),) = inference._run_searches(res, [_sent({param: value})])
         assert ll == profile_loglik(data, diag, {param: value}, warm=res)
         h = 1e-4
         diff = (profile_loglik(data, diag, {param: value + h}, warm=res)
@@ -546,28 +580,27 @@ class TestProfileCiSolve:
         assert abs(slope) > 1.0
         assert slope == pytest.approx(diff, abs=1e-5)
 
-    def test_slopes_only_when_asked(self, golden):
-        _, _, res, _ = golden
-        pins = [{"gamma": 0.0}, {"pi": 0.3}]
-        values = inference._profile_logliks(res, pins, max_iter=em.MAX_ITER)
-        assert [slope for _, slope in values] == [None, None]
+    def test_lr_only_profile_keeps_its_statistics(self, golden):
+        # tests alone are also sent the pinned scores, which they ignore:
+        # each statistic is its warm refit's, as before the scores came
+        data, diag, res, _ = golden
+        nulls = {"gamma": 0.0, "pi": 0.3}
+        _, tests = inference._profile(res, [], inference.ALPHA, tests=nulls)
+        assert {param: lam.hex() for param, (lam, _) in tests.items()} == {
+            "gamma": "0x1.5fa8e90017000p-3", "pi": "0x1.0eaf33d90ba00p+0"}
+        for param, value in nulls.items():
+            lam = 2.0 * (res.obs_loglik - profile_loglik(data, diag, {param: value}, warm=res))
+            assert tests[param] == (lam, inference._chi2_sf(lam))
 
     def test_refit_budget_and_accuracy_on_golden_trial(self, monkeypatch):
         data = parse_dataset(Path(__file__).parent / "data" / "golden_trial.csv")
         diag = DiagnosticModel(0.9, 0.85, 0.5, prevalence_known=False)
         res = fit(data, diag)
-        calls = []
-        evaluate = inference._profile_logliks
-
-        def counting(fit_result, pins, **kwargs):
-            calls.extend(pins)
-            return evaluate(fit_result, pins, **kwargs)
-
-        monkeypatch.setattr(inference, "_profile_logliks", counting)
+        rounds = _log_refits(monkeypatch)
         cis = {name: profile_ci(res, name)
                for name in ("beta1", "beta2", "gamma", "pi")}
         monkeypatch.undo()
-        assert len(calls) <= 5 * 2 * len(cis)
+        assert sum(map(len, rounds)) <= 5 * 2 * len(cis)
         for name, ci in cis.items():
             for value, is_open in ((ci.low, ci.open_low), (ci.high, ci.open_high)):
                 assert not is_open

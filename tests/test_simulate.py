@@ -35,9 +35,10 @@ def scenario(**kw):
 
 class TestScenarioConfig:
     @pytest.mark.parametrize("kw", [dict(n_per_arm=0), dict(alpha=0.0), dict(alpha=1.5),
-                                    dict(pi_true=1.3), dict(sens=0.5, spec=0.5)],
+                                    dict(pi_true=1.3), dict(sens=0.5, spec=0.5),
+                                    dict(base_seed=-1)],
                              ids=["n_per_arm", "alpha_zero", "alpha_above_one", "pi",
-                                  "uninformative_test"])
+                                  "uninformative_test", "negative_seed"])
     def test_invalid_cell_rejected(self, kw):
         with pytest.raises(ValueError):
             scenario(**kw)
