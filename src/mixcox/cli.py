@@ -274,7 +274,7 @@ def run_fit(dataset_path, sensitivity: float, specificity: float,
 
 # each key of a scenario object besides theta: the ScenarioConfig field it
 # sets and the JSON type it must have.  A key may be left out when its
-# field has a default.
+# field has a default, and no other key is accepted.
 _SCENARIO_KEYS = {
     "pi": ("pi_true", float), "sens": ("sens", float), "spec": ("spec", float),
     "n_per_arm": ("n_per_arm", int), "reps": ("replications", int),
@@ -298,6 +298,9 @@ def _scenario_from_dict(entry: dict, reps_override, seed_override) -> simulate.S
     overrides = {"reps": reps_override, "seed": seed_override}
     try:
         values = {**entry, **{k: v for k, v in overrides.items() if v is not None}}
+        unknown = sorted(values.keys() - _SCENARIO_KEYS.keys() - {"theta"})
+        if unknown:
+            raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
         theta = values["theta"]
         if not isinstance(theta, list) or len(theta) != 3:
             raise ValueError(f"theta must be a list of 3 numbers, got {theta!r}")
@@ -319,8 +322,9 @@ def run_simulation(config_path, out_dir, reps_override=None, seed_override=None,
     spec, n_per_arm, reps, seed, and optionally alpha, prevalence_known,
     censor_low, censor_high.  Numbers are JSON numbers, n_per_arm, reps
     and seed integers and prevalence_known true or false; a value of
-    another type is a DatasetError, never coerced.  Writes ``summary.txt`` and ``summary.csv``
-    to ``out_dir``; both are byte-stable for a fixed config and seed.
+    another type is a DatasetError, never coerced, and so is any other
+    key.  Writes ``summary.txt`` and ``summary.csv`` to ``out_dir``; both
+    are byte-stable for a fixed config and seed.
     """
     raw = Path(config_path).read_text()
     try:

@@ -80,7 +80,7 @@ class RiskSets:
     block then gives every risk-set sum of its arm.
     """
 
-    __slots__ = ("ets", "widths", "event_counts", "_block", "_pos", "_take",
+    __slots__ = ("ets", "widths", "event_counts", "_block", "_gather", "_take",
                  "_ev", "_xd", "_treated_events")
 
     def __init__(self, time, event, treatment):
@@ -98,14 +98,15 @@ class RiskSets:
         xs = x[order]
         treated = np.concatenate(([0], np.cumsum(xs)))
         self._block = block = max(treated[-1], x.size - treated[-1]) + 1
-        # position of each subject's 1 - w in the first two blocks (by arm,
-        # after the block's leading zero, at its rank in the arm) and of
-        # its w in the last two
-        before = treated[:-1]
-        pos = np.empty(x.size, dtype=np.intp)
-        pos[order] = np.where(xs == 1, block + 1 + before,
-                              1 + np.arange(x.size) - before)
-        self._pos = np.concatenate((pos, pos + 2 * block))
+        # where each position of the four blocks reads its value in (0, 1 -
+        # w, w): an arm's subjects by descending time after the leading
+        # zero, and the 0 in the leading zero and the padding
+        gather = np.zeros((2, block), dtype=np.intp)
+        for arm in (0, 1):
+            members = order[xs == arm]
+            gather[arm, 1:members.size + 1] = 1 + members
+        self._gather = np.concatenate((gather, np.where(gather > 0, gather + x.size, 0)),
+                                      axis=None)
         # at each distinct event time, the position in each block of the
         # last subject at risk (time >= t): the arm's count at risk, 0 for
         # the leading zero when none is
@@ -137,9 +138,9 @@ class RiskSums:
     def __init__(self, rs: RiskSets, w):
         w = np.asarray(w, dtype=float)
         lanes = w.shape[:-1]
-        blocks = np.zeros(lanes + (4, rs._block))
-        flat = blocks.reshape(lanes + (4 * rs._block,))
-        flat[..., rs._pos] = np.concatenate((1.0 - w, w), axis=-1)
+        flat = np.concatenate((np.zeros(lanes + (1,)), 1.0 - w, w), axis=-1).take(
+            rs._gather, axis=-1)
+        blocks = flat.reshape(lanes + (4, rs._block))
         blocks.cumsum(axis=-1, out=blocks)
         self.rs = rs
         self.arms = flat.take(rs._take, axis=-1)

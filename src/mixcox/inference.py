@@ -96,13 +96,13 @@ _TVN_FLOOR = 1e-100
 # the equicoordinate scales (_newton_scale) stop once the predicted error
 # xi * step**2 of a Newton step is at most _TVN_XTOL, below the box
 # probability's own error (~1e-11) over its slope (~0.1).  The trivariate
-# scale first steps on the box probability at _TVN_COARSE_NODES nodes per
-# piece, about a quarter of the cost, to a predicted error of
-# _TVN_COARSE_XTOL; from there one step on the full box probability
-# usually meets _TVN_XTOL, and the result is a root of the full one.
+# scale starts from one sweep of the box probability at _TVN_COARSE_NODES
+# nodes per piece over _TVN_SWEEP Chebyshev points of its bracket; from
+# there one step on the full box probability usually meets _TVN_XTOL, and
+# the result is a root of the full one.
 _TVN_XTOL = 1e-10
 _TVN_COARSE_NODES = 6
-_TVN_COARSE_XTOL = 1e-6
+_TVN_SWEEP = 6
 
 
 def _erfcx_polynomial() -> np.ndarray:
@@ -907,13 +907,16 @@ def _trivariate_factor(corr: np.ndarray) -> tuple[float, ...]:
 def _normal_pieces(lo, hi, cuts, nodes: int = _TVN_NODES):
     """Nodes and weights for the integral of phi(y) f(y) dy over [lo, hi]:
     Gauss-Legendre with ``nodes`` nodes on every piece between the sorted
-    ``cuts`` (clipped to the range).  ``lo`` and ``hi`` have the shape of
-    ``cuts`` without its last axis, and so do the leading axes of the
-    results."""
+    ``cuts`` inside (lo, hi); a cut outside or NaN would only make a piece
+    of zero width.  ``lo`` and ``hi`` have the shape of ``cuts`` without
+    its last axis, and so do the leading axes of the results, whose rows
+    all have as many pieces as the fullest: the others' last pieces lie at
+    ``hi``, with weight 0."""
     gl_nodes, gl_weights = _GAUSS_LEGENDRE[nodes]
     lo, hi = lo[..., None], hi[..., None]
-    ends = np.concatenate([lo, np.minimum(np.maximum(np.sort(cuts, axis=-1), lo), hi), hi],
-                          axis=-1)
+    cuts = np.sort(np.where((cuts > lo) & (cuts < hi), cuts, hi), axis=-1)
+    inside = np.max(np.sum(cuts < hi, axis=-1))
+    ends = np.concatenate([lo, cuts[..., :inside], hi], axis=-1)
     start = ends[..., :-1, None]
     width = ends[..., 1:, None] - start
     y = (start + width * gl_nodes).reshape(*ends.shape[:-1], -1)
@@ -921,10 +924,10 @@ def _normal_pieces(lo, hi, cuts, nodes: int = _TVN_NODES):
     return y, w
 
 
-def _trivariate_box_prob(xi: float, corr: np.ndarray, nodes: int = _TVN_NODES) -> float:
+def _trivariate_box_prob(xi, corr: np.ndarray, nodes: int = _TVN_NODES):
     """P(|Z_k| <= xi, k = 1, 2, 3) for a trivariate standard normal with
     correlation ``corr``, by piecewise Gauss-Legendre quadrature with
-    ``nodes`` nodes per piece.
+    ``nodes`` nodes per piece, in one evaluation at every entry of ``xi``.
 
     With Z = L Y (Y standard normal, L from :func:`_trivariate_factor`)
     the probability is E[Q(Y3)], where Q(y3) is the bivariate normal mass
@@ -945,38 +948,42 @@ def _trivariate_box_prob(xi: float, corr: np.ndarray, nodes: int = _TVN_NODES) -
     |y3| > 8 is dropped (probability < 1.3e-15).
     """
     l11, l21, l31, l22, l32, l33 = _trivariate_factor(np.asarray(corr, dtype=float))
+    xi = np.asarray(xi, dtype=float)
+    # xi against one further axis, and against two
+    x1, x2 = xi[..., None], xi[..., None, None]
     sign = np.array([-1.0, 1.0])
-    y1_vertex = sign[:, None] * xi / l11
-    y2_vertex = (sign[None, :] * xi - l21 * y1_vertex) / l22
-    m_vertex = (l31 * y1_vertex + l32 * y2_vertex).ravel()
+    y1_vertex = sign[:, None] * x2 / l11
+    y2_vertex = (sign * x2 - l21 * y1_vertex) / l22
+    m_vertex = (l31 * y1_vertex + l32 * y2_vertex).reshape(xi.shape + (4,))
     # Q is even, and the vertices come in pairs m, -m, so the kinks at y3
     # >= 0 are the |(xi - m) / l33|
-    cuts3 = np.concatenate([np.abs((xi - m_vertex) / l33), _TVN_BREAKS[_TVN_BREAKS > 0]])
-    y3, w3 = _normal_pieces(np.array(0.0), np.array(_TVN_REACH), cuts3, nodes)
+    breaks3 = np.broadcast_to(_TVN_BREAKS[_TVN_BREAKS > 0], xi.shape + (2,))
+    cuts3 = np.concatenate([np.abs((x1 - m_vertex) / l33), breaks3], axis=-1)
+    y3, w3 = _normal_pieces(np.zeros(xi.shape), np.full(xi.shape, _TVN_REACH), cuts3, nodes)
     w3 *= 2.0
     # the Z3 strip at y3: l31 y1 + l32 y2 in [lo3, hi3]
-    lo3 = -xi - l33 * y3
-    hi3 = xi - l33 * y3
+    lo3 = -x1 - l33 * y3
+    hi3 = x1 - l33 * y3
     det = l31 * l22 - l21 * l32
+    # parallel edges (det = 0) do not cross: their cut is not finite
     with np.errstate(divide="ignore", invalid="ignore"):
-        cuts1 = np.stack([(edge3 * l22 - edge2 * l32) / det
-                          for edge3 in (lo3, hi3) for edge2 in (-xi, xi)], axis=-1)
-    cuts1 = [np.where(np.isfinite(cuts1), cuts1, 0.0),  # parallel edges: no crossing
-             np.broadcast_to(_TVN_BREAKS, y3.shape + _TVN_BREAKS.shape)]
+        cuts1 = [np.stack([(edge3 * l22 - edge2 * l32) / det
+                           for edge3 in (lo3, hi3) for edge2 in (-x1, x1)], axis=-1),
+                 np.broadcast_to(_TVN_BREAKS, y3.shape + _TVN_BREAKS.shape)]
     ramp = _TVN_RAMP_BREAKS
     if abs(l21) > l22:
-        z2_ramp = np.concatenate([(-xi - l22 * ramp) / l21, (xi - l22 * ramp) / l21])
-        cuts1.append(np.broadcast_to(z2_ramp, y3.shape + z2_ramp.shape))
+        z2_ramp = np.concatenate([(-x1 - l22 * ramp) / l21, (x1 - l22 * ramp) / l21], axis=-1)
+        cuts1.append(np.broadcast_to(z2_ramp[..., None, :], y3.shape + z2_ramp.shape[-1:]))
     if abs(l31) > l32:
-        cuts1.append(np.concatenate([lo3[:, None] - l32 * ramp,
-                                     hi3[:, None] - l32 * ramp], axis=-1) / l31)
-    lo1 = np.full(y3.shape, -xi / l11)
+        cuts1.append(np.concatenate([lo3[..., None] - l32 * ramp,
+                                     hi3[..., None] - l32 * ramp], axis=-1) / l31)
+    lo1 = np.broadcast_to(-x1 / l11, y3.shape)
     y1, w1 = _normal_pieces(lo1, -lo1, np.concatenate(cuts1, axis=-1), nodes)
-    lo2 = np.maximum((-xi - l21 * y1) / l22, (lo3[:, None] - l31 * y1) / l32)
-    hi2 = np.minimum((xi - l21 * y1) / l22, (hi3[:, None] - l31 * y1) / l32)
+    lo2 = np.maximum((-x2 - l21 * y1) / l22, (lo3[..., None] - l31 * y1) / l32)
+    hi2 = np.minimum((x2 - l21 * y1) / l22, (hi3[..., None] - l31 * y1) / l32)
     cdf = _ndtr(np.stack((hi2, lo2)))
     inner = np.maximum(cdf[0] - cdf[1], 0.0)
-    return float(w3 @ np.sum(w1 * inner, axis=1))
+    return np.vecdot(w3, np.sum(w1 * inner, axis=-1))
 
 
 def _box_slope(xi: float, corr: np.ndarray) -> float:
@@ -1011,33 +1018,37 @@ def _equicoordinate_scale_mvn(corr: np.ndarray, alpha: float) -> float:
     given correlation matrix: the xi with P(|Z_k| <= xi for all k) = 1 -
     alpha for the box probability of :func:`_trivariate_box_prob`.
 
-    The box lies inside every pair's square, so the bivariate scale of the
-    least correlated pair is below the root.  From there Newton's method
-    with the closed-form slope (:func:`_box_slope`, :func:`_newton_scale`)
-    steps on the box probability at ``_TVN_COARSE_NODES`` nodes per piece
-    until the predicted error is below 1e-6, and then on the full box
-    probability to 1e-10; so the result is a root of the full one to
-    1e-10, and the coarse steps only save time.  On the golden trial that
-    is 3 coarse and 1 full box probability and 4 slopes.  The bracket
-    runs from the univariate normal quantile (perfect correlation) to the
-    Sidak quantile (independence), so the result is never below the
-    univariate quantile.  The box probability agrees with the same
-    quadrature at 40 nodes per piece to 1e-11 on 1,000 random (matrix, xi)
-    pairs, near-singular and near rank-1 matrices included, and with a
-    1024 x 1024 tensor grid to 3e-15 on the golden trial's.
+    The bracket runs from the univariate normal quantile (perfect
+    correlation) to the Sidak quantile (independence).  One call evaluates
+    the box probability at ``_TVN_COARSE_NODES`` nodes per piece on the
+    ``_TVN_SWEEP`` Chebyshev points of the bracket, ends included.  Newton's
+    method with the closed-form slope (:func:`_box_slope`,
+    :func:`_newton_scale`) starts from the root of their Chebyshev
+    interpolant between the two points where the sweep crosses 1 - alpha
+    (the left end if there is none) and steps on the full box probability
+    to 1e-10, so the result is a root of the full one and the sweep only
+    saves time.  On both golden analyses, and on 200 random correlation
+    matrices at alpha = 0.01, 0.05 and 0.2, that is one sweep, 1 full box
+    probability and 1 slope.  The result is never below the univariate
+    quantile.  The box probability agrees with the same quadrature at 40
+    nodes per piece to 1e-11 on 1,000 random (matrix, xi) pairs,
+    near-singular and near rank-1 matrices included, and with a 1024 x
+    1024 tensor grid to 3e-15 on the golden trial's.
     """
     corr = np.asarray(corr, dtype=float)
     target = 1.0 - alpha
     lo, hi = _scale_bracket(alpha, 3)
-    pair = min(((0, 1), (0, 2), (1, 2)), key=lambda ij: abs(corr[ij]))
-    x = simultaneous_scale(float(np.clip(corr[pair], -1.0, 1.0)), alpha)
-
-    def slope(xi):
-        return _box_slope(xi, corr)
-
-    x = _newton_scale(lambda xi: _trivariate_box_prob(xi, corr, nodes=_TVN_COARSE_NODES),
-                      slope, target, lo, hi, x, _TVN_COARSE_XTOL)
-    return _newton_scale(lambda xi: _trivariate_box_prob(xi, corr), slope, target, lo, hi, x)
+    cheb = np.polynomial.chebyshev
+    t = cheb.chebpts2(_TVN_SWEEP)
+    gap = _trivariate_box_prob(lo + (hi - lo) * 0.5 * (t + 1.0), corr,
+                               nodes=_TVN_COARSE_NODES) - target
+    # the root between the two sweep points where the coarse gap changes sign
+    k = min(max(int(np.searchsorted(gap, 0.0)), 1), _TVN_SWEEP - 1)
+    roots = cheb.chebroots(np.linalg.solve(cheb.chebvander(t, _TVN_SWEEP - 1), gap))
+    roots = roots.real[(roots.imag == 0) & (roots.real >= t[k - 1]) & (roots.real <= t[k])]
+    x = lo + (hi - lo) * 0.5 * (roots[0] + 1.0) if roots.size else lo
+    return float(_newton_scale(lambda xi: _trivariate_box_prob(xi, corr),
+                               lambda xi: _box_slope(xi, corr), target, lo, hi, x))
 
 
 def overall_concordance_report(
@@ -1056,8 +1067,9 @@ def overall_concordance_report(
     uncertainty is not propagated into the overall effect.  The common
     scale ``xi_alpha`` is the equicoordinate quantile of the trivariate
     normal with that covariance's correlation, a root of the deterministic
-    box probability to 1e-10 by Newton's method with its closed-form slope
-    (see ``_equicoordinate_scale_mvn``), at joint coverage 1 - ``alpha``.
+    box probability to 1e-10 at joint coverage 1 - ``alpha``: one coarse
+    sweep of the bracket, then Newton's method with the closed-form slope
+    on the full box probability (see ``_equicoordinate_scale_mvn``).
     ``information`` is that profile information when the caller already
     holds it; otherwise it is computed here.
     """

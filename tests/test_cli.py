@@ -424,8 +424,9 @@ class TestSimulateCommand:
         ("seed", -3, [], "base_seed must be non-negative, got -3"),
         ("seed", 56, ["--seed", "-3"], "base_seed must be non-negative, got -3"),
         ("theta", [0.0, 0.1, 0.0, 0.2], [], "theta must be a list of 3 numbers, got "),
+        ("prevalance_known", True, [], "unknown key(s) 'prevalance_known'"),
     ], ids=["known_str", "known_int", "n_float", "n_bool", "reps_float", "seed_float",
-            "seed_negative", "seed_flag_negative", "theta_four"])
+            "seed_negative", "seed_flag_negative", "theta_four", "misspelt_key"])
     def test_values_are_never_coerced(self, tmp_path, capsys, key, value, flags, message):
         entries = [dict(entry) for entry in self.CONFIG]
         entries[1][key] = value

@@ -125,6 +125,33 @@ def extreme_trials(draw):
     return time, event, x, w, theta
 
 
+class TestRiskSums:
+    @settings(max_examples=200)
+    @given(weighted_trials(), st.booleans())
+    # one subject, in the control arm only
+    @example(([1], [1], [0], [0.3], [0.0, 0.0, 0.0]), False)
+    # every subject treated, with ties
+    @example(([2, 2, 1, 3], [1, 0, 1, 1], [1, 1, 1, 1], [0.2, 1.0, 0.0, 0.6],
+              [0.0, 0.0, 0.0]), True)
+    # unequal arms: one control subject against four treated
+    @example(([1, 2, 2, 3, 4], [1, 1, 0, 1, 0], [1, 0, 1, 1, 1],
+              [0.5, 0.9, 0.1, 0.0, 1.0], [0.0, 0.0, 0.0]), False)
+    def test_arms_are_brute_force_risk_set_sums(self, case, two_lanes):
+        # at each event time, the sums of 1 - w and of w over each arm's
+        # subjects still at risk, lane by lane
+        time, event, x, w, _ = case
+        time, x = np.asarray(time, dtype=float), np.asarray(x)
+        w = np.asarray(w)
+        if two_lanes:
+            w = np.stack([w, w[::-1]])
+        rs = RiskSets(time, event, x)
+        arms = RiskSums(rs, w).arms
+        for lane in np.ndindex(w.shape[:-1]):
+            want = [[np.sum(v[(time >= t) & (x == arm)]) for t in rs.ets]
+                    for v in (1.0 - w[lane], w[lane]) for arm in (0, 1)]
+            assert np.allclose(arms[lane], want, rtol=0.0, atol=1e-12)
+
+
 class TestPartialLoglik:
     def test_single_event_row_is_zero(self):
         value, _, _ = loglik(RiskSets([1.0], [1], [0]), [1.0], np.zeros(3))

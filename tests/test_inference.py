@@ -1055,6 +1055,46 @@ def _tensor_box_prob(xi, corr, n=1024):
     return float((b1 - a1) * (w @ ((b2 - a2)[:, None] * e3) @ w))
 
 
+def _clipped_pieces(lo, hi, cuts, nodes):
+    """The layout _normal_pieces compacts: every cut clipped into [lo,
+    hi] (a NaN one to hi), so a cut outside makes a piece of zero width."""
+    gl_nodes, gl_weights = inference._GAUSS_LEGENDRE[nodes]
+    lo, hi = lo[..., None], hi[..., None]
+    cuts = np.clip(np.sort(np.where(np.isnan(cuts), hi, cuts), axis=-1), lo, hi)
+    ends = np.concatenate([lo, cuts, hi], axis=-1)
+    start = ends[..., :-1, None]
+    width = ends[..., 1:, None] - start
+    y = (start + width * gl_nodes).reshape(*ends.shape[:-1], -1)
+    w = (width * gl_weights).reshape(y.shape) * np.exp(-0.5 * y * y) / math.sqrt(2 * math.pi)
+    return y, w
+
+
+class TestNormalPieces:
+    @settings(max_examples=200)
+    @given(rows=st.lists(st.tuples(st.floats(-8.0, 8.0), st.floats(0.0, 8.0),
+                                   st.lists(st.one_of(st.floats(-12.0, 12.0),
+                                                      st.just(math.nan)),
+                                            min_size=4, max_size=4)),
+                         min_size=1, max_size=5),
+           dup=st.booleans(), nodes=st.sampled_from([6, 12]))
+    # every cut outside its range, or NaN
+    @example(rows=[(-1.0, 2.0, [-3.0, 1.5, 5.0, math.nan]), (0.0, 1.0, [2.0, -2.0, 1.0, 0.0])],
+             dup=False, nodes=12)
+    def test_compaction_is_exact(self, rows, dup, nodes):
+        lo = np.array([r[0] for r in rows])
+        hi = lo + np.array([r[1] for r in rows])
+        cuts = np.array([r[2] for r in rows])
+        if dup:
+            cuts = np.concatenate([cuts, cuts[:, :2]], axis=1)
+        y, w = inference._normal_pieces(lo, hi, cuts, nodes)
+        y_ref, w_ref = _clipped_pieces(lo, hi, cuts, nodes)
+        assert y.shape[-1] <= y_ref.shape[-1]
+        # of a smooth integrand, with the same integral
+        assert np.sum(w * np.cos(y), axis=-1) == pytest.approx(
+            np.sum(w_ref * np.cos(y_ref), axis=-1), rel=0.0, abs=1e-15)
+        assert np.all(w >= 0.0)
+
+
 class TestTrivariateScale:
     UNIVARIATE = stats.norm.ppf(0.975)
     SIDAK = stats.norm.ppf(0.5 * (1 + 0.95 ** (1 / 3)))
@@ -1095,41 +1135,69 @@ class TestTrivariateScale:
         assert inference._trivariate_box_prob(2.3, corr) == pytest.approx(
             _tensor_box_prob(2.3, corr), abs=1e-8)
 
-    def test_golden_trial_correlation(self, monkeypatch, golden):
+    def test_golden_trial_correlation(self, golden):
         _, _, res, corr = golden
         rep = overall_concordance_report(res)
         assert rep.xi_alpha == pytest.approx(self.SOBOL_GOLDEN, abs=1e-4)
-        box = inference._trivariate_box_prob
-        full = inference._TVN_NODES
-        calls = []
-        monkeypatch.setattr(inference, "_trivariate_box_prob",
-                            lambda xi, c, nodes=full: calls.append(nodes) or box(xi, c, nodes))
         assert rep.xi_alpha == inference._equicoordinate_scale_mvn(corr, 0.05)
-        # full-accuracy box probabilities; a coarse one costs about a quarter
-        assert calls.count(full) <= 2
-        assert len(calls) <= 6
-        # reference: bisection of the same box probability to 1e-13
-        assert rep.xi_alpha == pytest.approx(self.bisection(corr), abs=1e-10)
 
-    def bisection(self, corr):
+    @staticmethod
+    def bisection(corr, alpha):
         """The root of the full box probability, bisected to 1e-13."""
-        lo, hi = self.UNIVARIATE, self.SIDAK
+        lo, hi = inference._scale_bracket(alpha, 3)
         while hi - lo > 1e-13:
             mid = 0.5 * (lo + hi)
-            below = inference._trivariate_box_prob(mid, corr) < 0.95
+            below = inference._trivariate_box_prob(mid, corr) < 1.0 - alpha
             lo, hi = (mid, hi) if below else (lo, mid)
         return 0.5 * (lo + hi)
 
-    @pytest.mark.parametrize("case", ["near combination", "rank two 0.3", "rank two -0.5"])
-    def test_matches_fine_bisection(self, case):
-        # the golden trial's correlation is checked above
-        if case == "near combination":
+    @pytest.mark.parametrize("case", ["golden", "near combination", "rank two 0.3",
+                                      "rank two -0.5", "random"])
+    def test_matches_fine_bisection(self, golden, case):
+        if case == "golden":
+            corr = golden[3]
+        elif case == "near combination":
             corr = _near_combination(0.01)
+        elif case == "random":
+            corr = _random_correlation(np.random.default_rng(3).uniform(-1, 1, 9), 0.5)
         else:
             rho = float(case.split()[-1])
             corr = np.array([[1.0, rho, rho], [rho, 1.0, 1.0], [rho, 1.0, 1.0]])
-        xi = inference._equicoordinate_scale_mvn(corr, 0.05)
-        assert xi == pytest.approx(self.bisection(corr), abs=1e-10)
+        for alpha in (0.01, 0.05, 0.2):
+            xi = inference._equicoordinate_scale_mvn(corr, alpha)
+            assert xi == pytest.approx(self.bisection(corr, alpha), abs=1e-10), alpha
+
+    def test_box_probabilities_per_solve(self, monkeypatch, golden):
+        # one coarse sweep of the bracket, then at most 2 full-accuracy box
+        # probabilities, each about three quarters of the sweep's cost
+        box = inference._trivariate_box_prob
+        full = inference._TVN_NODES
+        calls = []
+        monkeypatch.setattr(inference, "_trivariate_box_prob", lambda xi, c, nodes=full: (
+            calls.append((nodes, np.size(xi))) or box(xi, c, nodes)))
+        rng = np.random.default_rng(5)
+        matrices = [golden[3], np.eye(3), np.ones((3, 3)), _near_combination(0.01),
+                    *(_random_correlation(rng.uniform(-1, 1, 9), noise)
+                      for noise in (*rng.uniform(0, 1, 20), 1e-2, 1e-4, 0.0))]
+        for corr in matrices:
+            for alpha in (0.01, 0.05, 0.2):
+                calls.clear()
+                inference._equicoordinate_scale_mvn(corr, alpha)
+                assert calls[0] == (inference._TVN_COARSE_NODES, inference._TVN_SWEEP)
+                assert 1 <= len(calls[1:]) <= 2
+                assert set(calls[1:]) == {(full, 1)}
+
+    @settings(max_examples=40)
+    @given(entries=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+           noise=st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e-2, 1e-4])),
+           xis=st.lists(st.floats(0.3, 4.5), min_size=1, max_size=6),
+           nodes=st.sampled_from([6, 12]))
+    def test_array_of_scales_matches_scalar_calls(self, entries, noise, xis, nodes):
+        corr = _random_correlation(entries, noise)
+        got = inference._trivariate_box_prob(np.array(xis), corr, nodes)
+        assert got.shape == (len(xis),)
+        want = [inference._trivariate_box_prob(xi, corr, nodes) for xi in xis]
+        assert got == pytest.approx(want, rel=0.0, abs=1e-15)
 
     @settings(max_examples=40)
     @given(entries=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
