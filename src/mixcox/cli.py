@@ -164,14 +164,23 @@ def _fmt_p(p: float) -> str:
     return f"{p:.3f}" if p < 0.01 else f"{p:.2f}"
 
 
+def _read_utf8(path) -> str:
+    """The text of the UTF-8 file at ``path``, with or without a byte-order
+    mark; a DatasetError naming the file if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def parse_dataset(path) -> Dataset:
     """Read a delimited dataset with header columns time, event,
     treatment, biomarker_test (biomarker_test: 0, 1, NA or empty).
 
-    The file is UTF-8, with or without a byte-order mark.  The delimiter
-    is the first of comma, semicolon and tab that the header line contains
-    (a comma if it holds none); fields may be quoted."""
-    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    The file is UTF-8 (:func:`_read_utf8`).  The delimiter is the first of
+    comma, semicolon and tab that the header line contains (a comma if it
+    holds none); fields may be quoted."""
+    lines = _read_utf8(path).splitlines()
     header_line = next((line for line in lines if line.strip()), "")
     delimiter = next((d for d in ",;\t" if d in header_line), ",")
     reader = csv.reader(lines, delimiter=delimiter, skipinitialspace=True)
@@ -317,21 +326,21 @@ def run_simulation(config_path, out_dir, reps_override=None, seed_override=None,
                    workers: int = 1) -> list[Path]:
     """Run every scenario in a JSON config and write summary tables.
 
-    The config is either a list of scenario objects or ``{"scenarios":
-    [...]}``; each object has keys theta (a list of 3 numbers), pi, sens,
-    spec, n_per_arm, reps, seed, and optionally alpha, prevalence_known,
-    censor_low, censor_high.  Numbers are JSON numbers, n_per_arm, reps
-    and seed integers and prevalence_known true or false; a value of
-    another type is a DatasetError, never coerced, and so is any other
-    key.  Writes ``summary.txt`` and ``summary.csv`` to ``out_dir``; both
-    are byte-stable for a fixed config and seed.
+    The config is UTF-8 JSON: either a list of scenario objects or
+    ``{"scenarios": [...]}``; each object has keys theta (a list of 3
+    numbers), pi, sens, spec, n_per_arm, reps, seed, and optionally alpha,
+    prevalence_known, censor_low, censor_high.  Numbers are JSON numbers,
+    n_per_arm, reps and seed integers and prevalence_known true or false;
+    a value of another type is a DatasetError, never coerced, and so is
+    any other key.  Writes ``summary.txt`` and ``summary.csv`` to
+    ``out_dir``; both are byte-stable for a fixed config and seed.
     """
-    raw = Path(config_path).read_text()
+    raw = _read_utf8(config_path)
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{config_path}: invalid JSON: {exc}") from None
-    entries = doc["scenarios"] if isinstance(doc, dict) else doc
+    entries = doc.get("scenarios") if isinstance(doc, dict) else doc
     if not isinstance(entries, list) or not entries:
         raise DatasetError(f"{config_path}: expected a non-empty list of scenarios")
     configs = [_scenario_from_dict(e, reps_override, seed_override) for e in entries]

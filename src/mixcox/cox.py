@@ -67,6 +67,9 @@ _EYE = np.eye(3)
 # the linear predictors (b1, b2, b1 + b2 + g, 0) as rows of coefficients
 # on theta = (b1, b2, g)
 _LINEAR = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+# the linear predictors by latent status (positive, negative) and arm, as
+# indices into :func:`_linear`'s (b1, b2, b1 + b2 + g, 0)
+_ETA = np.array([[1, 2], [3, 0]])
 
 
 class RiskSets:

@@ -32,7 +32,9 @@ sums over the distinct event times.  Then one pass over the subjects at
 the new state (:func:`_e_pass`) gives both the observed log-likelihood
 and the posterior weights of the next E-step.  Per-subject linear
 predictors, relative risks and prior log-weights are lookups into small
-tables by arm, test group and event indicator.  The loop carries the
+tables by arm, test group and event indicator: ``cox._ETA`` and
+``model._log_priors``, which the simulator, the profile information and
+:func:`model.mixture_survival` read too.  The loop carries the
 state as (theta, hazard increments, pi) arrays and builds the
 :class:`BaselineHazard` once, for the result.  The :class:`FitResult`
 records the Dataset and the diagnostic model it was fitted to, with the
@@ -87,7 +89,6 @@ inside the step.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -101,6 +102,7 @@ from .model import (
     DiagnosticModel,
     EffectParams,
     TEST_MISSING,
+    _log_priors,
 )
 
 __all__ = ["FitResult", "fit"]
@@ -114,9 +116,6 @@ TOL_LOGLIK = 1e-8
 MAX_ITER = 2000
 # event indicator values, for the per-class tables of :func:`_e_pass`
 _EVENT = np.array([0.0, 1.0])
-# the linear predictors by latent status (positive, negative) and arm, as
-# indices into ``cox._linear``'s (b1, b2, b1 + b2 + g, 0)
-_ETA = np.array([[1, 2], [3, 0]])
 
 
 def _check_max_iter(max_iter: int) -> None:
@@ -191,41 +190,6 @@ def _workspace(data: Dataset, res: "FitResult | None") -> _Workspace:
     return ws if ws is not None and res.data is data else _Workspace(data)
 
 
-@functools.lru_cache(maxsize=16)
-def _test_probs(sensitivity: float, specificity: float):
-    """(2, 3) table of P(test result | status): rows truly positive and
-    truly negative, columns positive, negative and missing; and whether
-    it holds a zero (a perfect test)."""
-    table = np.array([[sensitivity, 1 - sensitivity, 1.0],
-                      [1 - specificity, specificity, 1.0]])
-    table.flags.writeable = False
-    return table, not table.min() > 0
-
-
-def _log_priors(diag, pi) -> np.ndarray:
-    """(..., 2, 3) table of prior log-weights per lane: rows truly positive
-    and truly negative, columns the test results positive, negative and
-    missing.  ``pi`` is the prevalence of each lane.
-
-    With unknown prevalence the entries are the joint probabilities
-    P(status, test result) (``pi * sensitivity`` etc.), also in a lane
-    that holds the prevalence at a profiled value; with known prevalence
-    the test result is conditioned on, so the tested columns are divided
-    by P(test result), which gives the predictive values.  An untested
-    subject has the prevalence either way.  A perfect test gives zeros,
-    whose logs are -inf.
-    """
-    table, perfect = _test_probs(diag.sensitivity, diag.specificity)
-    pi = np.asarray(pi, dtype=float)[..., None, None]
-    probs = np.concatenate((pi, 1 - pi), axis=-2) * table
-    if diag.prevalence_known:
-        probs[..., :2] /= probs[..., :1, :2] + probs[..., 1:, :2]
-    if not perfect:
-        return np.log(probs)
-    with np.errstate(divide="ignore"):
-        return np.log(probs)
-
-
 def _e_pass(ws, state, diag):
     """Observed log-likelihood at ``state`` = (theta, hazard increments,
     pi) and the posterior probability of true positive status per subject
@@ -249,7 +213,7 @@ def _e_pass(ws, state, diag):
     (inc * rs.widths).cumsum(axis=-1, out=cum[..., 1:])
     h0 = cum.take(ws.n_events_le, axis=-1)[..., None, :]
     # linear predictors by latent status (positive, negative) and arm
-    eta = cox._linear(theta).take(_ETA, axis=-1)
+    eta = cox._linear(theta).take(cox._ETA, axis=-1)
     # log prior plus the linear predictor if the subject had an event, by
     # latent status and subject class (test group, arm, event)
     const = (_log_priors(diag, pi)[..., :, :, None, None]
@@ -281,10 +245,14 @@ def _logit(p):
     return np.log(p / (1.0 - p))
 
 
+def _clip_prevalence(pi):
+    """``pi`` clipped to [PREVALENCE_FLOOR, 1 - PREVALENCE_FLOOR]."""
+    return np.minimum(np.maximum(pi, PREVALENCE_FLOOR), 1.0 - PREVALENCE_FLOOR)
+
+
 def _update_prevalence(w: np.ndarray):
     """Mean posterior weight of each lane, clipped away from the boundary."""
-    mean = np.add.reduce(w, axis=-1) / w.shape[-1]
-    return np.minimum(np.maximum(mean, PREVALENCE_FLOOR), 1.0 - PREVALENCE_FLOOR)
+    return _clip_prevalence(np.add.reduce(w, axis=-1) / w.shape[-1])
 
 
 def _m_step(ws, w, theta, free):
@@ -310,24 +278,35 @@ def _m_step(ws, w, theta, free):
     return step.beta, cox._breslow(ws.risk_sets, step.s0), step.errors
 
 
-def _initial_state(ws, diag, fixed):
-    se, sp = diag.sensitivity, diag.specificity
-    if "pi" in fixed:
-        pi = fixed["pi"]
-    elif diag.prevalence_known:
-        pi = diag.prevalence
+def _initial_state(ws, diag, fixed, warm=None):
+    """The start (theta, hazard increments, pi) of one lane per mapping of
+    ``fixed``, stacked: the state of the fit ``warm`` with the lane's pins
+    applied, or without ``warm`` the null start of a cold fit.
+
+    The null start has the free coefficients at zero and the Breslow
+    increments under the prior weights of true positive status, from one
+    stacked call for all lanes.  Its prevalence, unless pinned or known,
+    inverts the observed positive fraction (method of moments), clipped
+    as the EM clips its estimate.
+    """
+    if diag.prevalence_known:
+        pi0 = diag.prevalence
+    elif warm is not None:
+        pi0 = warm.pi_hat
     else:
-        # method-of-moments inversion of the observed positive fraction
+        se, sp = diag.sensitivity, diag.specificity
         observed = ws.v != TEST_MISSING
         v_bar = float(np.mean(ws.v[observed] == 1)) if np.any(observed) else 0.5
-        pi = float(np.clip((v_bar + sp - 1) / (se + sp - 1),
-                           PREVALENCE_FLOOR, 1.0 - PREVALENCE_FLOOR))
+        pi0 = float(_clip_prevalence((v_bar + sp - 1) / (se + sp - 1)))
+    start = np.zeros(3) if warm is None else warm.theta_hat.as_array()
+    theta = np.array([[f.get(name, start[i]) for i, name in enumerate(PARAM_NAMES)]
+                      for f in fixed], dtype=float)
+    pi = np.array([f.get("pi", pi0) for f in fixed], dtype=float)
+    if warm is not None:
+        return theta, np.repeat(warm.baseline.increments[None], len(fixed), axis=0), pi
     log_prior = _log_priors(diag, pi)
-    prior = _expit(log_prior[0] - log_prior[1])[ws.group]
-    # null start: free coefficients at zero, fixed ones at their values
-    theta0 = np.array([fixed.get(name, 0.0) for name in PARAM_NAMES], dtype=float)
-    inc = cox.breslow_baseline(cox.RiskSums(ws.risk_sets, prior), theta0)
-    return theta0, inc, pi
+    prior = _expit(log_prior[:, 0] - log_prior[:, 1]).take(ws.group, axis=-1)
+    return theta, cox.breslow_baseline(cox.RiskSums(ws.risk_sets, prior), theta), pi
 
 
 def _lane_mask(errors: dict, size: int) -> np.ndarray:
@@ -480,17 +459,7 @@ def _fit_lanes(data: Dataset, diag: DiagnosticModel, pins, max_iter: int = MAX_I
     held = np.array([diag.prevalence_known or "pi" in f for f in fixed])
     ws = _workspace(data, warm)
     free = np.array([[name not in f for name in PARAM_NAMES] for f in fixed])
-    if warm is not None:
-        start = warm.theta_hat.as_array()
-        theta = np.array([[f.get(name, start[i]) for i, name in enumerate(PARAM_NAMES)]
-                          for f in fixed], dtype=float)
-        inc = np.repeat(warm.baseline.increments[None], len(fixed), axis=0)
-        pi0 = diag.prevalence if diag.prevalence_known else warm.pi_hat
-        pi = np.array([f.get("pi", pi0) for f in fixed], dtype=float)
-    else:
-        starts = [_initial_state(ws, diag, f) for f in fixed]
-        theta, inc, pi = (np.array(part) for part in zip(*starts))
-    state = (theta, inc, pi)
+    state = _initial_state(ws, diag, fixed, warm)
 
     results: list = [None] * len(fixed)
     traces: list[list[float]] = [[] for _ in fixed]

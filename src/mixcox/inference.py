@@ -591,8 +591,8 @@ def fd_profile_information(fit_result: em.FitResult) -> np.ndarray:
     # each subject's relative risk and design row of psi under either
     # status (positive, negative), from the linear predictors by status and
     # arm that em._e_pass uses; the pi slot holds no coefficient
-    r_pos, r_neg = np.exp(cox._linear(fit_result.theta_hat.as_array()).take(em._ETA))[:, ws.arm]
-    z_pos, z_neg = np.pad(cox._LINEAR, ((0, 0), (0, n_psi - 3)))[em._ETA[:, ws.arm]]
+    r_pos, r_neg = np.exp(cox._linear(fit_result.theta_hat.as_array()).take(cox._ETA))[:, ws.arm]
+    z_pos, z_neg = np.pad(cox._LINEAR, ((0, 0), (0, n_psi - 3)))[cox._ETA[:, ws.arm]]
     e_pos = data.event - cum * r_pos
     e_neg = data.event - cum * r_neg
     # A' - B' in psi

@@ -6,9 +6,9 @@ biomarker.  The test has known sensitivity and specificity, so the true
 biomarker status is latent and the survivor function in each observed test
 group is a two-component mixture of proportional-hazards models.  This
 module holds the value types shared by the estimator, the inference
-routines and the simulator, together with the diagnostic-accuracy algebra
-(predictive values), the linear predictor and the mixture survivor
-function.
+routines and the simulator, together with the prior table of latent
+status and test result that the E-step and the mixture survivor function
+share.
 
 All types are immutable after construction and all functions are pure, so
 everything here is safe to share across threads.
@@ -16,10 +16,12 @@ everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import cox
 from .errors import DatasetError
 
 __all__ = [
@@ -118,6 +120,43 @@ class DiagnosticModel:
             raise DatasetError("prevalence must be in (0, 1)")
 
 
+@functools.lru_cache(maxsize=16)
+def _test_probs(sensitivity: float, specificity: float):
+    """(2, 3) table of P(test result | status): rows truly positive and
+    truly negative, columns positive, negative and missing; and whether
+    it holds a zero (a perfect test)."""
+    table = np.array([[sensitivity, 1 - sensitivity, 1.0],
+                      [1 - specificity, specificity, 1.0]])
+    table.flags.writeable = False
+    return table, not table.min() > 0
+
+
+def _log_priors(diag: DiagnosticModel, pi) -> np.ndarray:
+    """(..., 2, 3) table of prior log-weights per lane: rows truly positive
+    and truly negative, columns the test results positive, negative and
+    missing.  ``pi`` is the prevalence of each lane.
+
+    With unknown prevalence the entries are the joint probabilities
+    P(status, test result) (``pi * sensitivity`` etc.), also in a lane
+    that holds the prevalence at a profiled value; with known prevalence
+    the test result is conditioned on, so the tested columns are divided
+    by P(test result), which gives the predictive values.  An untested
+    subject has the prevalence either way.  Under both conventions a
+    column's two weights are proportional to P(status, test result), so
+    P(true positive | test result) is the first over their sum.  A perfect
+    test gives zeros, whose logs are -inf.
+    """
+    table, perfect = _test_probs(diag.sensitivity, diag.specificity)
+    pi = np.asarray(pi, dtype=float)[..., None, None]
+    probs = np.concatenate((pi, 1 - pi), axis=-2) * table
+    if diag.prevalence_known:
+        probs[..., :2] /= probs[..., :1, :2] + probs[..., 1:, :2]
+    if not perfect:
+        return np.log(probs)
+    with np.errstate(divide="ignore"):
+        return np.log(probs)
+
+
 @dataclass(frozen=True)
 class EffectParams:
     """Log-hazard-scale regression effects.
@@ -192,26 +231,6 @@ class BaselineHazard:
         return out if out.ndim else float(out)
 
 
-def _ppv(diag: DiagnosticModel) -> float:
-    """Positive predictive value: P(true positive | test positive)."""
-    pi, se, sp = diag.prevalence, diag.sensitivity, diag.specificity
-    return pi * se / (pi * se + (1 - pi) * (1 - sp))
-
-
-def _npv(diag: DiagnosticModel) -> float:
-    """Negative predictive value: P(true negative | test negative)."""
-    pi, se, sp = diag.prevalence, diag.sensitivity, diag.specificity
-    return (1 - pi) * sp / (pi * (1 - se) + (1 - pi) * sp)
-
-
-def _linear_predictor(theta: EffectParams, x, z):
-    """Log relative hazard ``beta1*x + beta2*z + gamma*x*z``."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    out = theta.beta1 * x + theta.beta2 * z + theta.gamma * x * z
-    return out if out.ndim else float(out)
-
-
 def mixture_survival(
     t: float,
     x: int,
@@ -220,26 +239,22 @@ def mixture_survival(
     baseline: BaselineHazard,
     diag: DiagnosticModel,
 ) -> float:
-    """Survivor probability at ``t`` for a subject in a test-result group.
+    """Survivor probability at ``t`` for a subject in arm ``x`` (0 control,
+    1 treated) and a test-result group.
 
     ``group`` is the observed test result (1 positive, 0 negative, None
     missing).  The result is the two-component mixture of the latent-status
-    survivor functions ``exp(-H0(t) exp(eta))`` with mixing weight PPV,
-    1 - NPV or the prevalence, respectively.  Computed on the log scale.
+    survivor functions ``exp(-H0(t) exp(eta))``, weighted by the group's
+    column of the prior table (:func:`_log_priors`) normalized to sum to
+    one: the positive predictive value, 1 minus the negative predictive
+    value or the prevalence, respectively.  Computed on the log scale.
     """
-    if group == 1:
-        w = _ppv(diag)
-    elif group == 0:
-        w = 1.0 - _npv(diag)
-    elif group is None:
-        w = diag.prevalence
-    else:
-        raise DatasetError(f"group must be 0, 1 or None, got {group}")
-    h0t = baseline.cumulative(t)
-    log_s1 = -h0t * np.exp(_linear_predictor(theta, x, 1))
-    log_s0 = -h0t * np.exp(_linear_predictor(theta, x, 0))
-    if w == 1.0:
-        return float(np.exp(log_s1))
-    if w == 0.0:
-        return float(np.exp(log_s0))
-    return float(np.exp(np.logaddexp(np.log(w) + log_s1, np.log1p(-w) + log_s0)))
+    if x not in (0, 1) or group not in (1, 0, None):
+        raise DatasetError(f"x must be 0 or 1 and group 0, 1 or None, got {x} and {group}")
+    # log mixing weights of true positive and negative status in the group;
+    # adding the log survivor functions of the two statuses in arm x gives
+    # the log mixture terms
+    log_prior = _log_priors(diag, diag.prevalence)[:, 2 if group is None else 1 - int(group)]
+    log_w = log_prior - np.logaddexp(*log_prior)
+    eta = cox._linear(theta.as_array()).take(cox._ETA)[:, int(x)]
+    return float(np.exp(np.logaddexp(*(log_w - baseline.cumulative(t) * np.exp(eta)))))

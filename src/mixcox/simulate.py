@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import em, inference
+from . import cox, em, inference
 from .errors import DatasetError, MixcoxError
-from .model import Dataset, DiagnosticModel, EffectParams, _linear_predictor
+from .model import Dataset, DiagnosticModel, EffectParams
 
 __all__ = [
     "ScenarioConfig",
@@ -64,8 +64,8 @@ class ScenarioConfig:
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
         inference._check_alpha(self.alpha)
-        if not 0 < self.censor_low < self.censor_high:
-            raise ValueError("need 0 < censor_low < censor_high")
+        if not 0 < self.censor_low < self.censor_high < np.inf:
+            raise ValueError("need 0 < censor_low < censor_high, both finite")
         object.__setattr__(self, "diag", DiagnosticModel(
             self.sens, self.spec, self.pi_true, prevalence_known=self.prevalence_known))
 
@@ -132,7 +132,8 @@ def _draw_trial(config: ScenarioConfig, rng: np.random.Generator):
         x[idx] = pattern
         if idx.size % 2 == 1:
             start = 1 - start
-    eta = _linear_predictor(config.theta_true, x, z)
+    # log relative hazards by latent status (positive, negative) and arm
+    eta = cox._linear(config.theta_true.as_array()).take(cox._ETA)[1 - z, x]
     t_latent = _draw_survival_time(rng.random(n), eta)
     censor = rng.uniform(config.censor_low, config.censor_high, n)
     time = np.minimum(t_latent, censor)

@@ -114,12 +114,7 @@ def one_em_map(data, diag, warm=None) -> em.FitResult:
     free, as a FitResult: from the state of the fit ``warm``, or from the
     null start of a cold fit.  Its ``weights`` are the posterior there."""
     ws = em._Workspace(data)
-    if warm is None:
-        theta, inc, pi = em._initial_state(ws, diag, {})
-    else:
-        theta, inc = warm.theta_hat.as_array(), warm.baseline.increments
-        pi = diag.prevalence if diag.prevalence_known else warm.pi_hat
-    state = (theta[None], inc[None], np.array([pi]))
+    state = em._initial_state(ws, diag, [{}], warm)
     held = np.array([diag.prevalence_known])
     w = em._e_pass(ws, state, diag)[1]
     (theta, inc, pi), w, ll, errors = em._em_map(ws, diag, np.ones((1, 3), dtype=bool),

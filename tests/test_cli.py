@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -351,6 +352,15 @@ class TestExitCodes:
         assert rc == 0
         assert "(-50.00, 50.00) *" in capsys.readouterr().out
 
+    def test_non_utf8_dataset_is_validation_error(self, tmp_path, capsys):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(GOOD.replace("2.0,0,1,0", "2.0,0,1,0 \xe9").encode("latin-1"))
+        out = tmp_path / "report.txt"
+        assert main(["fit", str(p), "--sens", "1", "--spec", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: not UTF-8 text") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_io_error(self, capsys):
         assert main(["fit", "/nonexistent/file.csv",
                      "--sens", "1", "--spec", "1"]) == 3
@@ -399,8 +409,9 @@ class TestSimulateCommand:
         assert ",2," in (out / "summary.csv").read_text().splitlines()[1]
 
     @pytest.mark.parametrize("scenario, key, value",
-                             [(0, "n_per_arm", 0), (1, "pi", 1.3), (0, "alpha", 1.5)],
-                             ids=["n_per_arm", "pi_of_second", "alpha"])
+                             [(0, "n_per_arm", 0), (1, "pi", 1.3), (0, "alpha", 1.5),
+                              (1, "censor_high", math.inf)],
+                             ids=["n_per_arm", "pi_of_second", "alpha", "censor_high_inf"])
     def test_invalid_scenario_fails_before_any_runs(self, tmp_path, capsys,
                                                     scenario, key, value):
         entries = [dict(entry) for entry in self.CONFIG]
@@ -455,6 +466,20 @@ class TestSimulateCommand:
         cfg = write(tmp_path, "{not json", name="bad.json")
         assert main(["simulate", "--config", str(cfg), "--out-dir",
                      str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("raw", [
+        json.dumps(CONFIG).replace('"seed": 56', '"seed": 56, "note": "\xe9"').encode("latin-1"),
+        json.dumps({"scenario": CONFIG}).encode(),
+    ], ids=["non_utf8", "object_without_scenarios"])
+    def test_unreadable_config_is_validation_error(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "scenarios.json"
+        cfg.write_bytes(raw)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {cfg}: ") and captured.err.count("\n") == 1
+        assert "scenario 1/" not in captured.out
+        assert not out.exists()
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "none.json"),

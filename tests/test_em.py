@@ -287,7 +287,8 @@ def start_state(data, d, warm, fixed):
     """The state ``em.fit`` starts from: the null start of a cold fit, or
     the warm fit's state with the pins applied."""
     if warm is None:
-        return em._initial_state(em._Workspace(data), d, fixed)
+        theta, inc, pi = em._initial_state(em._Workspace(data), d, [fixed])
+        return theta[0], inc[0], pi[0]
     theta = warm.theta_hat.as_array()
     for name, value in fixed.items():
         theta[em.PARAM_NAMES.index(name)] = value
@@ -678,14 +679,17 @@ class TestLockstepLanes:
         assert_same_lanes([fit(data, d)], em._fit_lanes(data, d, [{}]))
 
     @settings(max_examples=40, deadline=None)
-    @given(small_trials(), accuracies, accuracies, st.floats(0.1, 0.9), st.booleans())
-    def test_lanes_match_one_lane_refits(self, data, sens, spec, pi, cold):
-        d = diag(sens, spec, pi, known=False)
+    @given(small_trials(), accuracies, accuracies, st.floats(0.1, 0.9), st.booleans(),
+           st.booleans())
+    def test_lanes_match_one_lane_refits(self, data, sens, spec, pi, cold, known):
+        d = diag(sens, spec, pi, known)
         try:
             base = fit(data, d)
         except (SeparationError, DegenerateDataError):
             return
-        lanes = stack_lanes(base.theta_hat.as_array(), pi)
+        # a prevalence can be held only where it is estimated
+        lanes = [lane for lane in stack_lanes(base.theta_hat.as_array(), pi)
+                 if not (known and "pi" in lane)]
         warm = None if cold else base
         stacked = em._fit_lanes(data, d, lanes, warm=warm)
         assert_same_lanes(stacked, [em._fit_lanes(data, d, [lane], warm=warm)[0]

@@ -12,7 +12,8 @@ from mixcox import (
     EffectParams,
     mixture_survival,
 )
-from mixcox.model import _linear_predictor, _npv, _ppv
+from mixcox import cox
+from mixcox.model import _log_priors
 
 
 # columns (time, event, treatment, test) of a valid three-subject trial;
@@ -33,6 +34,20 @@ INVALID = [
     ("test", 2, "test results"),
     ("test", -1.5, "test results"),
 ]
+
+
+def predictive_values(diag):
+    """(PPV, NPV) from the prior table's tested columns: each column's
+    weights over their sum, as ``mixture_survival`` reads them."""
+    probs = np.exp(_log_priors(diag, diag.prevalence))[:, :2]
+    posterior = probs / probs.sum(axis=0)
+    return posterior[0, 0], posterior[1, 1]
+
+
+def eta(theta, x, z):
+    """Log relative hazard of arm ``x`` and latent status ``z`` from the
+    (status, arm) table of ``cox._linear``."""
+    return cox._linear(theta.as_array()).take(cox._ETA)[1 - np.asarray(z), x]
 
 
 class TestTypes:
@@ -94,28 +109,31 @@ class TestTypes:
 
 
 class TestPredictiveValues:
+    """The prior table gives the predictive values under both prevalence
+    conventions: joint probabilities, or conditional on the test result."""
+
     def test_ppv_hand_values(self):
-        assert _ppv(DiagnosticModel(0.8, 0.8, 0.3)) == pytest.approx(0.24 / 0.38, abs=1e-12)
-        assert _ppv(DiagnosticModel(0.95, 0.90, 0.47)) == pytest.approx(
-            0.4465 / 0.4995, abs=1e-12
-        )
+        for known in (True, False):
+            ppv = predictive_values(DiagnosticModel(0.8, 0.8, 0.3, known))[0]
+            assert ppv == pytest.approx(0.24 / 0.38, abs=1e-12)
+            ppv = predictive_values(DiagnosticModel(0.95, 0.90, 0.47, known))[0]
+            assert ppv == pytest.approx(0.4465 / 0.4995, abs=1e-12)
 
     def test_npv_hand_values(self):
-        assert _npv(DiagnosticModel(0.8, 0.8, 0.3)) == pytest.approx(0.56 / 0.62, abs=1e-12)
-        assert _npv(DiagnosticModel(0.95, 0.90, 0.47)) == pytest.approx(
-            0.477 / 0.5005, abs=1e-12
-        )
+        for known in (True, False):
+            npv = predictive_values(DiagnosticModel(0.8, 0.8, 0.3, known))[1]
+            assert npv == pytest.approx(0.56 / 0.62, abs=1e-12)
+            npv = predictive_values(DiagnosticModel(0.95, 0.90, 0.47, known))[1]
+            assert npv == pytest.approx(0.477 / 0.5005, abs=1e-12)
 
     @pytest.mark.parametrize("pi", [0.05, 0.3, 0.7, 0.95])
     def test_perfect_test(self, pi):
-        diag = DiagnosticModel(1.0, 1.0, pi)
-        assert _ppv(diag) == 1.0
-        assert _npv(diag) == 1.0
+        for known in (True, False):
+            assert predictive_values(DiagnosticModel(1.0, 1.0, pi, known)) == (1.0, 1.0)
 
     def test_monotone_in_prevalence(self):
         grid = np.linspace(0.01, 0.99, 50)
-        ppvs = [_ppv(DiagnosticModel(0.9, 0.85, p)) for p in grid]
-        npvs = [_npv(DiagnosticModel(0.9, 0.85, p)) for p in grid]
+        ppvs, npvs = zip(*(predictive_values(DiagnosticModel(0.9, 0.85, p)) for p in grid))
         assert np.all(np.diff(ppvs) > 0)
         assert np.all(np.diff(npvs) < 0)
         assert all(0 < v <= 1 for v in ppvs + npvs)
@@ -123,19 +141,25 @@ class TestPredictiveValues:
 
 class TestLinearPredictor:
     def test_zero_effects(self):
-        assert _linear_predictor(EffectParams(0, 0, 0), 1, 1) == 0.0
+        assert eta(EffectParams(0, 0, 0), 1, 1) == 0.0
 
     def test_scenario_sum(self):
         theta = EffectParams(-0.5, 0.1, 0.3)
-        assert _linear_predictor(theta, 1, 1) == pytest.approx(-0.1)
+        assert eta(theta, 1, 1) == pytest.approx(-0.1)
         # treated biomarker-negative: hazard ratio exp(-0.5) ~ 0.61
-        assert _linear_predictor(theta, 1, 0) == pytest.approx(-0.5)
+        assert eta(theta, 1, 0) == pytest.approx(-0.5)
         assert math.exp(-0.5) == pytest.approx(0.61, abs=0.005)
 
     def test_vectorized(self):
         theta = EffectParams(1.0, 2.0, 4.0)
-        out = _linear_predictor(theta, np.array([0, 1, 1]), np.array([1, 0, 1]))
+        out = eta(theta, np.array([0, 1, 1]), np.array([1, 0, 1]))
         assert np.allclose(out, [2.0, 1.0, 7.0])
+        # bit for bit the design-row form beta1*x + beta2*z + gamma*x*z
+        rng = np.random.default_rng(3)
+        x, z = rng.integers(0, 2, (2, 1000), dtype=np.int8)
+        for b1, b2, g in rng.normal(0.0, 2.0, (200, 3)):
+            assert np.array_equal(eta(EffectParams(b1, b2, g), x, z),
+                                  b1 * x + b2 * z + g * x * z)
 
 
 class TestMixtureSurvival:
@@ -159,9 +183,16 @@ class TestMixtureSurvival:
     def test_hand_value_positive_group(self):
         w = 0.24 / 0.38
         expected = w * math.exp(-math.exp(0.1)) + (1 - w) * math.exp(-1.0)
-        got = mixture_survival(2.0, 0, 1, self.theta, self.baseline, self.diag)
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert got == pytest.approx(0.3448, abs=1e-3)
+        # the mixing weight is the same under either prevalence convention
+        for diag in (self.diag, DiagnosticModel(0.8, 0.8, 0.3, prevalence_known=False)):
+            got = mixture_survival(2.0, 0, 1, self.theta, self.baseline, diag)
+            assert got == pytest.approx(expected, rel=1e-12)
+            assert got == pytest.approx(0.3448, abs=1e-3)
+
+    @pytest.mark.parametrize("x,group", [(2, 1), (-1, 0), (0, 2), (1, -1)])
+    def test_rejects_unknown_arm_or_group(self, x, group):
+        with pytest.raises(DatasetError, match="must be 0 or 1"):
+            mixture_survival(2.0, x, group, self.theta, self.baseline, self.diag)
 
     def test_between_components_and_monotone(self):
         ts = np.linspace(0.05, 6.0, 40)
@@ -171,8 +202,8 @@ class TestMixtureSurvival:
         assert np.all(np.diff(vals) <= 1e-15)
         for t, v in zip(ts, vals):
             h0t = self.baseline.cumulative(t)
-            s1 = math.exp(-h0t * math.exp(_linear_predictor(self.theta, 1, 1)))
-            s0 = math.exp(-h0t * math.exp(_linear_predictor(self.theta, 1, 0)))
+            s1 = math.exp(-h0t * math.exp(eta(self.theta, 1, 1)))
+            s0 = math.exp(-h0t * math.exp(eta(self.theta, 1, 0)))
             assert min(s0, s1) - 1e-12 <= v <= max(s0, s1) + 1e-12
         assert mixture_survival(1e-12, 1, 0, self.theta, self.baseline, self.diag) == (
             pytest.approx(1.0, abs=1e-9)

@@ -1,5 +1,7 @@
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from mixcox import (
     run_scenario,
     simulate,
 )
+from mixcox.cli import _scenario_from_dict
 from mixcox.inference import profile_loglik
 from mixcox.simulate import _draw_survival_time, _draw_trial, _replicate
 
@@ -36,9 +39,9 @@ def scenario(**kw):
 class TestScenarioConfig:
     @pytest.mark.parametrize("kw", [dict(n_per_arm=0), dict(alpha=0.0), dict(alpha=1.5),
                                     dict(pi_true=1.3), dict(sens=0.5, spec=0.5),
-                                    dict(base_seed=-1)],
+                                    dict(base_seed=-1), dict(censor_high=math.inf)],
                              ids=["n_per_arm", "alpha_zero", "alpha_above_one", "pi",
-                                  "uninformative_test", "negative_seed"])
+                                  "uninformative_test", "negative_seed", "censor_high_inf"])
     def test_invalid_cell_rejected(self, kw):
         with pytest.raises(ValueError):
             scenario(**kw)
@@ -242,3 +245,14 @@ class TestEmitTable:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             emit_table([])
+
+    def test_golden_scenarios(self):
+        # the committed two-scenario study, read as ``mixcox simulate`` reads
+        # it; CI compares the command's output at 1 and 2 workers with the
+        # same files
+        data = Path(__file__).parent / "data"
+        entries = json.loads((data / "golden_scenarios.json").read_text(encoding="utf-8"))
+        table = emit_table(run_scenario(_scenario_from_dict(entry, None, None))
+                           for entry in entries)
+        assert table.text == (data / "golden_summary.txt").read_text(encoding="utf-8")
+        assert table.csv == (data / "golden_summary.csv").read_text(encoding="utf-8")
