@@ -17,7 +17,6 @@ from mixcox import (
     EffectParams,
     RngStream,
     ScenarioConfig,
-    fd_profile_information,
     fit,
     generate_trial,
     lr_test,
@@ -25,7 +24,6 @@ from mixcox import (
     profile_ci,
     simultaneous_cis,
     simultaneous_scale,
-    subgroup_cov,
 )
 
 config = ScenarioConfig(
@@ -49,11 +47,9 @@ for name in ("beta1", "beta2", "gamma", "pi"):
 
 # simultaneous intervals for the two subgroup effects: the common scale
 # factor inflates the normal quantile according to the correlation.  One
-# profile information of (beta1, beta2, gamma) gives every standard error
-# and covariance of the analysis
-info = fd_profile_information(res)
-sigma = subgroup_cov(info)
-rep2 = simultaneous_cis(res.theta_hat, sigma, alpha=0.05)
+# profile information of (beta1, beta2, gamma), computed once and kept with
+# the fit, gives every standard error and covariance of the analysis
+rep2 = simultaneous_cis(res, alpha=0.05)
 print(f"\ncorrelation of the subgroup estimates: {rep2.rho:.3f}")
 print(f"scale factor xi = {rep2.xi_alpha:.4f} "
       f"(vs 1.9600 univariate, {simultaneous_scale(0.0, 0.05):.4f} independent)")
@@ -63,7 +59,7 @@ print(f"  positive group log HR: {rep2.est_pos: .3f} "
       f"({rep2.interval_pos.low: .3f}, {rep2.interval_pos.high: .3f})")
 
 # the three-way report adds the overall log concordance odds
-rep3 = overall_concordance_report(res, information=info)
+rep3 = overall_concordance_report(res)
 print(f"\nthree-way simultaneous intervals (xi = {rep3.xi_alpha:.4f}):")
 for label, est, ival in (
     ("negative", rep3.est_neg, rep3.interval_neg),

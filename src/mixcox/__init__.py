@@ -28,7 +28,6 @@ from .inference import (
     profile_ci,
     simultaneous_cis,
     simultaneous_scale,
-    subgroup_cov,
 )
 from .model import (
     BaselineHazard,
@@ -59,5 +58,5 @@ __all__ = [
     "fd_profile_information", "fit", "generate_trial",
     "lr_test", "mixture_survival",
     "overall_concordance_report", "profile_ci",
-    "run_scenario", "simultaneous_cis", "simultaneous_scale", "subgroup_cov",
+    "run_scenario", "simultaneous_cis", "simultaneous_scale",
 ]

@@ -251,7 +251,6 @@ def run_fit(dataset_path, sensitivity: float, specificity: float,
     em._check_max_iter(max_iter)
     inference._check_alpha(alpha)
     res = em.fit(parse_dataset(dataset_path), diag, max_iter=max_iter)
-    info = inference.fd_profile_information(res)
     labels = {
         "beta1": "treatment (beta1)",
         "beta2": "biomarker positive (beta2)",
@@ -262,14 +261,14 @@ def run_fit(dataset_path, sensitivity: float, specificity: float,
     names = em.PARAM_NAMES
     intervals, tests = inference._profile(
         res, [*names, "pi"] if estimated else names, alpha,
-        information=info, tests=dict.fromkeys(names, 0.0),
+        tests=dict.fromkeys(names, 0.0),
     )
     theta = res.theta_hat.as_array()
     rows = [ParamRow(name, labels[name], float(theta[i]), intervals[name], tests[name][1])
             for i, name in enumerate(names)]
     if estimated:
         rows.append(ParamRow("pi", "prevalence (pi)", res.pi_hat, intervals["pi"], None))
-    subgroups = inference.overall_concordance_report(res, alpha, information=info)
+    subgroups = inference.overall_concordance_report(res, alpha)
     return AnalysisReport(
         parameters=rows,
         subgroups=subgroups,
@@ -333,8 +332,10 @@ def run_simulation(config_path, out_dir, reps_override=None, seed_override=None,
     n_per_arm, reps and seed integers and prevalence_known true or false;
     a value of another type is a DatasetError, never coerced, and so is
     any other key.  Writes ``summary.txt`` and ``summary.csv`` to
-    ``out_dir``; both are byte-stable for a fixed config and seed.
+    ``out_dir``; both are byte-stable for a fixed config and seed.  The
+    worker count is checked before the config is read.
     """
+    simulate._check_workers(workers)
     raw = _read_utf8(config_path)
     try:
         doc = json.loads(raw)

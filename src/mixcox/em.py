@@ -148,6 +148,11 @@ class FitResult:
     # Dataset object reuses them.  Not part of the result's value.
     _workspace: "_Workspace | None" = field(default=None, repr=False,
                                             compare=False)
+    # the profile information at this fit, kept by its first computation
+    # (:func:`inference.fd_profile_information`); never copied by
+    # ``dataclasses.replace``, so a changed fit computes its own
+    _information: "np.ndarray | None" = field(default=None, init=False, repr=False,
+                                              compare=False)
 
 
 class _Lane(NamedTuple):

@@ -20,12 +20,14 @@ information of (beta1, beta2, gamma), computed exactly at the EM fixed
 point as the Schur complement of the observed-likelihood Hessian over the
 nuisance parameters (the baseline hazard jumps and, when it is estimated,
 the prevalence); its structure reduces the elimination of the baseline to
-one tridiagonal solve.  Simultaneous (equicoordinate) intervals for the two subgroup effects
-scale the usual normal quantile up to the factor that gives joint
-bivariate-normal coverage; adding the overall effect -- the log
-concordance odds, a smooth function of the coefficients and the
+one tridiagonal solve.  It is computed once per fit, on first use, and
+kept with the fit.  Simultaneous (equicoordinate) intervals for the two
+subgroup effects scale the usual normal quantile up to the factor that
+gives joint bivariate-normal coverage; adding the overall effect -- the
+log concordance odds, a smooth function of the coefficients and the
 prevalence -- extends this to a trivariate rectangle, whose probability
-is integrated over half of its symmetric range.
+is integrated over half of its symmetric range.  Both reports are built
+from the fit alone, in one place (:func:`_simultaneous_report`).
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "lr_test",
     "profile_ci",
     "fd_profile_information",
-    "subgroup_cov",
     "bvn_rect_prob",
     "simultaneous_scale",
     "simultaneous_cis",
@@ -434,8 +435,7 @@ def _endpoint_search(param: str, direction: int, mle: float, se: float,
         x = x_new
 
 
-def _interval_searches(fit_result: em.FitResult, params: Sequence[str], alpha: float,
-                       information: np.ndarray | None) -> list:
+def _interval_searches(fit_result: em.FitResult, params: Sequence[str], alpha: float) -> list:
     """The upper and lower endpoint searches of :func:`profile_ci` for each
     of ``params``, in order, at level ``alpha``, with the Wald scales
     :func:`_profile` sets."""
@@ -444,9 +444,7 @@ def _interval_searches(fit_result: em.FitResult, params: Sequence[str], alpha: f
         if param not in ("beta1", "beta2", "gamma", "pi"):
             raise ValueError(f"unknown parameter: {param}")
     if any(param != "pi" for param in params):
-        if information is None:
-            information = fd_profile_information(fit_result)
-        variances = np.diag(np.linalg.inv(information))
+        variances = np.diag(np.linalg.inv(fd_profile_information(fit_result)))
     target = _chi2_quantile(1.0 - alpha)
     searches = []
     for param in params:
@@ -503,24 +501,22 @@ def _profile(
     params: Sequence[str],
     alpha: float,
     *,
-    information: np.ndarray | None = None,
     tests: Mapping[str, float] | None = None,
 ) -> tuple[dict[str, Interval], dict[str, tuple[float, float]]]:
     """The profile interval of each of ``params`` (:func:`profile_ci`) and
     the likelihood-ratio test of each ``param == null_value`` of ``tests``
     (:func:`lr_test`).
 
-    A coefficient's search starts from its standard error in
-    ``information`` (:func:`fd_profile_information`, computed once when
-    None and a coefficient is asked for), the prevalence's from sqrt(pi (1
-    - pi) / n).  All of the searches run in lockstep
+    A coefficient's search starts from its standard error in the fit's
+    profile information (:func:`fd_profile_information`), the prevalence's
+    from sqrt(pi (1 - pi) / n).  All of the searches run in lockstep
     (:func:`_run_searches`).  For the report of ``mixcox fit`` on
     the golden trial -- eight endpoint searches and three tests -- that is
     three stacked refits (39 EM maps) instead of twenty-three refits one
     after another.
     """
     tests = tests or {}
-    searches = _interval_searches(fit_result, params, alpha, information)
+    searches = _interval_searches(fit_result, params, alpha)
     searches += [_lr_null(fit_result, param, value) for param, value in tests.items()]
     results = _run_searches(fit_result, searches)
     intervals = {}
@@ -542,7 +538,9 @@ def fd_profile_information(fit_result: em.FitResult) -> np.ndarray:
     nuisance, so the profile information is the Schur complement of its
     Hessian over the nuisance (Murphy & van der Vaart 2000, JASA 95:449):
     the limit of second differences of the profile log-likelihood as the
-    step goes to zero.  It is built in O(n + m) with no refit.
+    step goes to zero.  It is built in O(n + m) with no refit, on the first
+    call for a fit, and kept with the fit (``FitResult._information``,
+    read-only): a later call returns the same matrix.
 
     Subject i contributes logaddexp(A_i, B_i) to the observed
     log-likelihood (:func:`em._e_pass`), with A_i = log prior_pos -
@@ -574,8 +572,10 @@ def fd_profile_information(fit_result: em.FitResult) -> np.ndarray:
     ConditioningError
         If C - T meets a zero or non-finite pivot (it is singular), or the
         complement is not positive definite: the fit is not a strict local
-        maximum of the likelihood.
+        maximum of the likelihood.  Nothing is kept, so every call raises.
     """
+    if fit_result._information is not None:
+        return fit_result._information
     data = fit_result.data
     ws = em._workspace(data, fit_result)
     rs = ws.risk_sets
@@ -621,6 +621,8 @@ def fd_profile_information(fit_result: em.FitResult) -> np.ndarray:
     _require_positive_definite(info)
     if free_pi:
         info = info[:3, :3] - np.outer(info[:3, 3], info[3, :3]) / info[3, 3]
+    info.flags.writeable = False
+    fit_result._information = info
     return info
 
 
@@ -687,14 +689,6 @@ def _require_positive_definite(info: np.ndarray) -> None:
             "profile information is not positive definite; the fit is not "
             "a strict local maximum of the likelihood"
         )
-
-
-def subgroup_cov(information: np.ndarray) -> np.ndarray:
-    """Covariance of the subgroup effects (beta1 + gamma, beta1) from the
-    3x3 profile information of (beta1, beta2, gamma)
-    (:func:`fd_profile_information`), by the delta method."""
-    sigma = _SUBGROUP_ROWS @ np.linalg.inv(information) @ _SUBGROUP_ROWS.T
-    return 0.5 * (sigma + sigma.T)
 
 
 def _rectangle(lo1, hi1, lo2, hi2, slope, scale) -> np.ndarray:
@@ -818,27 +812,6 @@ def simultaneous_scale(rho: float, alpha: float) -> float:
     lo, hi = _scale_bracket(alpha, 2)
     return _newton_scale(lambda xi: bvn_rect_prob(xi, rho),
                          lambda xi: _bvn_rect_slope(xi, rho), 1.0 - alpha, lo, hi, lo)
-
-
-def simultaneous_cis(
-    theta_hat: EffectParams, sigma: np.ndarray, alpha: float = ALPHA
-) -> SimultaneousReport:
-    """Equicoordinate intervals for the treatment effect in the
-    biomarker-positive (beta1 + gamma) and -negative (beta1) groups."""
-    sigma = np.asarray(sigma, dtype=float)
-    sd_pos = math.sqrt(sigma[0, 0])
-    sd_neg = math.sqrt(sigma[1, 1])
-    rho = float(sigma[0, 1] / (sd_pos * sd_neg))
-    xi = simultaneous_scale(rho, alpha)
-    est_pos, est_neg = _SUBGROUP_ROWS @ theta_hat.as_array()
-    return SimultaneousReport(
-        est_pos=est_pos,
-        est_neg=est_neg,
-        interval_pos=Interval(est_pos - xi * sd_pos, est_pos + xi * sd_pos),
-        interval_neg=Interval(est_neg - xi * sd_neg, est_neg + xi * sd_neg),
-        xi_alpha=xi,
-        rho=rho,
-    )
 
 
 # the four latent-status pairings (positive-positive, negative-negative
@@ -1051,49 +1024,58 @@ def _equicoordinate_scale_mvn(corr: np.ndarray, alpha: float) -> float:
                                lambda xi: _box_slope(xi, corr), target, lo, hi, x))
 
 
-def overall_concordance_report(
-    fit_result: em.FitResult,
-    alpha: float = ALPHA,
-    *,
-    information: np.ndarray | None = None,
-) -> SimultaneousReport:
-    """Three-way simultaneous intervals: both subgroup effects plus the
-    overall log concordance odds.
+def _simultaneous_report(fit_result: em.FitResult, alpha: float,
+                         overall: bool) -> SimultaneousReport:
+    """Equicoordinate intervals at joint level 1 - ``alpha`` for the effects
+    of :func:`simultaneous_cis`, or with ``overall`` of
+    :func:`overall_concordance_report`, from the fit alone.
 
-    The covariance of (beta1 + gamma, beta1, overall) comes from the 3x3
-    profile information over the coefficients (:func:`fd_profile_information`)
-    and the delta method, with the overall effect's gradient in closed
-    form.  The prevalence is held at its estimate, so its sampling
-    uncertainty is not propagated into the overall effect.  The common
-    scale ``xi_alpha`` is the equicoordinate quantile of the trivariate
-    normal with that covariance's correlation, a root of the deterministic
-    box probability to 1e-10 at joint coverage 1 - ``alpha``: one coarse
-    sweep of the bracket, then Newton's method with the closed-form slope
-    on the full box probability (see ``_equicoordinate_scale_mvn``).
-    ``information`` is that profile information when the caller already
-    holds it; otherwise it is computed here.
+    Each effect is a row of coefficients on (beta1, beta2, gamma): the two
+    subgroup effects (``_SUBGROUP_ROWS``) and, for the overall effect, the
+    gradient of the log concordance odds at the estimate.  Their covariance
+    is the delta method on the fit's profile information
+    (:func:`fd_profile_information`), rows I^-1 rows^T, symmetrized; the
+    common scale is the bivariate (:func:`simultaneous_scale`) or trivariate
+    (``_equicoordinate_scale_mvn``) equicoordinate quantile of its
+    correlation.
     """
     _check_alpha(alpha)
-    if information is None:
-        information = fd_profile_information(fit_result)
-    cov_theta = np.linalg.inv(information)
-    center = fit_result.theta_hat.as_array()
-    pi = fit_result.pi_hat
-    b = np.vstack([_SUBGROUP_ROWS, _log_concordance_odds_grad(center, pi)])
-    sigma3 = b @ cov_theta @ b.T
-    sigma3 = 0.5 * (sigma3 + sigma3.T)
-    sds = np.sqrt(np.diag(sigma3))
-    corr = sigma3 / np.outer(sds, sds)
-    xi = _equicoordinate_scale_mvn(corr, alpha)
-    est_pos, est_neg = _SUBGROUP_ROWS @ center
-    est_all = _log_concordance_odds(center, pi)
-    return SimultaneousReport(
-        est_pos=est_pos,
-        est_neg=est_neg,
-        interval_pos=Interval(est_pos - xi * sds[0], est_pos + xi * sds[0]),
-        interval_neg=Interval(est_neg - xi * sds[1], est_neg + xi * sds[1]),
-        xi_alpha=xi,
-        rho=float(corr[0, 1]),
-        est_overall=est_all,
-        interval_overall=Interval(est_all - xi * sds[2], est_all + xi * sds[2]),
-    )
+    center, pi = fit_result.theta_hat.as_array(), fit_result.pi_hat
+    rows, est = _SUBGROUP_ROWS, list(_SUBGROUP_ROWS @ center)
+    if overall:
+        rows = np.vstack([rows, _log_concordance_odds_grad(center, pi)])
+        est.append(_log_concordance_odds(center, pi))
+    sigma = rows @ np.linalg.inv(fd_profile_information(fit_result)) @ rows.T
+    sigma = 0.5 * (sigma + sigma.T)
+    sds = np.sqrt(np.diag(sigma))
+    corr = sigma / np.outer(sds, sds)
+    rho = float(corr[0, 1])
+    xi = _equicoordinate_scale_mvn(corr, alpha) if overall else simultaneous_scale(rho, alpha)
+    intervals = [Interval(e - xi * sd, e + xi * sd) for e, sd in zip(est, sds)]
+    return SimultaneousReport(est[0], est[1], intervals[0], intervals[1], xi, rho,
+                              *est[2:], *intervals[2:])
+
+
+def simultaneous_cis(fit_result: em.FitResult, alpha: float = ALPHA) -> SimultaneousReport:
+    """Equicoordinate intervals for the treatment effect in the
+    biomarker-positive (beta1 + gamma) and -negative (beta1) groups of the
+    unconstrained ``fit_result``, at joint bivariate-normal coverage 1 -
+    ``alpha`` (:func:`_simultaneous_report`)."""
+    return _simultaneous_report(fit_result, alpha, overall=False)
+
+
+def overall_concordance_report(fit_result: em.FitResult,
+                               alpha: float = ALPHA) -> SimultaneousReport:
+    """Three-way simultaneous intervals for the unconstrained ``fit_result``:
+    both subgroup effects plus the overall log concordance odds
+    (:func:`_simultaneous_report`), with the overall effect's gradient in
+    closed form.
+
+    The prevalence is held at its estimate, so its sampling uncertainty is
+    not propagated into the overall effect.  The common scale ``xi_alpha``
+    is a root of the deterministic trivariate box probability to 1e-10 at
+    joint coverage 1 - ``alpha``: one coarse sweep of the bracket, then
+    Newton's method with the closed-form slope on the full box probability
+    (see ``_equicoordinate_scale_mvn``).
+    """
+    return _simultaneous_report(fit_result, alpha, overall=True)

@@ -216,9 +216,11 @@ class BaselineHazard:
         object.__setattr__(self, "increments", inc)
 
     def cumulative(self, t):
-        """Cumulative hazard at ``t``: piecewise linear, flat past the end."""
+        """Cumulative hazard at ``t``: piecewise linear, flat past the end
+        (so +inf gives the total).  A negative or NaN ``t`` is a
+        DatasetError."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
+        if not np.all(t >= 0):
             raise DatasetError("cumulative hazard requires t >= 0")
         m = self.event_times.size
         idx = np.searchsorted(self.event_times, t, side="left")

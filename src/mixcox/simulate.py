@@ -161,10 +161,7 @@ def _replicate(config: ScenarioConfig, rep: int):
         data = generate_trial(config, RngStream(config.base_seed, rep))
         fit_lane, null_lane = em._fit_lanes(data, config.diag, [{}, {"gamma": 0.0}])
         res = em._fit_result(fit_lane, data, config.diag, em.MAX_ITER)
-        info = inference.fd_profile_information(res)
-        report = inference.simultaneous_cis(
-            res.theta_hat, inference.subgroup_cov(info), config.alpha
-        )
+        report = inference.simultaneous_cis(res, config.alpha)
         truth = config.theta_true
         covered = report.interval_pos.contains(truth.beta1 + truth.gamma) \
             and report.interval_neg.contains(truth.beta1)
@@ -175,6 +172,12 @@ def _replicate(config: ScenarioConfig, rep: int):
         return res.theta_hat.as_array(), covered, reject, True
     except (MixcoxError, DatasetError):
         return np.full(3, np.nan), False, False, False
+
+
+def _check_workers(workers: int) -> None:
+    """A study runs in at least one process."""
+    if workers < 1:
+        raise DatasetError("workers must be at least 1")
 
 
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioSummary:
@@ -188,8 +191,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioSummary:
     Raises DatasetError, before any replication runs, if ``workers`` is
     below 1.
     """
-    if workers < 1:
-        raise DatasetError("workers must be at least 1")
+    _check_workers(workers)
     reps = range(config.replications)
     if workers > 1:
         # imported here, so that neither the package import nor a

@@ -458,9 +458,10 @@ class TestSimulateCommand:
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out),
                      "--workers", workers]) == 1
-        assert capsys.readouterr().err == "error: workers must be at least 1\n"
-        assert not (out / "summary.txt").exists()
-        assert not (out / "summary.csv").exists()
+        captured = capsys.readouterr()
+        assert captured.err == "error: workers must be at least 1\n"
+        assert "scenario 1/" not in captured.out
+        assert not out.exists()
 
     def test_invalid_json_is_validation_error(self, tmp_path, capsys):
         cfg = write(tmp_path, "{not json", name="bad.json")

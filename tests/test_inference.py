@@ -39,7 +39,6 @@ from mixcox import (
     profile_ci,
     simultaneous_cis,
     simultaneous_scale,
-    subgroup_cov,
 )
 from mixcox.cli import parse_dataset, run_fit
 from mixcox.inference import bvn_rect_prob, concordance_prob, profile_loglik
@@ -232,8 +231,7 @@ class TestProfileCi:
     def test_individual_within_simultaneous(self, fitted):
         *_, res = fitted
         ci_b1 = profile_ci(res, "beta1")
-        info = fd_profile_information(res)
-        report = simultaneous_cis(res.theta_hat, subgroup_cov(info))
+        report = simultaneous_cis(res)
         assert report.interval_neg.low <= ci_b1.low
         assert report.interval_neg.high >= ci_b1.high
 
@@ -268,8 +266,7 @@ class TestOneCheckPerSetting:
         calls = [
             lambda: profile_ci(res, "gamma", alpha),
             lambda: overall_concordance_report(res, alpha),
-            lambda: simultaneous_cis(res.theta_hat, np.array([[1.0, 0.5], [0.5, 1.0]]),
-                                     alpha),
+            lambda: simultaneous_cis(res, alpha),
             lambda: simultaneous_scale(0.5, alpha),
             lambda: ScenarioConfig(theta_true=res.theta_hat, pi_true=0.3, sens=0.9,
                                    spec=0.85, n_per_arm=10, replications=1, base_seed=1,
@@ -348,13 +345,13 @@ def _fake_profile(monkeypatch, res, param, lam_of_distance, slope_of_distance):
     return mle, calls
 
 
-def _coefficient_ci(res, param, se):
+def _coefficient_ci(monkeypatch, res, param, se):
     """:func:`profile_ci` of a coefficient with its search started from the
     Wald scale ``se``: every coefficient's standard error in the profile
-    information the searches are given."""
-    intervals, _ = inference._profile(res, [param], inference.ALPHA,
-                                      information=np.eye(3) / se**2)
-    return intervals[param]
+    information the searches read."""
+    monkeypatch.setattr(inference, "fd_profile_information",
+                        lambda fit_result: np.eye(3) / se**2)
+    return profile_ci(res, param)
 
 
 # an LR statistic that rises towards 1, never reaching the chi-square(1)
@@ -369,14 +366,14 @@ class TestProfileCiOpenEndpoints:
         mle, _ = _fake_profile(monkeypatch, res, "gamma", *FLAT)
         # 2048 standard errors out, when that is within +-50
         se = 0.01
-        ci = _coefficient_ci(res, "gamma", se)
+        ci = _coefficient_ci(monkeypatch, res, "gamma", se)
         assert ci.open_low and ci.open_high
         reach = 4.0 * 2**9 * se
         assert abs(mle) + reach < cox.SEPARATION_BOUND
         assert ci.low == pytest.approx(mle - reach, rel=1e-12)
         assert ci.high == pytest.approx(mle + reach, rel=1e-12)
         # +-50 on the coefficient scale, when that is nearer
-        ci = _coefficient_ci(res, "gamma", 0.2)
+        ci = _coefficient_ci(monkeypatch, res, "gamma", 0.2)
         assert ci.open_low and ci.open_high
         assert (ci.low, ci.high) == (-cox.SEPARATION_BOUND, cox.SEPARATION_BOUND)
 
@@ -394,7 +391,7 @@ class TestProfileCiOpenEndpoints:
                                    lambda d: 2.0 * d / sd**2)
         # a standard error three times too large puts the first trial
         # points inside the separation region
-        ci = _coefficient_ci(res, "gamma", 3 * sd)
+        ci = _coefficient_ci(monkeypatch, res, "gamma", 3 * sd)
         assert not (ci.open_low or ci.open_high)
         assert any(abs(v - mle) > 2.5 * sd for v in calls)
         half = math.sqrt(target) * sd
@@ -482,7 +479,7 @@ class TestLockstepSearches:
         def searches():
             out = []
             for param in FAKE_PROFILES:
-                out += inference._interval_searches(res, [param], 0.05, None)
+                out += inference._interval_searches(res, [param], 0.05)
                 if param != "pi":
                     out.append(inference._lr_null(res, param, 0.0))
             return out
@@ -517,8 +514,8 @@ class TestLockstepSearches:
 
     def test_one_information_per_run(self, fitted, monkeypatch):
         # the coefficients' searches take their Wald scales from one profile
-        # information, computed only when a coefficient interval is asked
-        # for and not given
+        # information, looked up only when a coefficient interval is asked
+        # for
         *_, res = fitted
         _fake_profiles(monkeypatch, res, [])
         calls = []
@@ -531,8 +528,6 @@ class TestLockstepSearches:
         inference._profile(res, ["beta1", "beta2", "gamma"], inference.ALPHA)
         assert calls == [res]
         inference._profile(res, ["pi"], inference.ALPHA, tests={"gamma": 0.0})
-        inference._profile(res, ["beta1", "gamma"], inference.ALPHA,
-                           information=FAKE_INFORMATION)
         assert calls == [res]
 
 
@@ -678,7 +673,7 @@ class TestFdInformation:
         data, diag, free_pi = _information_case("golden")
         monkeypatch.setattr(em, "TOL_LOGLIK", 1e-13)
         res = fit(data, diag)
-        sigma = subgroup_cov(fd_profile_information(res))
+        sigma = _reported_cov(simultaneous_cis(res))
         ref = dense_profile_information(data, diag, res, free_pi, keep=(0, 2))
         a = np.array([[1.0, 1.0], [1.0, 0.0]])
         want = a @ np.linalg.inv(ref) @ a.T
@@ -697,6 +692,56 @@ class TestFdInformation:
         with pytest.raises(ConditioningError, match="not positive definite") as err:
             _require_positive_definite(info)
         assert "fd_step" not in str(err.value)
+
+
+def _count_tridiagonal_forms(monkeypatch):
+    """Count the information computations: each runs one
+    ``inference._tridiagonal_form``.  Returns the list its calls append to."""
+    calls = []
+    form = inference._tridiagonal_form
+
+    def counting(*args):
+        calls.append(None)
+        return form(*args)
+
+    monkeypatch.setattr(inference, "_tridiagonal_form", counting)
+    return calls
+
+
+class TestInformationKeptWithFit:
+    def test_one_computation_per_fit(self, fitted, monkeypatch):
+        # a copy of the fit starts without the kept matrix
+        res = replace(fitted[2])
+        calls = _count_tridiagonal_forms(monkeypatch)
+        inference._profile(res, ["gamma"], inference.ALPHA)
+        overall_concordance_report(res)
+        simultaneous_cis(res)
+        assert len(calls) == 1
+        info = fd_profile_information(res)
+        assert fd_profile_information(res) is info
+        assert not info.flags.writeable
+        assert len(calls) == 1
+
+    def test_replaced_fit_computes_its_own(self, fitted, monkeypatch):
+        *_, res = fitted
+        info = fd_profile_information(res)
+        calls = _count_tridiagonal_forms(monkeypatch)
+        moved = replace(res, theta_hat=EffectParams.from_array(res.theta_hat.as_array() + 0.05))
+        moved_info = fd_profile_information(moved)
+        assert len(calls) == 1
+        assert not np.array_equal(moved_info, info)
+        assert fd_profile_information(res) is info
+
+    def test_conditioning_error_is_not_kept(self, fitted, monkeypatch):
+        res = replace(fitted[2])
+        form = inference._tridiagonal_form
+        monkeypatch.setattr(inference, "_tridiagonal_form",
+                            lambda *args: _raise(ConditioningError("singular")))
+        for _ in range(2):
+            with pytest.raises(ConditioningError, match="singular"):
+                simultaneous_cis(res)
+        monkeypatch.setattr(inference, "_tridiagonal_form", form)
+        assert simultaneous_cis(res) == simultaneous_cis(fitted[2])
 
 
 def _negative_definite_tridiagonal(rng, m):
@@ -802,23 +847,44 @@ class TestChiSquareAndQuantiles:
             assert hi - 1e-6 == pytest.approx(sidak, rel=1e-14)
 
 
-class TestSubgroupCov:
-    def test_identity_information(self):
-        sigma = subgroup_cov(np.eye(3))
-        assert np.allclose(sigma, [[2.0, 1.0], [1.0, 1.0]])
+def _reported_cov(report):
+    """The covariance of the subgroup effects behind a simultaneous report,
+    rebuilt from its standard deviations (each interval's half-width over
+    the scale) and its correlation."""
+    sd = np.array([report.interval_pos.high - report.est_pos,
+                   report.interval_neg.high - report.est_neg]) / report.xi_alpha
+    return np.outer(sd, sd) * np.array([[1.0, report.rho], [report.rho, 1.0]])
 
-    def test_diagonal_information(self):
+
+def _report_under(monkeypatch, res, information):
+    """:func:`simultaneous_cis` of ``res`` with ``information`` as the
+    fit's profile information."""
+    monkeypatch.setattr(inference, "fd_profile_information", lambda fit_result: information)
+    return simultaneous_cis(res)
+
+
+class TestSubgroupCov:
+    """The subgroup effects' covariance in the simultaneous report: the
+    delta method on the fit's profile information."""
+
+    def test_identity_information(self, fitted, monkeypatch):
+        sigma = _reported_cov(_report_under(monkeypatch, fitted[2], np.eye(3)))
+        assert np.allclose(sigma, [[2.0, 1.0], [1.0, 1.0]], rtol=1e-12, atol=0.0)
+
+    def test_diagonal_information(self, fitted, monkeypatch):
         # beta2's information does not enter the subgroup effects
         a, b = 4.0, 2.5
-        sigma = subgroup_cov(np.diag([a, 7.0, b]))
-        assert np.allclose(sigma, [[1 / a + 1 / b, 1 / a], [1 / a, 1 / a]])
+        rep = _report_under(monkeypatch, fitted[2], np.diag([a, 7.0, b]))
+        assert np.allclose(_reported_cov(rep), [[1 / a + 1 / b, 1 / a], [1 / a, 1 / a]],
+                           rtol=1e-12, atol=0.0)
+        assert rep.rho == pytest.approx(math.sqrt(b / (a + b)), rel=1e-12)
 
-    def test_positive_definite(self):
+    def test_positive_definite(self, fitted, monkeypatch):
         rng = np.random.default_rng(5)
         m = rng.normal(size=(3, 3))
-        info = m @ m.T + np.eye(3)
-        sigma = subgroup_cov(info)
-        assert np.all(np.linalg.eigvalsh(sigma) > 0)
+        rep = _report_under(monkeypatch, fitted[2], m @ m.T + np.eye(3))
+        assert -1.0 < rep.rho < 1.0
+        assert np.all(np.linalg.eigvalsh(_reported_cov(rep)) > 0)
 
 
 class TestBvnRect:
@@ -1221,11 +1287,15 @@ class TestTrivariateScale:
 
 
 class TestSimultaneousCis:
-    def test_symmetric_case(self):
+    def test_symmetric_case(self, fitted, monkeypatch):
+        *_, res = fitted
         theta = EffectParams(-0.3, 0.2, 0.4)
-        sigma = np.array([[0.04, 0.0], [0.0, 0.04]])
-        rep = simultaneous_cis(theta, sigma, 0.05)
-        assert rep.rho == 0.0
+        # var(beta1) = 0.04, var(gamma) = 0.08 and cov(beta1, gamma) =
+        # -0.04: both subgroup effects have variance 0.04, uncorrelated
+        cov_theta = np.array([[0.04, 0.0, -0.04], [0.0, 1.0, 0.0], [-0.04, 0.0, 0.08]])
+        rep = _report_under(monkeypatch, replace(res, theta_hat=theta),
+                            np.linalg.inv(cov_theta))
+        assert rep.rho == pytest.approx(0.0, abs=1e-12)
         w_pos = rep.interval_pos.high - rep.interval_pos.low
         w_neg = rep.interval_neg.high - rep.interval_neg.low
         assert w_pos == pytest.approx(w_neg, rel=1e-12)

@@ -222,6 +222,17 @@ class TestBaselineEvaluation:
         # flat beyond the last event time
         assert self.baseline.cumulative(10.0) == pytest.approx(0.6)
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_negative_or_nan_time_rejected(self, t):
+        # +inf stays legal: the hazard is flat past the last event
+        assert self.baseline.cumulative(math.inf) == pytest.approx(0.6)
+        for evaluate in (lambda: self.baseline.cumulative(t),
+                         lambda: self.baseline.cumulative([1.0, t]),
+                         lambda: mixture_survival(t, 0, 1, TestMixtureSurvival.theta,
+                                                  self.baseline, TestMixtureSurvival.diag)):
+            with pytest.raises(DatasetError, match=r"requires t >= 0"):
+                evaluate()
+
     def test_hazard_levels(self):
         assert hazard_level(self.baseline, 0.5) == pytest.approx(0.4)
         assert hazard_level(self.baseline, 1.0) == pytest.approx(0.4)
